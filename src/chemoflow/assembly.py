@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .geometry import Mesh, MeshError, TraceMap
 
@@ -255,11 +254,10 @@ def _scatter_p1(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 
-def assemble_boundary_mass(mesh: Mesh, trace: TraceMap, lumped: bool = False) -> sp.csr_matrix:
-    """P1 mass on the closed boundary loop, boundary-indexed.
+def assemble_boundary_mass(mesh: Mesh, trace: TraceMap) -> sp.csr_matrix:
+    """Consistent P1 mass on the closed boundary loop, boundary-indexed.
 
-    ``1' M 1`` equals the polygonal boundary length exactly.  Consistent by
-    default; ``lumped=True`` gives the diagonal (trapezoidal) variant.
+    ``1' M 1`` equals the polygonal boundary length exactly.
     """
     nb = trace.n_boundary
     if nb < 3:
@@ -267,11 +265,6 @@ def assemble_boundary_mass(mesh: Mesh, trace: TraceMap, lumped: bool = False) ->
     lengths = mesh.boundary_edge_lengths()
     i = np.arange(nb)
     j = (i + 1) % nb
-    if lumped:
-        diag = np.zeros(nb)
-        np.add.at(diag, i, lengths / 2)
-        np.add.at(diag, j, lengths / 2)
-        return sp.diags(diag).tocsr()
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([i, j, j, i])
     vals = np.concatenate([lengths / 3, lengths / 3, lengths / 6, lengths / 6])
@@ -416,8 +409,3 @@ def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
         pressure_weights=np.asarray(M_vol.sum(axis=1)).ravel(),
         _work=work,
     )
-
-
-def dump_matrix(matrix: sp.spmatrix, path) -> None:
-    """Matrix-market text dump (header plus one triplet per line)."""
-    mmwrite(str(path), sp.coo_matrix(matrix))

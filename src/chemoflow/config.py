@@ -52,9 +52,7 @@ DEFAULTS = {
         "damping": 1.0,
         "retry_depth": 3,
     },
-    "mollifier_eps": 0.0,
     "output": {"directory": "out", "snapshot_stride": 0, "checkpoints": True},
-    "seed": 0,
 }
 
 SCALAR_PRESETS = ("constant", "zero", "gaussian", "file")
@@ -87,14 +85,6 @@ class RunConfig:
     @property
     def output(self) -> dict:
         return self.raw["output"]
-
-    @property
-    def mollifier_eps(self) -> float:
-        return self.raw["mollifier_eps"]
-
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
 
     def to_json(self) -> str:
         public = {k: v for k, v in self.raw.items() if not k.startswith("_")}
@@ -207,10 +197,6 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
     if rd is not None:
         solver["retry_depth"] = int(rd)
 
-    eps = merged["mollifier_eps"]
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or eps < 0:
-        problems.append(("mollifier_eps", f"must be a nonnegative number, got {eps!r}"))
-
     out = merged["output"]
     stride = _require_number(out, "snapshot_stride", problems, integer=True, minimum=0)
     if stride is not None:
@@ -219,10 +205,6 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
         problems.append(("output.directory", "must be a string"))
     if not isinstance(out.get("checkpoints"), bool):
         problems.append(("output.checkpoints", "must be true or false"))
-
-    seed = _require_number(merged, "seed", problems, integer=True)
-    if seed is not None:
-        merged["seed"] = int(seed)
 
     params = None
     try:

@@ -18,7 +18,7 @@ solved by sparse LU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,44 +209,3 @@ def project_divergence_free(u: np.ndarray, ops: OperatorSet) -> np.ndarray:
     )
     v, _ = solve_saddle(system)
     return v
-
-
-@dataclass
-class FluidDiagnostics:
-    iterations: int = 0
-    residual_history: list = field(default_factory=list)
-    converged: bool = False
-
-
-def picard_ns(
-    n: np.ndarray,
-    u_prev: np.ndarray,
-    k: float,
-    params,
-    ops: OperatorSet,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    cache: SaddleCache | None = None,
-):
-    """Fixed point on the convecting velocity: u <- solve(A(u_hat), ...).
-
-    Returns (u, p, diagnostics); non-convergence is reported in the
-    diagnostics, not raised.
-    """
-    diag = FluidDiagnostics()
-    solver = cache.solve if cache is not None else solve_saddle
-    u_hat = np.asarray(u_prev, dtype=float)
-    u, p = u_hat, np.zeros(ops.mesh.n_vertices)
-    for it in range(1, max_iter + 1):
-        system = build_saddle_system(ops, u_hat, n, u_prev, k, params)
-        u, p = solver(system, tol=min(tol, 1e-10))
-        diff = u - u_hat
-        num = np.sqrt(ops.velocity_norm_sq(diff))
-        den = np.sqrt(ops.velocity_norm_sq(u))
-        diag.iterations = it
-        diag.residual_history.append(num / den if den > 0 else num)
-        if num <= tol * den or (den == 0 and num == 0):
-            diag.converged = True
-            break
-        u_hat = u
-    return u, p, diag

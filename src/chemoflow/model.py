@@ -1,4 +1,4 @@
-"""Physical coefficients, bounded response functions, and the velocity mollifier.
+"""Physical coefficients, bounded response functions, and their validation.
 
 The consumption rate f and the chemotactic sensitivity g are not fixed
 functional forms; the model only pins their bounds (f trapped in [f0, f1],
@@ -11,13 +11,9 @@ window for alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-
-from .assembly import OperatorSet
-from .geometry import Mesh
 
 ERROR = "ERROR"
 WARNING = "WARNING"
@@ -120,9 +116,6 @@ class ModelParams:
         lo, hi = self.delta_window
         return 0.5 * hi if hi > lo else 0.5
 
-    def default_delta_hat(self) -> float:
-        return 0.5 * min(1.0, self.beta / self.g1) if self.g1 > 0 else 0.5
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -210,49 +203,3 @@ def validate_params(p: ModelParams) -> ValidationReport:
             Finding(INFO, "delta-hat-window", f"admissible delta-hat window: ({lo:g}, {hi:g})")
         )
     return ValidationReport(tuple(out))
-
-
-def mollify_velocity(u: np.ndarray, eps: float, mesh: Mesh, ops: OperatorSet) -> np.ndarray:
-    """Cut off near the boundary, average over an eps-ball, project solenoidal.
-
-    ``eps == 0`` returns the field unchanged.  Otherwise the field is zeroed
-    within distance ``2 eps`` of the boundary, smoothed by a normalised hat
-    kernel of radius ``eps`` over the velocity nodes, and projected onto the
-    discretely divergence-free subspace with zero boundary values.  An eps
-    beyond half the inradius annihilates everything; that is valid and only
-    logged.
-    """
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    u = np.asarray(u, dtype=float)
-    if eps == 0.0:
-        return u
-
-    from .fluid import project_divergence_free  # deferred: fluid imports assembly only
-
-    vs = ops.vspace
-    nodes = vs.nodes
-    dist = mesh.distance_to_boundary(nodes)
-    cutoff = (dist > 2.0 * eps).astype(float)
-    comp = u.reshape(2, vs.n_scalar) * cutoff[None, :]
-
-    if not np.any(cutoff):
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "mollifier eps=%g covers the whole domain; returning the zero field", eps
-        )
-        return np.zeros_like(u)
-
-    tree = cKDTree(nodes)
-    pairs = tree.sparse_distance_matrix(tree, eps, output_type="coo_matrix")
-    # hat kernel 1 - d/eps, rows normalised; diagonal included at weight 1
-    import scipy.sparse as sp
-
-    w = 1.0 - pairs.data / eps
-    kernel = sp.coo_matrix((w, (pairs.row, pairs.col)), shape=pairs.shape).tocsr()
-    rowsum = np.asarray(kernel.sum(axis=1)).ravel()
-    smoothed = (kernel @ comp.T).T / rowsum[None, :]
-    smoothed *= (dist > 0)[None, :]  # keep exact zeros on the boundary itself
-    candidate = vs.zero_boundary(smoothed.ravel())
-    return project_divergence_free(candidate, ops)

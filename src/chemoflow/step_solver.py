@@ -88,12 +88,12 @@ class FixedPointDiagnostics:
     damping: float = 1.0
     final_residual: float = float("nan")
 
-    def csv_rows(self, step: int, level: str = "outer"):
+    def csv_rows(self, step: int):
         rows = [
             f"{step},inner,{i + 1},{r:.17g}" for i, r in enumerate(self.inner_history)
         ]
         rows += [
-            f"{step},{level},{i + 1},{r:.17g}" for i, r in enumerate(self.residual_history)
+            f"{step},outer,{i + 1},{r:.17g}" for i, r in enumerate(self.residual_history)
         ]
         return rows
 
@@ -158,45 +158,6 @@ def _checked_solve(lu, matrix, rhs, tol, what):
     if res > tol:
         raise LinearSolveError(f"{what} solve residual {res:.3e} exceeds tolerance {tol:.1e}")
     return x
-
-
-def solve_c_linear(
-    inputs: StepInputs,
-    c_hat: np.ndarray,
-    n_hat: np.ndarray,
-    u_hat: np.ndarray,
-    params,
-    ops: OperatorSet,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Oxygen update with frozen iterates: one sparse direct solve."""
-    inputs.validate(ops)
-    C = assemble_convection(ops, u_hat)
-    A = c_system_matrix(ops, params, inputs.dt, C)
-    rhs = c_step_rhs(ops, params, inputs, c_hat, n_hat, params.consumption())
-    return _checked_solve(_factor(A, "oxygen"), A, rhs, tol, "oxygen")
-
-
-def solve_n_linear(
-    inputs: StepInputs,
-    n_hat: np.ndarray,
-    c: np.ndarray,
-    u_hat: np.ndarray,
-    params,
-    ops: OperatorSet,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Cell-density update with the freshly computed oxygen field.
-
-    The flux boundary condition cancels every boundary term of the weak form,
-    so the system has no boundary operators over and above the volume ones.
-    """
-    inputs.validate(ops)
-    C = assemble_convection(ops, u_hat)
-    A = n_system_matrix(ops, params, inputs.dt, C)
-    G = assemble_chemotaxis_rhs(ops, n_hat, c, params.sensitivity())
-    rhs = ops.M_vol @ inputs.n_prev + inputs.dt * G
-    return _checked_solve(_factor(A, "cell-density"), A, rhs, tol, "cell-density")
 
 
 def _pair_update_norm(ops, dc, dn, c, n):

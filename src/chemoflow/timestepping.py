@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import OperatorSet
-from .fluid import project_divergence_free
+from .fluid import SaddleCache, project_divergence_free
 from .step_solver import FixedPointDiagnostics, SolverOptions, StepInputs, StepResult, outer_step
 
 logger = logging.getLogger(__name__)
@@ -101,7 +101,7 @@ class Trajectory:
             raise ValueError("trajectory must hold N+1 states")
 
 
-def initial_state(ops: OperatorSet, c0, n0, u0, project_velocity: bool = True) -> State:
+def initial_state(ops: OperatorSet, c0, n0, u0) -> State:
     """Package initial fields; nonzero velocities are projected solenoidal."""
     c0 = np.asarray(c0, dtype=float)
     n0 = np.asarray(n0, dtype=float)
@@ -111,7 +111,7 @@ def initial_state(ops: OperatorSet, c0, n0, u0, project_velocity: bool = True) -
         raise ValueError("initial scalar fields do not match the mesh")
     if u0.shape != (ops.vspace.n_velocity,):
         raise ValueError("initial velocity does not match the velocity space")
-    if project_velocity and np.any(u0 != 0.0):
+    if np.any(u0 != 0.0):
         u0 = project_divergence_free(u0, ops)
     else:
         u0 = ops.vspace.zero_boundary(u0)
@@ -131,8 +131,6 @@ def trajectory_data_hash(ops: OperatorSet, params, state0: State, T: float) -> s
 
 def _advance(ops, params, state: State, k: float, t_next: float, options, depth: int, step: int, caches: dict):
     """One step of size k ending at t_next, halving on failure up to depth."""
-    from .fluid import SaddleCache
-
     if k not in caches:
         caches[k] = SaddleCache(ops, params, k)
     inputs = StepInputs(
@@ -261,9 +259,7 @@ def interpolate_state(traj: Trajectory, t: float) -> State:
 def sample_state(traj: Trajectory, t: float) -> State:
     """Right-continuous piecewise-constant selection; the value at 0 is the
     initial state, on (t_{m-1}, t_m] it is states[m]."""
-    idx, times = _locate(traj.grid, t)
-    if idx <= traj.grid.N and times[idx] == t:
-        return traj.states[idx]
+    idx, _ = _locate(traj.grid, t)
     return traj.states[idx]
 
 
@@ -303,8 +299,8 @@ def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State)
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read_checkpoint(path, mesh_hash: str, grid: TimeGrid | None = None):
-    """Read one checkpoint, refusing version or mesh mismatches."""
+def read_checkpoint(path, mesh_hash: str, grid: TimeGrid):
+    """Read one checkpoint, refusing version, mesh or grid mismatches."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -316,7 +312,7 @@ def read_checkpoint(path, mesh_hash: str, grid: TimeGrid | None = None):
         if stored_hash != mesh_hash:
             raise StepFailure(f"{path}: checkpoint belongs to a different mesh")
         N, m, T, t, nv, nvel = struct.unpack("<QQddQQ", f.read(48))
-        if grid is not None and (N != grid.N or T != grid.T):
+        if N != grid.N or T != grid.T:
             raise StepFailure(f"{path}: checkpoint grid (T={T}, N={N}) does not match")
         c = np.frombuffer(f.read(8 * nv), dtype="<f8").copy()
         n = np.frombuffer(f.read(8 * nv), dtype="<f8").copy()

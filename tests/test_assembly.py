@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.io import mmread
 from scipy.linalg import eigh
 
 from chemoflow.assembly import (
@@ -13,7 +12,6 @@ from chemoflow.assembly import (
     assemble_volume_mass,
     assemble_volume_stiffness,
     build_operators,
-    dump_matrix,
 )
 from chemoflow.geometry import MeshError, build_disc_mesh, build_trace_map, mesh_from_arrays
 
@@ -86,8 +84,6 @@ def test_boundary_mass_total():
     assert mesh.n_boundary == 256
     assert abs(total - 2 * np.pi) / (2 * np.pi) < 0.001
     assert np.isclose(total, mesh.perimeter, rtol=1e-12)
-    lumped = assemble_boundary_mass(mesh, trace, lumped=True)
-    assert np.isclose(lumped.sum(), mesh.perimeter, rtol=1e-12)
 
 
 def test_boundary_mass_rejects_degenerate_loop():
@@ -239,13 +235,6 @@ def test_assembly_deterministic():
     c1 = assemble_convection(a, u)
     c2 = assemble_convection(a, u)
     assert np.array_equal(c1.toarray(), c2.toarray())
-
-
-def test_matrix_dump_roundtrip(coarse_ops, tmp_path):
-    path = tmp_path / "mass.mtx"
-    dump_matrix(coarse_ops.M_vol, path)
-    back = mmread(path)
-    assert np.allclose(back.toarray(), coarse_ops.M_vol.toarray(), rtol=1e-12)
 
 
 def test_p2_mass_total_area(coarse_ops):

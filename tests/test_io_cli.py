@@ -66,11 +66,16 @@ def test_config_parse_error_has_position(tmp_path):
     assert "line 1" in exc.value.problems[0][1]
 
 
-def test_config_unknown_key_rejected(tmp_path):
-    path = write_config(tmp_path, {"tyme": {"N": 4}})
+# a typo, and two keys the format dropped, each with a value it once accepted
+UNKNOWN_KEYS = {"tyme": {"N": 4}, "mollifier_eps": 0.0, "seed": 0}
+
+
+@pytest.mark.parametrize("key", list(UNKNOWN_KEYS))
+def test_config_unknown_key_rejected(tmp_path, key):
+    path = write_config(tmp_path, {key: UNKNOWN_KEYS[key]})
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert any(k == "tyme" for k, _ in exc.value.problems)
+    assert any(k == key for k, _ in exc.value.problems)
 
 
 def test_config_missing_file_reference(tmp_path):

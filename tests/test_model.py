@@ -1,15 +1,12 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemoflow.fluid import project_divergence_free
 from chemoflow.model import (
     ModelParams,
     ResponseSpec,
     make_consumption,
     make_sensitivity,
-    mollify_velocity,
     validate_params,
 )
 
@@ -72,52 +69,3 @@ def test_validate_alpha_window_warning():
 def test_validate_collects_all_errors():
     report = validate_params(ModelParams(alpha=-1, b=0, f0=0.5, f1=0.2))
     assert len(report.errors) >= 3
-
-
-def test_mollify_eps_zero_identity(coarse_ops):
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(coarse_ops.vspace.n_velocity)
-    out = mollify_velocity(u, 0.0, coarse_ops.mesh, coarse_ops)
-    assert np.array_equal(out, u)
-
-
-def test_mollify_negative_eps_rejected(coarse_ops):
-    with pytest.raises(ValueError):
-        mollify_velocity(np.zeros(coarse_ops.vspace.n_velocity), -0.1, coarse_ops.mesh, coarse_ops)
-
-
-def test_mollify_huge_eps_zeroes_field(coarse_ops):
-    rng = np.random.default_rng(1)
-    u = rng.standard_normal(coarse_ops.vspace.n_velocity)
-    out = mollify_velocity(u, 2.0 * coarse_ops.mesh.inradius, coarse_ops.mesh, coarse_ops)
-    assert np.max(np.abs(out)) == 0.0
-
-
-def test_mollify_contracts_as_eps_shrinks(medium_ops):
-    # divergence-free field supported in r < 0.5, far from the boundary
-    ops = medium_ops
-
-    def vel(x, y):
-        r2 = x**2 + y**2
-        s = np.clip(0.25 - r2, 0.0, None)
-        psi_x = 2 * s * (-2 * x)
-        psi_y = 2 * s * (-2 * y)
-        return psi_y, -psi_x
-
-    u = project_divergence_free(ops.vspace.zero_boundary(ops.vspace.interpolate(vel)), ops)
-    errs = []
-    for eps in (0.2, 0.1, 0.05):
-        v = mollify_velocity(u, eps, ops.mesh, ops)
-        errs.append(np.sqrt(ops.velocity_norm_sq(v - u)))
-    assert errs[0] > errs[1] > errs[2]
-
-
-def test_mollify_output_contracts(medium_ops):
-    ops = medium_ops
-    rng = np.random.default_rng(2)
-    u = rng.standard_normal(ops.vspace.n_velocity)
-    v = mollify_velocity(u, 0.15, ops.mesh, ops)
-    ns = ops.vspace.n_scalar
-    assert np.all(v[ops.vspace.boundary_scalar] == 0.0)
-    assert np.all(v[ops.vspace.boundary_scalar + ns] == 0.0)
-    assert np.linalg.norm(ops.B @ v) <= 1e-9 * max(np.linalg.norm(v), 1e-300)
