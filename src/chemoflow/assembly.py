@@ -140,6 +140,8 @@ class _Workspace:
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        if np.any(self.areas <= 0):
+            raise MeshError("mesh has non-positive triangle areas")
         # gradients of barycentric coordinates: rows of inv(J)^T applied to
         # the reference gradients (-1,-1), (1,0), (0,1)
         det = 2.0 * self.areas
@@ -196,9 +198,6 @@ class OperatorSet:
     def scalar_norm_sq(self, x: np.ndarray) -> float:
         return float(x @ (self.M_vol @ x))
 
-    def boundary_norm_sq(self, x: np.ndarray) -> float:
-        return float(x @ (self.M_bnd @ x))
-
     def velocity_norm_sq(self, u: np.ndarray) -> float:
         return float(u @ (self.M_u @ u))
 
@@ -208,50 +207,22 @@ class OperatorSet:
         return np.concatenate([grad_sigma[0] * mn, grad_sigma[1] * mn])
 
 
-def assemble_volume_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix; 1' M 1 equals the mesh area exactly."""
-    areas = _p1_areas(mesh)
-    ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = areas[:, None, None] * ref[None, :, :]
-    return _scatter_p1(mesh, local)
+def _periodic_loop_matrix(mesh: Mesh, trace: TraceMap, edge_entries) -> sp.csr_matrix:
+    """Scatter per-edge 2x2 blocks [[d, o], [o, d]] around the closed boundary loop.
 
-
-def assemble_volume_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """P1 stiffness matrix; annihilates constants exactly."""
-    work_dlam, areas = _p1_gradients(mesh)
-    local = areas[:, None, None] * np.einsum("tid,tjd->tij", work_dlam, work_dlam)
-    return _scatter_p1(mesh, local)
-
-
-def _p1_areas(mesh: Mesh) -> np.ndarray:
-    areas = mesh.triangle_areas()
-    if np.any(areas <= 0):
-        raise MeshError("mesh has non-positive triangle areas")
-    return areas
-
-
-def _p1_gradients(mesh: Mesh):
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    det = 2.0 * areas
-    dlam = np.empty((len(det), 3, 2))
-    dlam[:, 0, 0] = (d1[:, 1] - d2[:, 1]) / det
-    dlam[:, 0, 1] = (d2[:, 0] - d1[:, 0]) / det
-    dlam[:, 1, 0] = d2[:, 1] / det
-    dlam[:, 1, 1] = -d2[:, 0] / det
-    dlam[:, 2, 0] = -d1[:, 1] / det
-    dlam[:, 2, 1] = d1[:, 0] / det
-    return dlam, areas
-
-
-def _scatter_p1(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    nv = mesh.n_vertices
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    ``edge_entries`` maps the boundary edge lengths to the diagonal and
+    off-diagonal entries ``(d, o)``; edge j joins loop vertices j and j+1.
+    """
+    nb = trace.n_boundary
+    if nb < 3:
+        raise MeshError("boundary loop needs at least 3 vertices")
+    d, o = edge_entries(mesh.boundary_edge_lengths())
+    i = np.arange(nb)
+    j = (i + 1) % nb
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([i, j, j, i])
+    vals = np.concatenate([d, d, o, o])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
 
 
 def assemble_boundary_mass(mesh: Mesh, trace: TraceMap) -> sp.csr_matrix:
@@ -259,31 +230,12 @@ def assemble_boundary_mass(mesh: Mesh, trace: TraceMap) -> sp.csr_matrix:
 
     ``1' M 1`` equals the polygonal boundary length exactly.
     """
-    nb = trace.n_boundary
-    if nb < 3:
-        raise MeshError("boundary loop needs at least 3 vertices")
-    lengths = mesh.boundary_edge_lengths()
-    i = np.arange(nb)
-    j = (i + 1) % nb
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    vals = np.concatenate([lengths / 3, lengths / 3, lengths / 6, lengths / 6])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
+    return _periodic_loop_matrix(mesh, trace, lambda h: (h / 3, h / 6))
 
 
 def assemble_boundary_laplace_beltrami(mesh: Mesh, trace: TraceMap) -> sp.csr_matrix:
     """Periodic 1D stiffness in arclength on the boundary loop."""
-    nb = trace.n_boundary
-    if nb < 3:
-        raise MeshError("boundary loop needs at least 3 vertices")
-    lengths = mesh.boundary_edge_lengths()
-    i = np.arange(nb)
-    j = (i + 1) % nb
-    w = 1.0 / lengths
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    vals = np.concatenate([w, w, -w, -w])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
+    return _periodic_loop_matrix(mesh, trace, lambda h: (1.0 / h, -1.0 / h))
 
 
 def _velocity_at_quad(work: _Workspace, ns: int, u: np.ndarray) -> np.ndarray:
@@ -362,15 +314,20 @@ def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
     vspace = build_velocity_space(mesh)
     work = _Workspace(mesh, vspace)
 
-    M_vol = assemble_volume_mass(mesh)
-    K_vol = assemble_volume_stiffness(mesh)
+    # P1 mass (1' M 1 is the mesh area exactly) and stiffness (annihilates constants)
+    nv = mesh.n_vertices
+    ref_p1_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    m1_local = work.areas[:, None, None] * ref_p1_mass[None, :, :]
+    M_vol = work.scatter(m1_local, work.tri_p1, work.tri_p1, (nv, nv))
+    k1_local = work.areas[:, None, None] * np.einsum("tid,tjd->tij", work.dlam, work.dlam)
+    K_vol = work.scatter(k1_local, work.tri_p1, work.tri_p1, (nv, nv))
     M_bnd = assemble_boundary_mass(mesh, trace)
     K_bnd = assemble_boundary_laplace_beltrami(mesh, trace)
 
     nb = trace.n_boundary
     P = sp.coo_matrix(
         (np.ones(nb), (trace.boundary_vertices, np.arange(nb))),
-        shape=(mesh.n_vertices, nb),
+        shape=(nv, nb),
     ).tocsr()
     M_bnd_global = (P @ M_bnd @ P.T).tocsr()
     K_bnd_global = (P @ K_bnd @ P.T).tocsr()
@@ -388,7 +345,7 @@ def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
     mix_local = work.areas[:, None, None] * np.einsum(
         "q,qa,qp->ap", work.w, work.p2_q, work.lam_q
     )
-    M_mix = work.scatter(mix_local, work.tri_p2, work.tri_p1, (ns, mesh.n_vertices))
+    M_mix = work.scatter(mix_local, work.tri_p2, work.tri_p1, (ns, nv))
 
     B = assemble_divergence(mesh, vspace, work)
 

@@ -28,17 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import (
-    OperatorSet,
-    assemble_chemotaxis_rhs,
-    assemble_convection,
-    assemble_convection_velocity,
-)
-from .fluid import build_saddle_system, solve_saddle
-
-
-class LinearSolveError(Exception):
-    """A sparse linear solve failed or left too large a residual."""
+from .assembly import OperatorSet, assemble_chemotaxis_rhs, assemble_convection
+from .fluid import LinearSolveError, SaddleCache, build_saddle_system
 
 
 @dataclass(frozen=True)
@@ -143,6 +134,11 @@ def c_step_rhs(ops: OperatorSet, params, inputs: StepInputs, c_hat, n_hat, consu
     )
 
 
+def n_step_rhs(ops: OperatorSet, inputs: StepInputs, c, n_hat, sensitivity_fn):
+    """Right side of the cell step: previous density plus the chemotaxis load."""
+    return ops.M_vol @ inputs.n_prev + inputs.dt * assemble_chemotaxis_rhs(ops, n_hat, c, sensitivity_fn)
+
+
 def _factor(matrix, what):
     try:
         return splu(matrix)
@@ -204,7 +200,7 @@ def picard_inner(
     for it in range(1, max_iter + 1):
         rhs_c = c_step_rhs(ops, params, inputs, c_hat, n_hat, f)
         c = _checked_solve(lu_c, A_c, rhs_c, linear_tol, "oxygen")
-        rhs_n = ops.M_vol @ inputs.n_prev + k * assemble_chemotaxis_rhs(ops, n_hat, c, g)
+        rhs_n = n_step_rhs(ops, inputs, c, n_hat, g)
         n = _checked_solve(lu_n, A_n, rhs_n, linear_tol, "cell-density")
         if damping < 1.0:
             c = c_hat + damping * (c - c_hat)
@@ -220,35 +216,33 @@ def picard_inner(
 
 
 def step_residual(ops: OperatorSet, params, inputs: StepInputs, c, n, u, p) -> float:
-    """Relative residual of the fully coupled nonlinear step at (c, n, u, p)."""
+    """Relative residual of the fully coupled nonlinear step at (c, n, u, p).
+
+    Each block is ``matrix @ x - rhs`` from the matrix and load functions the
+    solve uses, with every frozen coefficient evaluated at (c, n, u) itself.
+    """
     k = inputs.dt
-    a_ob = params.alpha / params.b
     C = assemble_convection(ops, u)
-    r_c = (
-        c_system_matrix(ops, params, k, C) @ c
-        + k * (ops.M_vol @ (n * params.consumption()(c)))
-        - ops.M_vol @ inputs.c_prev
-        - a_ob * (ops.M_bnd_global @ ops.trace.prolong(inputs.c_trace_prev))
+    r_c = c_system_matrix(ops, params, k, C) @ c - c_step_rhs(
+        ops, params, inputs, c, n, params.consumption()
     )
-    r_n = (
-        n_system_matrix(ops, params, k, C) @ n
-        - k * assemble_chemotaxis_rhs(ops, n, c, params.sensitivity())
-        - ops.M_vol @ inputs.n_prev
+    r_n = n_system_matrix(ops, params, k, C) @ n - n_step_rhs(
+        ops, inputs, c, n, params.sensitivity()
     )
-    Cu = assemble_convection_velocity(ops, u)
-    A_u = ops.M_u + k * params.xi * ops.K_u + k * Cu
-    force = ops.buoyancy_load(n, np.asarray(params.grad_sigma, dtype=float))
+    A_u, rhs_u = build_saddle_system(ops, u, n, inputs.u_prev, k, params)
     idx = ops.vspace.interior_velocity
-    r_u = (A_u @ u - k * (ops.B.T @ p) - k * force - ops.M_u @ inputs.u_prev)[idx]
+    M_u_prev = ops.M_u @ inputs.u_prev
+    r_u = (A_u @ u - k * (ops.B.T @ p) - rhs_u)[idx]
     r_div = ops.B @ u
     num = np.sqrt(
         np.sum(r_c**2) + np.sum(r_n**2) + np.sum(r_u**2) + np.sum(r_div**2)
     )
+    # the load's force part is rhs_u - M u_prev, k times the buoyancy load
     scale = np.sqrt(
         np.sum((ops.M_vol @ inputs.c_prev) ** 2)
         + np.sum((ops.M_vol @ inputs.n_prev) ** 2)
-        + np.sum(((ops.M_u @ inputs.u_prev)[idx]) ** 2)
-        + (k * np.linalg.norm(force)) ** 2
+        + np.sum(M_u_prev[idx] ** 2)
+        + np.linalg.norm(rhs_u - M_u_prev) ** 2
     )
     return num / max(scale, 1e-300)
 
@@ -274,13 +268,17 @@ def outer_step(
     Convection in the fluid is linearised at the previous outer velocity
     iterate.  Convergence requires the inner loop converged, the velocity
     update below tolerance, and the fully nonlinear residual below tolerance;
-    failure is reported in the diagnostics.  A SaddleCache for this step size
-    avoids refactorising the fluid matrix every outer iteration.
+    failure is reported in the diagnostics.  The fluid block is solved through
+    a SaddleCache for this step size, built here unless the caller passes one
+    to share across steps.
     """
     inputs.validate(ops)
     options.validate()
-    saddle_solver = saddle_cache.solve if saddle_cache is not None else solve_saddle
     k = inputs.dt
+    if saddle_cache is None:
+        saddle_cache = SaddleCache(ops, params, k)
+    elif saddle_cache.k != k:
+        raise ValueError("saddle cache built for a different step size")
     u_hat = np.asarray(inputs.u_prev, dtype=float)
     guess = None
     diag = FixedPointDiagnostics(damping=options.damping)
@@ -300,8 +298,8 @@ def outer_step(
         guess = (c, n)
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)
-        system = build_saddle_system(ops, u_hat, n, inputs.u_prev, k, params)
-        u, p = saddle_solver(system, tol=options.linear_tol)
+        A, rhs = build_saddle_system(ops, u_hat, n, inputs.u_prev, k, params)
+        u, p = saddle_cache.solve(A, rhs, tol=options.linear_tol)
         du = u - u_hat
         num = np.sqrt(ops.velocity_norm_sq(du))
         den = np.sqrt(ops.velocity_norm_sq(u))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"CFCK"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER_BYTES = 120  # magic, version, mesh hash, N, m, T, t, nv, n_velocity
 
 
 class StepFailure(Exception):
@@ -300,8 +302,11 @@ def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State)
 
 
 def read_checkpoint(path, mesh_hash: str, grid: TimeGrid):
-    """Read one checkpoint, refusing version, mesh or grid mismatches."""
+    """Read one checkpoint, refusing version, mesh, grid or length mismatches."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < CHECKPOINT_HEADER_BYTES:
+            raise StepFailure(f"{path}: checkpoint is {size} bytes, shorter than its header")
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise StepFailure(f"{path}: not a checkpoint file")
@@ -312,6 +317,9 @@ def read_checkpoint(path, mesh_hash: str, grid: TimeGrid):
         if stored_hash != mesh_hash:
             raise StepFailure(f"{path}: checkpoint belongs to a different mesh")
         N, m, T, t, nv, nvel = struct.unpack("<QQddQQ", f.read(48))
+        expected = CHECKPOINT_HEADER_BYTES + 8 * (3 * nv + nvel)
+        if size != expected:
+            raise StepFailure(f"{path}: checkpoint is {size} bytes, its header implies {expected}")
         if N != grid.N or T != grid.T:
             raise StepFailure(f"{path}: checkpoint grid (T={T}, N={N}) does not match")
         c = np.frombuffer(f.read(8 * nv), dtype="<f8").copy()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,11 +11,13 @@ from chemoflow.assembly import (
     assemble_chemotaxis_rhs,
     assemble_convection,
     assemble_convection_velocity,
-    assemble_volume_mass,
-    assemble_volume_stiffness,
     build_operators,
 )
 from chemoflow.geometry import MeshError, build_disc_mesh, build_trace_map, mesh_from_arrays
+
+
+def p1_operators(mesh):
+    return build_operators(mesh, build_trace_map(mesh))
 
 
 def rel_sym_defect(a):
@@ -24,20 +28,29 @@ def rel_sym_defect(a):
 
 
 def test_reference_triangle_mass(reference_triangle_mesh):
-    M = assemble_volume_mass(reference_triangle_mesh).toarray()
+    M = p1_operators(reference_triangle_mesh).M_vol.toarray()
     expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
     assert np.allclose(M, expected, atol=1e-15)
 
 
 def test_reference_triangle_stiffness(reference_triangle_mesh):
-    K = assemble_volume_stiffness(reference_triangle_mesh).toarray()
+    K = p1_operators(reference_triangle_mesh).K_vol.toarray()
     expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
     assert np.allclose(K, expected, atol=1e-15)
 
 
+def test_operators_reject_non_positive_area(reference_triangle_mesh):
+    # a clockwise triangle, built past mesh validation
+    flipped = dataclasses.replace(
+        reference_triangle_mesh, triangles=reference_triangle_mesh.triangles[:, ::-1]
+    )
+    with pytest.raises(MeshError, match="non-positive"):
+        build_operators(flipped, build_trace_map(reference_triangle_mesh))
+
+
 def test_mass_total_is_disc_area():
     mesh = build_disc_mesh(1.0, 0.05)
-    M = assemble_volume_mass(mesh)
+    M = p1_operators(mesh).M_vol
     ones = np.ones(mesh.n_vertices)
     assert abs(ones @ (M @ ones) - np.pi) / np.pi < 0.01
     # row sums total the (polygonal) mesh area exactly
@@ -53,7 +66,7 @@ def test_stiffness_annihilates_constants(medium_ops):
 
 def test_stiffness_quadratic_form_linear_field():
     mesh = build_disc_mesh(1.0, 0.05)
-    K = assemble_volume_stiffness(mesh)
+    K = p1_operators(mesh).K_vol
     x = mesh.vertices[:, 0]
     # integral of |grad x|^2 over the disc is its area
     assert abs(x @ (K @ x) - np.pi) / np.pi < 0.02

@@ -1,8 +1,9 @@
 import numpy as np
 
+from chemoflow import fluid
 from chemoflow.assembly import assemble_convection
 from chemoflow.fluid import (
-    SaddleSystem,
+    SaddleCache,
     build_saddle_system,
     project_divergence_free,
     solve_saddle,
@@ -25,8 +26,8 @@ def fluid_step(ops, n, q, k, params):
 def test_zero_rhs_gives_zero(coarse_ops):
     u0 = np.zeros(coarse_ops.vspace.n_velocity)
     n0 = np.zeros(coarse_ops.mesh.n_vertices)
-    sys = build_saddle_system(coarse_ops, u0, n0, u0, 0.01, PARAMS)
-    u, p = solve_saddle(sys)
+    A, rhs = build_saddle_system(coarse_ops, u0, n0, u0, 0.01, PARAMS)
+    u, p = solve_saddle(coarse_ops, A, rhs, 0.01)
     assert np.max(np.abs(u)) == 0.0
     assert np.max(np.abs(p)) == 0.0
 
@@ -38,8 +39,8 @@ def test_constant_buoyancy_is_hydrostatic(coarse_ops):
     n = np.full(ops.mesh.n_vertices, 2.0)
     u0 = np.zeros(ops.vspace.n_velocity)
     k = 0.05
-    sys = build_saddle_system(ops, u0, n, u0, k, PARAMS)
-    u, p = solve_saddle(sys)
+    A, rhs = build_saddle_system(ops, u0, n, u0, k, PARAMS)
+    u, p = solve_saddle(ops, A, rhs, k)
     assert np.sqrt(ops.velocity_norm_sq(u)) < 1e-10
     # pressure equals -2*y up to the mean-zero shift
     y = ops.mesh.vertices[:, 1]
@@ -58,11 +59,11 @@ def test_dense_saddle_oracle(coarse_ops):
     )
     k = 0.02
     u_hat = q
-    sys = build_saddle_system(ops, u_hat, n, q, k, PARAMS)
-    u, p = solve_saddle(sys)
+    A_full, rhs_full = build_saddle_system(ops, u_hat, n, q, k, PARAMS)
+    u, p = solve_saddle(ops, A_full, rhs_full, k)
 
     idx = ops.vspace.interior_velocity
-    A = sys.A[idx][:, idx].toarray()
+    A = A_full[idx][:, idx].toarray()
     B = ops.B[:, idx].toarray()
     w = ops.pressure_weights
     n_u, n_p = A.shape[0], B.shape[0]
@@ -73,10 +74,62 @@ def test_dense_saddle_oracle(coarse_ops):
     dense[n_u : n_u + n_p, -1] = w
     dense[-1, n_u : n_u + n_p] = w
     rhs = np.zeros(n_u + n_p + 1)
-    rhs[:n_u] = sys.rhs[idx]
+    rhs[:n_u] = rhs_full[idx]
     sol = np.linalg.solve(dense, rhs)
     assert np.allclose(u[idx], sol[:n_u], atol=1e-10)
     assert np.allclose(p, sol[n_u : n_u + n_p], atol=1e-10)
+
+
+def counted_direct_solves(monkeypatch):
+    """Count the calls SaddleCache makes to the direct solve."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_saddle(*args, **kwargs)
+
+    monkeypatch.setattr(fluid, "solve_saddle", counted)
+    return calls
+
+
+def random_step_system(ops, params, k, amplitude, seed):
+    rng = np.random.default_rng(seed)
+    n = rng.random(ops.mesh.n_vertices)
+    q = project_divergence_free(
+        ops.vspace.zero_boundary(amplitude * rng.standard_normal(ops.vspace.n_velocity)), ops
+    )
+    return build_saddle_system(ops, q, n, q, k, params)
+
+
+def test_saddle_cache_matches_direct_solve(coarse_ops, monkeypatch):
+    # convection on: the cache defect-corrects around the Stokes factor
+    ops = coarse_ops
+    k = 0.02
+    A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
+    u_ref, p_ref = solve_saddle(ops, A, rhs, k)
+    calls = counted_direct_solves(monkeypatch)
+    u, p = SaddleCache(ops, PARAMS, k).solve(A, rhs)
+    assert calls == []
+    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+
+def test_saddle_cache_falls_back_once_at_low_viscosity(coarse_ops, monkeypatch):
+    # xi = 0.01 with a strong velocity: the correction stalls, as on low_xi
+    ops = coarse_ops
+    params = ModelParams(xi=0.01)
+    k = 0.0625
+    A, rhs = random_step_system(ops, params, k, 5.0, 12)
+    calls = counted_direct_solves(monkeypatch)
+    u, p = SaddleCache(ops, params, k).solve(A, rhs)
+    assert len(calls) == 1
+    idx = ops.vspace.interior_velocity
+    B = ops.B[:, idx]
+    r_mom = A[idx][:, idx] @ u[idx] - k * (B.T @ p) - rhs[idx]
+    assert np.linalg.norm(r_mom) <= 1e-10 * np.linalg.norm(rhs[idx])
+    assert np.linalg.norm(B @ u[idx]) <= 1e-10 * np.linalg.norm(u[idx])
+    assert np.array_equal(ops.vspace.zero_boundary(u), u)
+    assert abs(ops.pressure_weights @ p) <= 1e-12 * np.linalg.norm(p)
 
 
 def test_kinetic_energy_identity(coarse_ops):
@@ -93,8 +146,8 @@ def test_kinetic_energy_identity(coarse_ops):
             ops.vspace.zero_boundary(rng.standard_normal(ops.vspace.n_velocity)), ops
         )
         k = 0.03
-        sys = build_saddle_system(ops, u_hat, n, q, k, PARAMS)
-        u, p = solve_saddle(sys)
+        A, load = build_saddle_system(ops, u_hat, n, q, k, PARAMS)
+        u, p = solve_saddle(ops, A, load, k)
         force = ops.buoyancy_load(n, np.asarray(PARAMS.grad_sigma))
         lhs = (
             ops.velocity_norm_sq(u)

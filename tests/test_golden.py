@@ -5,12 +5,19 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chemoflow.config import config_from_dict
 from chemoflow.energy import CSV_COLUMNS
 from chemoflow.fields_io import export_fields
 from chemoflow.geometry import build_disc_mesh, load_mesh, save_mesh
-from chemoflow.timestepping import State, TimeGrid, read_checkpoint, write_checkpoint
+from chemoflow.timestepping import (
+    State,
+    StepFailure,
+    TimeGrid,
+    read_checkpoint,
+    write_checkpoint,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,6 +81,20 @@ def test_checkpoint_golden_matches_documented_layout():
     assert m == 1 and read.t == 0.25
     for name in ("c", "n", "u", "p"):
         assert np.array_equal(getattr(read, name), getattr(state, name))
+
+
+def test_checkpoint_length_checked(tmp_path):
+    # the size must be 120 + 8 (3 nv + n_velocity) from the file's own header
+    mesh = load_mesh(GOLDEN / "mesh_tiny.txt")
+    grid = TimeGrid(T=1.0, N=4)
+    data = (GOLDEN / "checkpoint_tiny.ckpt").read_bytes()
+    for name, cut in (("short", data[:-8]), ("long", data + bytes(8)), ("header", data[:100])):
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(cut)
+        with pytest.raises(StepFailure, match=f"{name}.ckpt: checkpoint is {len(cut)} bytes"):
+            read_checkpoint(path, mesh.data_hash(), grid)
+    m, _ = read_checkpoint(GOLDEN / "checkpoint_tiny.ckpt", mesh.data_hash(), grid)
+    assert m == 1
 
 
 def test_fields_format_golden(tmp_path):
