@@ -6,10 +6,12 @@ volume integrals use a degree-5 rule, exact for every polynomial product
 appearing here, including the trilinear convection term.  Boundary operators
 are one-dimensional periodic P1 operators in arclength on the boundary loop.
 
-Convection matrices are returned in skew-symmetric form, half the difference
-of the raw operator and its transpose, so the discrete advection energy
-``x' C(u) x`` vanishes identically for every velocity, not just pointwise
-divergence-free ones.
+Every operator is assembled the same way: element matrices are summed into
+a CSR pattern fixed once per mesh (``_Pattern``), one ``np.bincount`` per
+matrix.  Convection matrices are skew-symmetrised per element, half the
+difference of each element matrix and its transpose, so ``C' = -C`` exactly
+and the discrete advection energy ``x' C(u) x`` vanishes identically for
+every velocity, not just pointwise divergence-free ones.
 """
 
 from __future__ import annotations
@@ -132,6 +134,35 @@ def build_velocity_space(mesh: Mesh) -> VelocitySpace:
     )
 
 
+class _Pattern:
+    """Fixed CSR pattern of one element-map pair.
+
+    ``slot`` holds, for every local entry ``(t, r, c)`` in C order, its
+    position in ``data``, so a scatter is a single ``np.bincount``.
+    """
+
+    def __init__(self, rows_map: np.ndarray, cols_map: np.ndarray, shape):
+        n_cols = shape[1]
+        keys = (rows_map[:, :, None] * n_cols + cols_map[:, None, :]).ravel()
+        entries, self.slot = np.unique(keys, return_inverse=True)
+        counts = np.bincount(entries // n_cols, minlength=shape[0])
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.indices = (entries % n_cols).astype(np.int32)
+        # shared by every matrix built on the pattern, so in-place edits raise
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
+        self.shape = shape
+
+    def data(self, local: np.ndarray) -> np.ndarray:
+        return np.bincount(self.slot, weights=local.ravel(), minlength=self.indices.size)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def scatter(self, local: np.ndarray) -> sp.csr_matrix:
+        return self.matrix(self.data(local))
+
+
 class _Workspace:
     """Per-mesh precomputation shared by the element assemblies."""
 
@@ -158,16 +189,26 @@ class _Workspace:
         self.p2_q = _p2_values(QUAD_BARY)  # (nq, 6)
         coeff = _p2_grad_coeffs(QUAD_BARY)  # (nq, 6, 3)
         self.p2_grad = np.einsum("qai,tid->tqad", coeff, self.dlam)  # (nt, nq, 6, 2)
+        # quadrature-weighted test values, transposed: (3, nq) and (6, nq)
+        self.w_lam_t = (self.w[:, None] * self.lam_q).T
+        self.w_p2_t = (self.w[:, None] * self.p2_q).T
 
         self.tri_p1 = mesh.triangles
         self.tri_p2 = np.hstack([mesh.triangles, vspace.n_vertices + vspace.tri_edges])
+        nv, ns = vspace.n_vertices, vspace.n_scalar
+        self.p1 = _Pattern(self.tri_p1, self.tri_p1, (nv, nv))
+        self.p2 = _Pattern(self.tri_p2, self.tri_p2, (ns, ns))
+        # [[P2, 0], [0, P2]]: its data is the P2 data once per component
+        pair = np.vstack([self.tri_p2, self.tri_p2 + ns])
+        self.p2_pair = _Pattern(pair, pair, (2 * ns, 2 * ns))
+        # divergence columns: x component, then y component
+        self.div = _Pattern(self.tri_p1, np.hstack([self.tri_p2, self.tri_p2 + ns]), (nv, 2 * ns))
+        self.mix = _Pattern(self.tri_p2, self.tri_p1, (ns, nv))
 
-    def scatter(self, local: np.ndarray, rows_map: np.ndarray, cols_map: np.ndarray, shape):
-        nt, nr, nc = local.shape
-        rows = np.repeat(rows_map, nc, axis=1).ravel()
-        cols = np.tile(cols_map, (1, nr)).ravel()
-        mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape)
-        return mat.tocsr()
+    def scatter_pair(self, local: np.ndarray) -> sp.csr_matrix:
+        """Block-diagonal ``[[S, 0], [0, S]]`` of one P2 scalar element matrix set."""
+        data = self.p2.data(local)
+        return self.p2_pair.matrix(np.concatenate([data, data]))
 
 
 @dataclass(frozen=True)
@@ -207,22 +248,34 @@ class OperatorSet:
         return np.concatenate([grad_sigma[0] * mn, grad_sigma[1] * mn])
 
 
-def _periodic_loop_matrix(mesh: Mesh, trace: TraceMap, edge_entries) -> sp.csr_matrix:
+def _periodic_loop_matrix(
+    mesh: Mesh, trace: TraceMap, edge_entries, numbering=None, size=None
+) -> sp.csr_matrix:
     """Scatter per-edge 2x2 blocks [[d, o], [o, d]] around the closed boundary loop.
 
     ``edge_entries`` maps the boundary edge lengths to the diagonal and
     off-diagonal entries ``(d, o)``; edge j joins loop vertices j and j+1.
+    Loop vertex j becomes row/column ``numbering[j]`` of a ``size`` square
+    matrix; the default is boundary indexing.
     """
     nb = trace.n_boundary
     if nb < 3:
         raise MeshError("boundary loop needs at least 3 vertices")
+    if numbering is None:
+        numbering, size = np.arange(nb), nb
     d, o = edge_entries(mesh.boundary_edge_lengths())
     i = np.arange(nb)
-    j = (i + 1) % nb
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    vals = np.concatenate([d, d, o, o])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
+    ends = numbering[np.stack([i, (i + 1) % nb], axis=1)]
+    local = np.stack([d, o, o, d], axis=1).reshape(nb, 2, 2)
+    return _Pattern(ends, ends, (size, size)).scatter(local)
+
+
+def _mass_entries(h):
+    return h / 3, h / 6
+
+
+def _laplace_beltrami_entries(h):
+    return 1.0 / h, -1.0 / h
 
 
 def assemble_boundary_mass(mesh: Mesh, trace: TraceMap) -> sp.csr_matrix:
@@ -230,51 +283,47 @@ def assemble_boundary_mass(mesh: Mesh, trace: TraceMap) -> sp.csr_matrix:
 
     ``1' M 1`` equals the polygonal boundary length exactly.
     """
-    return _periodic_loop_matrix(mesh, trace, lambda h: (h / 3, h / 6))
+    return _periodic_loop_matrix(mesh, trace, _mass_entries)
 
 
 def assemble_boundary_laplace_beltrami(mesh: Mesh, trace: TraceMap) -> sp.csr_matrix:
     """Periodic 1D stiffness in arclength on the boundary loop."""
-    return _periodic_loop_matrix(mesh, trace, lambda h: (1.0 / h, -1.0 / h))
+    return _periodic_loop_matrix(mesh, trace, _laplace_beltrami_entries)
 
 
 def _velocity_at_quad(work: _Workspace, ns: int, u: np.ndarray) -> np.ndarray:
     """Velocity values at quadrature points, shape (nt, nq, 2)."""
-    ux = u[:ns][work.tri_p2]  # (nt, 6)
-    uy = u[ns:][work.tri_p2]
-    uq = np.empty(work.p2_grad.shape[:2] + (2,))
-    uq[:, :, 0] = np.einsum("ta,qa->tq", ux, work.p2_q)
-    uq[:, :, 1] = np.einsum("ta,qa->tq", uy, work.p2_q)
-    return uq
+    u_local = np.stack([u[:ns], u[ns:]], axis=-1)[work.tri_p2]  # (nt, 6, 2)
+    return work.p2_q @ u_local
+
+
+def _skew(local: np.ndarray) -> np.ndarray:
+    return 0.5 * (local - local.transpose(0, 2, 1))
 
 
 def assemble_convection(ops: OperatorSet, u: np.ndarray) -> sp.csr_matrix:
     """Skew-symmetric P1 convection operator for a P2 velocity field.
 
-    ``C = (N - N') / 2`` with ``N_ij = integral (u . grad phi_j) phi_i``, so
-    ``x' C x = 0`` exactly for every x and every u.
+    ``C = (N - N') / 2`` with ``N_ij = integral (u . grad phi_j) phi_i``,
+    skew-symmetrised per element, so ``C' = -C`` bitwise and ``x' C x = 0``
+    for every x and every u.
     """
     work = ops._work
     uq = _velocity_at_quad(work, ops.vspace.n_scalar, u)
-    local = np.einsum(
-        "q,qi,tqd,tjd->tij", work.w, work.lam_q, uq, work.dlam
-    ) * work.areas[:, None, None]
-    nv = ops.mesh.n_vertices
-    raw = work.scatter(local, work.tri_p1, work.tri_p1, (nv, nv))
-    return ((raw - raw.T) * 0.5).tocsr()
+    # integral of phi_i u over each triangle, then dotted with grad phi_j
+    test_u = (work.w_lam_t @ uq) * work.areas[:, None, None]  # (nt, 3, 2)
+    local = test_u @ work.dlam.transpose(0, 2, 1)
+    return work.p1.scatter(_skew(local))
 
 
 def assemble_convection_velocity(ops: OperatorSet, u: np.ndarray) -> sp.csr_matrix:
     """Skew-symmetric P2 convection block, applied per velocity component."""
     work = ops._work
     uq = _velocity_at_quad(work, ops.vspace.n_scalar, u)
-    local = np.einsum(
-        "q,qa,tqd,tqbd->tab", work.w, work.p2_q, uq, work.p2_grad
-    ) * work.areas[:, None, None]
-    ns = ops.vspace.n_scalar
-    raw = work.scatter(local, work.tri_p2, work.tri_p2, (ns, ns))
-    skew = ((raw - raw.T) * 0.5).tocsr()
-    return sp.block_diag([skew, skew]).tocsr()
+    # u . grad N_b at the quadrature points, then the weighted test values
+    u_grad = (work.p2_grad @ uq[..., None])[..., 0]  # (nt, nq, 6)
+    local = (work.w_p2_t @ u_grad) * work.areas[:, None, None]
+    return work.scatter_pair(_skew(local))
 
 
 def assemble_chemotaxis_rhs(ops: OperatorSet, n: np.ndarray, c: np.ndarray, g) -> np.ndarray:
@@ -291,63 +340,39 @@ def assemble_chemotaxis_rhs(ops: OperatorSet, n: np.ndarray, c: np.ndarray, g) -
     grad_c = np.einsum("ti,tid->td", c[work.tri_p1], work.dlam)  # constant per tri
     coeff = (g_q @ work.w) * work.areas  # integral of g over each triangle
     local = coeff[:, None] * np.einsum("td,tjd->tj", grad_c, work.dlam)
-    out = np.zeros(ops.mesh.n_vertices)
-    np.add.at(out, work.tri_p1.ravel(), local.ravel())
-    return out
-
-
-def assemble_divergence(mesh: Mesh, vspace: VelocitySpace, work: _Workspace) -> sp.csr_matrix:
-    """Divergence operator B: P2 velocity -> P1 pressure test space."""
-    nv = mesh.n_vertices
-    ns = vspace.n_scalar
-    blocks = []
-    for d in range(2):
-        local = np.einsum(
-            "q,qp,tqad->tpa", work.w, work.lam_q, work.p2_grad[..., d : d + 1]
-        ) * work.areas[:, None, None]
-        blocks.append(work.scatter(local, work.tri_p1, work.tri_p2, (nv, ns)))
-    return sp.hstack(blocks).tocsr()
+    return np.bincount(work.tri_p1.ravel(), weights=local.ravel(), minlength=ops.mesh.n_vertices)
 
 
 def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
     """Assemble every mesh-bound operator once; the result is immutable."""
     vspace = build_velocity_space(mesh)
     work = _Workspace(mesh, vspace)
+    area = work.areas[:, None, None]
 
     # P1 mass (1' M 1 is the mesh area exactly) and stiffness (annihilates constants)
     nv = mesh.n_vertices
     ref_p1_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m1_local = work.areas[:, None, None] * ref_p1_mass[None, :, :]
-    M_vol = work.scatter(m1_local, work.tri_p1, work.tri_p1, (nv, nv))
-    k1_local = work.areas[:, None, None] * np.einsum("tid,tjd->tij", work.dlam, work.dlam)
-    K_vol = work.scatter(k1_local, work.tri_p1, work.tri_p1, (nv, nv))
+    M_vol = work.p1.scatter(area * ref_p1_mass[None, :, :])
+    K_vol = work.p1.scatter(area * np.einsum("tid,tjd->tij", work.dlam, work.dlam))
     M_bnd = assemble_boundary_mass(mesh, trace)
     K_bnd = assemble_boundary_laplace_beltrami(mesh, trace)
 
-    nb = trace.n_boundary
-    P = sp.coo_matrix(
-        (np.ones(nb), (trace.boundary_vertices, np.arange(nb))),
-        shape=(nv, nb),
-    ).tocsr()
-    M_bnd_global = (P @ M_bnd @ P.T).tocsr()
-    K_bnd_global = (P @ K_bnd @ P.T).tocsr()
+    # the same loop operators in global vertex indexing
+    bv = trace.boundary_vertices
+    M_bnd_global = _periodic_loop_matrix(mesh, trace, _mass_entries, bv, nv)
+    K_bnd_global = _periodic_loop_matrix(mesh, trace, _laplace_beltrami_entries, bv, nv)
 
     # P2 scalar mass and stiffness, shared by both velocity components
     ref_mass = np.einsum("q,qa,qb->ab", work.w, work.p2_q, work.p2_q)
-    ns = vspace.n_scalar
-    m_local = work.areas[:, None, None] * ref_mass[None, :, :]
-    M2 = work.scatter(m_local, work.tri_p2, work.tri_p2, (ns, ns))
-    k_local = np.einsum(
-        "q,tqad,tqbd->tab", work.w, work.p2_grad, work.p2_grad
-    ) * work.areas[:, None, None]
-    K2 = work.scatter(k_local, work.tri_p2, work.tri_p2, (ns, ns))
+    M_u = work.scatter_pair(area * ref_mass[None, :, :])
+    K_u = work.scatter_pair(area * np.einsum("q,tqad,tqbd->tab", work.w, work.p2_grad, work.p2_grad))
 
-    mix_local = work.areas[:, None, None] * np.einsum(
-        "q,qa,qp->ap", work.w, work.p2_q, work.lam_q
-    )
-    M_mix = work.scatter(mix_local, work.tri_p2, work.tri_p1, (ns, nv))
+    mix_local = area * np.einsum("q,qa,qp->ap", work.w, work.p2_q, work.lam_q)
+    M_mix = work.mix.scatter(mix_local)
 
-    B = assemble_divergence(mesh, vspace, work)
+    # divergence B: P2 velocity -> P1 pressure test space
+    div_local = np.einsum("q,qp,tqad->tpda", work.w, work.lam_q, work.p2_grad)
+    B = work.div.scatter(area * div_local.reshape(-1, 3, 12))
 
     return OperatorSet(
         mesh=mesh,
@@ -360,8 +385,8 @@ def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
         M_bnd_global=M_bnd_global,
         K_bnd_global=K_bnd_global,
         B=B,
-        M_u=sp.block_diag([M2, M2]).tocsr(),
-        K_u=sp.block_diag([K2, K2]).tocsr(),
+        M_u=M_u,
+        K_u=K_u,
         M_mix=M_mix,
         pressure_weights=np.asarray(M_vol.sum(axis=1)).ravel(),
         _work=work,

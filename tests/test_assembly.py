@@ -6,6 +6,8 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from chemoflow.assembly import (
+    QUAD_BARY,
+    QUAD_WEIGHTS,
     assemble_boundary_laplace_beltrami,
     assemble_boundary_mass,
     assemble_chemotaxis_rhs,
@@ -261,3 +263,145 @@ def test_velocity_stiffness_annihilates_constants(coarse_ops):
     ns = coarse_ops.vspace.n_scalar
     ones = np.concatenate([np.ones(ns), np.full(ns, -2.0)])
     assert np.max(np.abs(coarse_ops.K_u @ ones)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Independent references for the fixed-pattern scatter: element data computed
+# here from the vertex coordinates, assembled per triangle or through COO.
+
+
+def element_geometry(ops):
+    """Areas (nt,) and barycentric gradients (nt, 3, 2) of every triangle."""
+    p = ops.mesh.vertices[ops.mesh.triangles]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) / det[:, None]
+    g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
+    return 0.5 * det, np.stack([-g1 - g2, g1, g2], axis=1)
+
+
+def p2_basis(lam, dlam):
+    """P2 values (6,) and gradients (6, 2) at barycentric point lam of one triangle."""
+    vals = np.empty(6)
+    grads = np.empty((6, 2))
+    for i in range(3):
+        vals[i] = lam[i] * (2 * lam[i] - 1)
+        grads[i] = (4 * lam[i] - 1) * dlam[i]
+    for k in range(3):
+        a, b = (k + 1) % 3, (k + 2) % 3
+        vals[3 + k] = 4 * lam[a] * lam[b]
+        grads[3 + k] = 4 * (lam[a] * dlam[b] + lam[b] * dlam[a])
+    return vals, grads
+
+
+def p2_dofs(ops):
+    return np.hstack([ops.mesh.triangles, ops.mesh.n_vertices + ops.vspace.tri_edges])
+
+
+def dense_convection_reference(ops, u):
+    """Skew P1 and per-component P2 convection, one triangle and point at a time."""
+    nv, ns = ops.mesh.n_vertices, ops.vspace.n_scalar
+    areas, dlam = element_geometry(ops)
+    dofs2 = p2_dofs(ops)
+    N1 = np.zeros((nv, nv))
+    N2 = np.zeros((ns, ns))
+    for t, tri in enumerate(ops.mesh.triangles):
+        d2 = dofs2[t]
+        for w, lam in zip(QUAD_WEIGHTS, QUAD_BARY):
+            vals, grads = p2_basis(lam, dlam[t])
+            uq = np.array([vals @ u[:ns][d2], vals @ u[ns:][d2]])
+            wa = w * areas[t]
+            N1[np.ix_(tri, tri)] += wa * np.outer(lam, dlam[t] @ uq)
+            N2[np.ix_(d2, d2)] += wa * np.outer(vals, grads @ uq)
+    C2 = 0.5 * (N2 - N2.T)
+    zero = np.zeros_like(C2)
+    return 0.5 * (N1 - N1.T), np.block([[C2, zero], [zero, C2]])
+
+
+def coo_matrix_from(local, rows_map, cols_map, shape):
+    nc = cols_map.shape[1]
+    rows = np.repeat(rows_map, nc, axis=1).ravel()
+    cols = np.tile(cols_map, (1, rows_map.shape[1])).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def test_convection_skew_is_exact(coarse_ops):
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        u = rng.standard_normal(coarse_ops.vspace.n_velocity)
+        for C in (assemble_convection(coarse_ops, u), assemble_convection_velocity(coarse_ops, u)):
+            S = (C + C.T).toarray()
+            assert np.array_equal(S, np.zeros_like(S))
+            assert np.max(np.abs(C.data)) > 0
+
+
+def test_convection_matches_dense_reference(coarse_ops):
+    rng = np.random.default_rng(22)
+    u = rng.standard_normal(coarse_ops.vspace.n_velocity)
+    ref1, ref2 = dense_convection_reference(coarse_ops, u)
+    for C, ref in ((assemble_convection(coarse_ops, u), ref1),
+                   (assemble_convection_velocity(coarse_ops, u), ref2)):
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(C.toarray() - ref)) <= 1e-14 * scale
+
+
+def test_volume_operators_match_coo_reference(coarse_ops):
+    ops = coarse_ops
+    nv, ns = ops.mesh.n_vertices, ops.vspace.n_scalar
+    areas, dlam = element_geometry(ops)
+    tri1, tri2 = ops.mesh.triangles, p2_dofs(ops)
+    nt = tri1.shape[0]
+    m1 = np.zeros((nt, 3, 3))
+    k1 = np.zeros((nt, 3, 3))
+    m2 = np.zeros((nt, 6, 6))
+    k2 = np.zeros((nt, 6, 6))
+    div = np.zeros((nt, 3, 2, 6))
+    mix = np.zeros((nt, 6, 3))
+    for t in range(nt):
+        for w, lam in zip(QUAD_WEIGHTS, QUAD_BARY):
+            vals, grads = p2_basis(lam, dlam[t])
+            wa = w * areas[t]
+            m1[t] += wa * np.outer(lam, lam)
+            k1[t] += wa * dlam[t] @ dlam[t].T
+            m2[t] += wa * np.outer(vals, vals)
+            k2[t] += wa * grads @ grads.T
+            div[t] += wa * lam[:, None, None] * grads.T[None, :, :]
+            mix[t] += wa * np.outer(vals, lam)
+    pair = np.vstack([tri2, tri2 + ns])
+    references = {
+        "M_vol": coo_matrix_from(m1, tri1, tri1, (nv, nv)),
+        "K_vol": coo_matrix_from(k1, tri1, tri1, (nv, nv)),
+        "M_u": coo_matrix_from(np.concatenate([m2, m2]), pair, pair, (2 * ns, 2 * ns)),
+        "K_u": coo_matrix_from(np.concatenate([k2, k2]), pair, pair, (2 * ns, 2 * ns)),
+        "B": coo_matrix_from(div.reshape(nt, 3, 12), tri1, np.hstack([tri2, tri2 + ns]), (nv, 2 * ns)),
+        "M_mix": coo_matrix_from(mix, tri2, tri1, (ns, nv)),
+    }
+    for name, ref in references.items():
+        got = getattr(ops, name)
+        assert got.shape == ref.shape, name
+        ref = ref.toarray()
+        err = np.max(np.abs(got.toarray() - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-15, (name, err)
+
+
+def test_chemotaxis_rhs_matches_add_at_reference(coarse_ops):
+    ops = coarse_ops
+    rng = np.random.default_rng(23)
+    n = rng.random(ops.mesh.n_vertices)
+    c = rng.random(ops.mesh.n_vertices)
+
+    def g(n_, c_):
+        return n_ / (1 + c_)
+
+    areas, dlam = element_geometry(ops)
+    tris = ops.mesh.triangles
+    gn = g(n, c)
+    local = np.zeros(tris.shape)
+    for t, tri in enumerate(tris):
+        grad_c = c[tri] @ dlam[t]
+        g_int = areas[t] * sum(w * (lam @ gn[tri]) for w, lam in zip(QUAD_WEIGHTS, QUAD_BARY))
+        local[t] = g_int * (dlam[t] @ grad_c)
+    ref = np.zeros(ops.mesh.n_vertices)
+    np.add.at(ref, tris.ravel(), local.ravel())
+    G = assemble_chemotaxis_rhs(ops, n, c, g)
+    assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from chemoflow import fluid
 from chemoflow.assembly import assemble_convection
@@ -130,6 +131,61 @@ def test_saddle_cache_falls_back_once_at_low_viscosity(coarse_ops, monkeypatch):
     assert np.linalg.norm(B @ u[idx]) <= 1e-10 * np.linalg.norm(u[idx])
     assert np.array_equal(ops.vspace.zero_boundary(u), u)
     assert abs(ops.pressure_weights @ p) <= 1e-12 * np.linalg.norm(p)
+
+
+class CountingLU:
+    """A frozen factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+def counted_cache(ops, params, k):
+    cache = SaddleCache(ops, params, k)
+    cache.lu = CountingLU(cache.lu)
+    return cache
+
+
+@pytest.mark.parametrize(
+    "xi, amplitude",
+    [
+        (0.01, 5.0),  # every correction makes the defect grow
+        (0.03, 2.0),  # the defect falls, by about 0.8 a step: 2e-4 after 30
+    ],
+)
+def test_saddle_cache_falls_back_early(coarse_ops, monkeypatch, xi, amplitude):
+    ops = coarse_ops
+    params = ModelParams(xi=xi)
+    k = 0.0625
+    A, rhs = random_step_system(ops, params, k, amplitude, 12)
+    cache = counted_cache(ops, params, k)
+    calls = counted_direct_solves(monkeypatch)
+    cache.solve(A, rhs)
+    assert cache.lu.solves <= 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "xi, amplitude, k",
+    [
+        (1.0, 1.0, 0.02),  # the system of test_saddle_cache_matches_direct_solve
+        (0.03, 1.0, 0.0625),  # contracts by about 0.4 a step, reaching the target at the 29th check
+    ],
+)
+def test_saddle_cache_converging_correction_does_not_fall_back(coarse_ops, monkeypatch, xi, amplitude, k):
+    ops = coarse_ops
+    params = ModelParams(xi=xi)
+    A, rhs = random_step_system(ops, params, k, amplitude, 12)
+    cache = counted_cache(ops, params, k)
+    calls = counted_direct_solves(monkeypatch)
+    cache.solve(A, rhs)
+    assert 0 < cache.lu.solves < cache.max_defect_iterations
+    assert calls == []
 
 
 def test_kinetic_energy_identity(coarse_ops):

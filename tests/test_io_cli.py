@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chemoflow import cli
 from chemoflow.cli import main
 from chemoflow.config import (
     ConfigError,
@@ -270,3 +271,27 @@ def test_cli_run_hash_stable(tmp_path):
     assert main(args(tmp_path / "a")) == 0
     assert main(args(tmp_path / "b")) == 0
     assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
+
+
+def counted_heap_releases(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_release_heap", lambda: calls.append(None))
+    return calls
+
+
+def test_cli_releases_heap_after_success(monkeypatch, capsys):
+    calls = counted_heap_releases(monkeypatch)
+    assert main(["mesh-info", "--config", str(STEADY_CONFIG)]) == 0
+    assert len(calls) == 2  # before and after the command
+
+
+def test_cli_releases_heap_after_error_exit(tmp_path, monkeypatch, capsys):
+    calls = counted_heap_releases(monkeypatch)
+    path = write_config(tmp_path, {"tyme": {"N": 4}})
+    assert main(["mesh-info", "--config", str(path)]) == 1
+    assert len(calls) == 2
+
+
+def test_release_heap_skips_a_missing_malloc_trim(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cli._release_heap()
