@@ -12,11 +12,19 @@ pressure gradient (the step size k for a time step, 1 for a plain
 projection).  The velocity vanishes on the boundary, so the divergence rows
 are linearly dependent and the pressure is fixed only up to a constant: the
 solve pins pressure dof 0 (drops its row and column) and afterwards shifts
-the pressure to zero mean against the P1 basis integrals.  Desk-scale
-systems are solved by sparse LU.
+the pressure to zero mean against the P1 basis integrals.
+
+Desk-scale systems are solved by sparse LU through ``KeptFactor``, the one
+linear layer of the oxygen, cell and fluid blocks: it holds a factor, solves
+each new system by defect correction around it, and factorises (and keeps)
+the true matrix only when the correction stalls.  A ``SaddleCache`` is the
+fluid block of one step size, based on its convection-free saddle;
+``solve_saddle`` solves the one-off set-up systems directly.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,21 +57,96 @@ def build_saddle_system(
     return A, k * force + ops.M_u @ u_prev
 
 
-def _pinned_matrix(A, B, scale):
-    # the divergence rows are linearly dependent for boundary-free velocities,
-    # so pinning pressure dof 0 (dropping its row and column) loses nothing
-    # and avoids the LU fill a dense mean-zero multiplier row would cause
-    Bp = B[1:, :]
-    return sp.bmat([[A, -scale * Bp.T], [Bp, None]], format="csc"), Bp
+class KeptFactor:
+    """Sparse LU held across the nearby systems of one block.
+
+    ``solve`` corrects the defect around the held factor until it is below
+    ``0.01 tol ||rhs||``.  Once the last contraction, continued to
+    ``max_corrections``, cannot get there, or when nothing is held, it
+    factorises the true matrix, solves with it, checks the residual against
+    ``tol`` and keeps that factor.  ``reset`` goes back to the factor of
+    ``base()``, built when first needed, or to none.  ``matrix`` needs ``@``
+    and ``tocsc()``.
+    """
+
+    max_corrections = 30
+
+    def __init__(self, what: str, base=None):
+        self.what = what
+        self._base = base
+        self._base_lu = None
+        self.lu = None
+
+    def reset(self) -> None:
+        self.lu = None
+
+    def _factorise(self, matrix):
+        try:
+            return splu(matrix.tocsc())
+        except RuntimeError as exc:
+            raise LinearSolveError(f"{self.what} factorisation failed: {exc}") from exc
+
+    def solve(self, matrix, rhs: np.ndarray, tol: float) -> np.ndarray:
+        if self.lu is None and self._base is not None:
+            if self._base_lu is None:
+                self._base_lu = self._factorise(self._base())
+            self.lu = self._base_lu
+        scale = max(np.linalg.norm(rhs), 1e-300)
+        if self.lu is not None:
+            target = 0.01 * tol * scale
+            x = np.zeros_like(rhs)
+            previous = np.inf
+            for it in range(self.max_corrections):
+                r = rhs - matrix @ x
+                defect = np.linalg.norm(r)
+                if defect <= target:
+                    return x
+                # a defect that did not fall never reaches the target
+                rate = min(defect / previous, 1.0)
+                if defect * rate ** (self.max_corrections - 1 - it) > target:
+                    break
+                previous = defect
+                x += self.lu.solve(r)
+        self.lu = self._factorise(matrix)
+        x = self.lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
+            raise LinearSolveError(f"{self.what} solve produced non-finite values")
+        res = np.linalg.norm(matrix @ x - rhs) / scale
+        if res > tol:
+            raise LinearSolveError(f"{self.what} solve residual {res:.3e} exceeds tolerance {tol:.1e}")
+        return x
 
 
-def _expand_checked(ops, A, B, b, scale, sol, tol):
-    """Full-length velocity and mean-zero pressure from a pinned solution.
+class _PinnedSaddle:
+    """``[[A, -s Bp'], [Bp, 0]]``, applied by blocks and assembled only to factorise.
 
-    ``A``, ``B`` and ``b`` are the interior-restricted blocks and load;
-    residuals of both blocks are checked against ``tol`` before returning.
+    The divergence rows are linearly dependent for boundary-free velocities,
+    so pinning pressure dof 0 (``Bp`` drops its row) loses nothing and avoids
+    the LU fill a dense mean-zero multiplier row would cause.
+    """
+
+    def __init__(self, A, Bp, scale):
+        self.A, self.Bp, self.scale = A, Bp, scale
+
+    def __matmul__(self, x):
+        n = self.A.shape[0]
+        return np.concatenate([self.A @ x[:n] - self.scale * (self.Bp.T @ x[n:]), self.Bp @ x[:n]])
+
+    def tocsc(self):
+        return sp.bmat([[self.A, -self.scale * self.Bp.T], [self.Bp, None]], format="csc")
+
+
+def _solve_pinned(ops, factor: KeptFactor, A, B, rhs, scale, tol):
+    """Full-length velocity and mean-zero pressure of ``(A, rhs)``, through ``factor``.
+
+    ``A`` and ``rhs`` live on the full velocity dof set, ``B`` is the
+    divergence on the interior dofs.  The residuals of both blocks are
+    checked against ``tol`` before returning.
     """
     idx = ops.vspace.interior_velocity
+    A = A[idx][:, idx].tocsr()
+    b = rhs[idx]
+    sol = factor.solve(_PinnedSaddle(A, B[1:, :], scale), np.concatenate([b, np.zeros(B.shape[0] - 1)]), tol)
     u_int = sol[: idx.size]
     u = np.zeros(ops.vspace.n_velocity)
     u[idx] = u_int
@@ -85,76 +168,38 @@ def _expand_checked(ops, A, B, b, scale, sol, tol):
 
 
 def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, pressure_scale: float, tol: float = 1e-10):
-    """Solve the mixed system for velocity operator ``A`` and load ``rhs``.
+    """Solve the mixed system for velocity operator ``A`` and load ``rhs`` directly.
 
     Both live on the full velocity dof set; the Dirichlet dofs are
     eliminated here.  Returns (u, p): the velocity with exact zeros on the
-    boundary and the mean-zero pressure.
+    boundary and the mean-zero pressure.  For the one-off set-up systems.
     """
+    B = ops.B[:, ops.vspace.interior_velocity].tocsr()
+    return _solve_pinned(ops, KeptFactor("saddle"), A, B, rhs, pressure_scale, tol)
+
+
+def _stokes_saddle(ops, xi, k, B):
     idx = ops.vspace.interior_velocity
-    A = A[idx][:, idx].tocsr()
-    B = ops.B[:, idx].tocsr()
-    sys_mat, Bp = _pinned_matrix(A, B, pressure_scale)
-    b = rhs[idx]
-    try:
-        lu = splu(sys_mat)
-    except RuntimeError as exc:
-        raise LinearSolveError(f"saddle factorisation failed: {exc}") from exc
-    sol = lu.solve(np.concatenate([b, np.zeros(Bp.shape[0])]))
-    if not np.all(np.isfinite(sol)):
-        raise LinearSolveError("saddle solve produced non-finite values")
-    return _expand_checked(ops, A, B, b, pressure_scale, sol, tol)
+    return _PinnedSaddle((ops.M_u + k * xi * ops.K_u)[idx][:, idx].tocsr(), B[1:, :], k)
 
 
 class SaddleCache:
-    """Factorisation of the convection-free saddle, reused across a run.
+    """The fluid block of one step size, solved through a ``KeptFactor``.
 
-    Within one step size the matrix changes only through the skew convection
-    block, a tiny perturbation at desk-scale velocities, so systems including
-    convection are solved by defect correction preconditioned with this
-    factorisation.  As soon as the observed contraction cannot bring the
-    defect to the target within ``max_defect_iterations`` (very large k or
-    velocity, low viscosity), the solve falls back to a direct factorisation
-    of the true matrix.  Residuals are always verified against the true
-    system.
+    Its base factorises the convection-free saddle ``M + k xi K``, on the
+    first solve: within one step size the matrix changes only through the
+    skew convection block, a small perturbation at desk-scale velocities.
     """
 
     def __init__(self, ops, params, k: float):
-        self.ops = ops
-        self.k = k
-        self.idx = ops.vspace.interior_velocity
-        self.B = ops.B[:, self.idx].tocsr()
-        A0 = (ops.M_u + k * params.xi * ops.K_u)[self.idx][:, self.idx].tocsr()
-        mat, self.Bp = _pinned_matrix(A0, self.B, k)
-        self.lu = splu(mat)
-        self.max_defect_iterations = 30
+        self.ops, self.k = ops, k
+        self.B = ops.B[:, ops.vspace.interior_velocity].tocsr()
+        # a partial, not a bound method: no factor may sit in a reference cycle
+        self.factor = KeptFactor("saddle", base=partial(_stokes_saddle, ops, params.xi, k, self.B))
 
     def solve(self, A, rhs: np.ndarray, tol: float = 1e-10):
         """Solve the step system ``(A, rhs)`` of this cache's step size."""
-        idx, Bp = self.idx, self.Bp
-        A_int = A[idx][:, idx].tocsr()
-        b = rhs[idx]
-        full = np.concatenate([b, np.zeros(Bp.shape[0])])
-        scale = max(np.linalg.norm(full), 1e-300)
-        n_u = idx.size
-        target = 0.01 * tol * scale
-        x = np.zeros_like(full)
-        previous = np.inf
-        for it in range(self.max_defect_iterations):
-            r = full.copy()
-            r[:n_u] -= A_int @ x[:n_u] - self.k * (Bp.T @ x[n_u:])
-            r[n_u:] -= Bp @ x[:n_u]
-            defect = np.linalg.norm(r)
-            if defect <= target:
-                return _expand_checked(self.ops, A_int, self.B, b, self.k, x, tol)
-            # give up once the last contraction, kept up to the cap, cannot
-            # reach the target; a defect that did not fall never can
-            rate = min(defect / previous, 1.0)
-            if defect * rate ** (self.max_defect_iterations - 1 - it) > target:
-                break
-            previous = defect
-            x += self.lu.solve(r)
-        return solve_saddle(self.ops, A, rhs, self.k, tol)
+        return _solve_pinned(self.ops, self.factor, A, self.B, rhs, self.k, tol)
 
 
 def steady_stokes_velocity(ops: OperatorSet, params, n: np.ndarray) -> np.ndarray:

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .assembly import OperatorSet, assemble_chemotaxis_rhs, assemble_convection
-from .fluid import LinearSolveError, SaddleCache, build_saddle_system
+from .fluid import KeptFactor, SaddleCache, build_saddle_system
 
 
 @dataclass(frozen=True)
@@ -139,21 +138,22 @@ def n_step_rhs(ops: OperatorSet, inputs: StepInputs, c, n_hat, sensitivity_fn):
     return ops.M_vol @ inputs.n_prev + inputs.dt * assemble_chemotaxis_rhs(ops, n_hat, c, sensitivity_fn)
 
 
-def _factor(matrix, what):
-    try:
-        return splu(matrix)
-    except RuntimeError as exc:
-        raise LinearSolveError(f"{what} system factorisation failed: {exc}") from exc
+class StepFactors:
+    """Held factors of the oxygen, cell and fluid blocks for one step size.
 
+    ``outer_step`` resets them when a step attempt starts, so no factor
+    carries state from one step to the next and a resumed run or a halved
+    retry computes the same bits as an uninterrupted run.
+    """
 
-def _checked_solve(lu, matrix, rhs, tol, what):
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError(f"{what} solve produced non-finite values")
-    res = np.linalg.norm(matrix @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if res > tol:
-        raise LinearSolveError(f"{what} solve residual {res:.3e} exceeds tolerance {tol:.1e}")
-    return x
+    def __init__(self, ops: OperatorSet, params, k: float):
+        self.oxygen = KeptFactor("oxygen")
+        self.cells = KeptFactor("cell-density")
+        self.fluid = SaddleCache(ops, params, k)
+
+    def reset(self) -> None:
+        for factor in (self.oxygen, self.cells, self.fluid.factor):
+            factor.reset()
 
 
 def _pair_update_norm(ops, dc, dn, c, n):
@@ -171,10 +171,12 @@ def picard_inner(
     max_iter: int = 60,
     damping: float = 1.0,
     initial_guess=None,
+    factors: StepFactors | None = None,
 ):
     """Iterate the frozen-coefficient (c, n) map to its fixed point.
 
-    Starts from the previous-step fields unless a warmer guess is supplied.
+    Starts from the previous-step fields unless a warmer guess is supplied,
+    and solves through the held factors of ``factors`` or fresh ones.
     Non-convergence is reported through the diagnostics, not raised; the
     caller owns the retry policy.
     """
@@ -182,11 +184,11 @@ def picard_inner(
     if not tol > 0 or max_iter < 1 or not 0 < damping <= 1:
         raise ValueError("need tol > 0, max_iter >= 1, damping in (0, 1]")
     k = inputs.dt
+    if factors is None:
+        factors = StepFactors(ops, params, k)
     C = assemble_convection(ops, u_hat)
     A_c = c_system_matrix(ops, params, k, C)
     A_n = n_system_matrix(ops, params, k, C)
-    lu_c = _factor(A_c, "oxygen")
-    lu_n = _factor(A_n, "cell-density")
     f = params.consumption()
     g = params.sensitivity()
 
@@ -199,9 +201,9 @@ def picard_inner(
     linear_tol = min(tol, 1e-10)
     for it in range(1, max_iter + 1):
         rhs_c = c_step_rhs(ops, params, inputs, c_hat, n_hat, f)
-        c = _checked_solve(lu_c, A_c, rhs_c, linear_tol, "oxygen")
+        c = factors.oxygen.solve(A_c, rhs_c, linear_tol)
         rhs_n = n_step_rhs(ops, inputs, c, n_hat, g)
-        n = _checked_solve(lu_n, A_n, rhs_n, linear_tol, "cell-density")
+        n = factors.cells.solve(A_n, rhs_n, linear_tol)
         if damping < 1.0:
             c = c_hat + damping * (c - c_hat)
             n = n_hat + damping * (n - n_hat)
@@ -261,24 +263,25 @@ def outer_step(
     params,
     ops: OperatorSet,
     options: SolverOptions = SolverOptions(),
-    saddle_cache=None,
+    factors: StepFactors | None = None,
 ) -> StepResult:
     """Full coupled step: alternate the (c, n) fixed point with fluid solves.
 
     Convection in the fluid is linearised at the previous outer velocity
     iterate.  Convergence requires the inner loop converged, the velocity
     update below tolerance, and the fully nonlinear residual below tolerance;
-    failure is reported in the diagnostics.  The fluid block is solved through
-    a SaddleCache for this step size, built here unless the caller passes one
-    to share across steps.
+    failure is reported in the diagnostics.  All three blocks are solved
+    through the held factors of ``factors`` for this step size, reset here
+    first; without them, fresh ones are built.
     """
     inputs.validate(ops)
     options.validate()
     k = inputs.dt
-    if saddle_cache is None:
-        saddle_cache = SaddleCache(ops, params, k)
-    elif saddle_cache.k != k:
-        raise ValueError("saddle cache built for a different step size")
+    if factors is None:
+        factors = StepFactors(ops, params, k)
+    elif factors.fluid.k != k:
+        raise ValueError("held factors built for a different step size")
+    factors.reset()
     u_hat = np.asarray(inputs.u_prev, dtype=float)
     guess = None
     diag = FixedPointDiagnostics(damping=options.damping)
@@ -294,12 +297,13 @@ def outer_step(
             max_iter=options.max_inner,
             damping=options.damping,
             initial_guess=guess,
+            factors=factors,
         )
         guess = (c, n)
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)
         A, rhs = build_saddle_system(ops, u_hat, n, inputs.u_prev, k, params)
-        u, p = saddle_cache.solve(A, rhs, tol=options.linear_tol)
+        u, p = factors.fluid.solve(A, rhs, tol=options.linear_tol)
         du = u - u_hat
         num = np.sqrt(ops.velocity_norm_sq(du))
         den = np.sqrt(ops.velocity_norm_sq(u))

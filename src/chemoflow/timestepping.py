@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import OperatorSet
-from .fluid import SaddleCache, project_divergence_free
-from .step_solver import FixedPointDiagnostics, SolverOptions, StepInputs, StepResult, outer_step
+from .fluid import LinearSolveError, project_divergence_free
+from .step_solver import FixedPointDiagnostics, SolverOptions, StepFactors, StepInputs, outer_step
 
 logger = logging.getLogger(__name__)
 
@@ -104,7 +104,8 @@ class Trajectory:
 
 
 def initial_state(ops: OperatorSet, c0, n0, u0) -> State:
-    """Package initial fields; nonzero velocities are projected solenoidal."""
+    """Package initial fields; velocities are projected solenoidal unless
+    they vanish on the boundary with ``||B u0|| <= 1e-10 ||u0||`` already."""
     c0 = np.asarray(c0, dtype=float)
     n0 = np.asarray(n0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -113,7 +114,10 @@ def initial_state(ops: OperatorSet, c0, n0, u0) -> State:
         raise ValueError("initial scalar fields do not match the mesh")
     if u0.shape != (ops.vspace.n_velocity,):
         raise ValueError("initial velocity does not match the velocity space")
-    if np.any(u0 != 0.0):
+    solenoidal = np.array_equal(ops.vspace.zero_boundary(u0), u0) and (
+        np.linalg.norm(ops.B @ u0) <= 1e-10 * np.linalg.norm(u0)
+    )
+    if not solenoidal:
         u0 = project_divergence_free(u0, ops)
     else:
         u0 = ops.vspace.zero_boundary(u0)
@@ -132,9 +136,12 @@ def trajectory_data_hash(ops: OperatorSet, params, state0: State, T: float) -> s
 
 
 def _advance(ops, params, state: State, k: float, t_next: float, options, depth: int, step: int, caches: dict):
-    """One step of size k ending at t_next, halving on failure up to depth."""
+    """One step of size k ending at t_next, halving on failure up to depth.
+
+    A failed linear solve is a failed attempt, like a stalled fixed point.
+    """
     if k not in caches:
-        caches[k] = SaddleCache(ops, params, k)
+        caches[k] = StepFactors(ops, params, k)
     inputs = StepInputs(
         c_prev=state.c,
         c_trace_prev=ops.trace.restrict(state.c),
@@ -142,23 +149,28 @@ def _advance(ops, params, state: State, k: float, t_next: float, options, depth:
         u_prev=state.u,
         dt=k,
     )
-    result: StepResult = outer_step(inputs, params, ops, options, saddle_cache=caches[k])
-    diags = [result.diagnostics]
-    if not result.diagnostics.converged:
+    try:
+        result = outer_step(inputs, params, ops, options, factors=caches[k])
+    except LinearSolveError as exc:
+        result, residual, reason = None, None, str(exc)
+    else:
+        residual = result.diagnostics.final_residual
+        reason = f"residual {residual:.3e}"
+    if result is None or not result.diagnostics.converged:
         if depth <= 0:
             raise StepFailure(
-                f"step {step} at t={t_next:g} failed to converge "
-                f"(residual {result.diagnostics.final_residual:.3e}) after exhausting retries",
+                f"step {step} at t={t_next:g} failed to converge ({reason}) after exhausting retries",
                 step=step,
                 time=t_next,
-                residual=result.diagnostics.final_residual,
+                residual=residual,
             )
         logger.warning(
-            "step %d at t=%g did not converge with k=%g; retrying with k/2 "
+            "step %d at t=%g did not converge with k=%g (%s); retrying with k/2 "
             "(local rescue, the uniform grid is unchanged)",
             step,
             t_next,
             k,
+            reason,
         )
         mid_state, d1 = _advance(ops, params, state, k / 2, t_next - k / 2, options, depth - 1, step, caches)
         end_state, d2 = _advance(ops, params, mid_state, k / 2, t_next, options, depth - 1, step, caches)
@@ -171,7 +183,7 @@ def _advance(ops, params, state: State, k: float, t_next: float, options, depth:
             step=step,
             time=t_next,
         )
-    return new, diags
+    return new, [result.diagnostics]
 
 
 def run(

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from chemoflow import fluid
 from chemoflow.assembly import assemble_convection
 from chemoflow.fluid import (
+    KeptFactor,
     SaddleCache,
     build_saddle_system,
     project_divergence_free,
     solve_saddle,
 )
 from chemoflow.model import ModelParams
-from chemoflow.step_solver import StepInputs, outer_step
+from chemoflow.step_solver import StepFactors, StepInputs, outer_step, picard_inner
 
 
 PARAMS = ModelParams()
@@ -81,60 +83,8 @@ def test_dense_saddle_oracle(coarse_ops):
     assert np.allclose(p, sol[n_u : n_u + n_p], atol=1e-10)
 
 
-def counted_direct_solves(monkeypatch):
-    """Count the calls SaddleCache makes to the direct solve."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_saddle(*args, **kwargs)
-
-    monkeypatch.setattr(fluid, "solve_saddle", counted)
-    return calls
-
-
-def random_step_system(ops, params, k, amplitude, seed):
-    rng = np.random.default_rng(seed)
-    n = rng.random(ops.mesh.n_vertices)
-    q = project_divergence_free(
-        ops.vspace.zero_boundary(amplitude * rng.standard_normal(ops.vspace.n_velocity)), ops
-    )
-    return build_saddle_system(ops, q, n, q, k, params)
-
-
-def test_saddle_cache_matches_direct_solve(coarse_ops, monkeypatch):
-    # convection on: the cache defect-corrects around the Stokes factor
-    ops = coarse_ops
-    k = 0.02
-    A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
-    u_ref, p_ref = solve_saddle(ops, A, rhs, k)
-    calls = counted_direct_solves(monkeypatch)
-    u, p = SaddleCache(ops, PARAMS, k).solve(A, rhs)
-    assert calls == []
-    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
-    assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
-
-
-def test_saddle_cache_falls_back_once_at_low_viscosity(coarse_ops, monkeypatch):
-    # xi = 0.01 with a strong velocity: the correction stalls, as on low_xi
-    ops = coarse_ops
-    params = ModelParams(xi=0.01)
-    k = 0.0625
-    A, rhs = random_step_system(ops, params, k, 5.0, 12)
-    calls = counted_direct_solves(monkeypatch)
-    u, p = SaddleCache(ops, params, k).solve(A, rhs)
-    assert len(calls) == 1
-    idx = ops.vspace.interior_velocity
-    B = ops.B[:, idx]
-    r_mom = A[idx][:, idx] @ u[idx] - k * (B.T @ p) - rhs[idx]
-    assert np.linalg.norm(r_mom) <= 1e-10 * np.linalg.norm(rhs[idx])
-    assert np.linalg.norm(B @ u[idx]) <= 1e-10 * np.linalg.norm(u[idx])
-    assert np.array_equal(ops.vspace.zero_boundary(u), u)
-    assert abs(ops.pressure_weights @ p) <= 1e-12 * np.linalg.norm(p)
-
-
 class CountingLU:
-    """A frozen factor that counts its solves."""
+    """A sparse factor that counts its solves."""
 
     def __init__(self, lu):
         self.lu = lu
@@ -145,29 +95,99 @@ class CountingLU:
         return self.lu.solve(rhs)
 
 
-def counted_cache(ops, params, k):
-    cache = SaddleCache(ops, params, k)
-    cache.lu = CountingLU(cache.lu)
-    return cache
+def counted_factorisations(monkeypatch):
+    """Every factor ``fluid.splu`` makes from now on, in order, counting its solves."""
+    made = []
+
+    def counted(matrix):
+        made.append(CountingLU(splu(matrix)))
+        return made[-1]
+
+    monkeypatch.setattr(fluid, "splu", counted)
+    return made
 
 
-@pytest.mark.parametrize(
-    "xi, amplitude",
-    [
-        (0.01, 5.0),  # every correction makes the defect grow
-        (0.03, 2.0),  # the defect falls, by about 0.8 a step: 2e-4 after 30
-    ],
-)
+def random_step_system(ops, params, k, amplitude, seed, q_scale=1.0):
+    rng = np.random.default_rng(seed)
+    n = rng.random(ops.mesh.n_vertices)
+    q = project_divergence_free(
+        ops.vspace.zero_boundary(amplitude * rng.standard_normal(ops.vspace.n_velocity)), ops
+    )
+    return build_saddle_system(ops, q_scale * q, n, q, k, params)
+
+
+def test_saddle_cache_matches_direct_solve(coarse_ops, monkeypatch):
+    # convection on: the cache defect-corrects around the Stokes factor
+    ops = coarse_ops
+    k = 0.02
+    A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
+    u_ref, p_ref = solve_saddle(ops, A, rhs, k)
+    made = counted_factorisations(monkeypatch)
+    u, p = SaddleCache(ops, PARAMS, k).solve(A, rhs)
+    assert len(made) == 1  # the convection-free base, nothing else
+    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+
+def test_saddle_cache_falls_back_once_at_low_viscosity(coarse_ops, monkeypatch):
+    # xi = 0.01 with a strong velocity: the correction stalls, as on low_xi
+    ops = coarse_ops
+    params = ModelParams(xi=0.01)
+    k = 0.0625
+    A, rhs = random_step_system(ops, params, k, 5.0, 12)
+    made = counted_factorisations(monkeypatch)
+    u, p = SaddleCache(ops, params, k).solve(A, rhs)
+    assert len(made) == 2  # the base, then the true matrix
+    idx = ops.vspace.interior_velocity
+    B = ops.B[:, idx]
+    r_mom = A[idx][:, idx] @ u[idx] - k * (B.T @ p) - rhs[idx]
+    assert np.linalg.norm(r_mom) <= 1e-10 * np.linalg.norm(rhs[idx])
+    assert np.linalg.norm(B @ u[idx]) <= 1e-10 * np.linalg.norm(u[idx])
+    assert np.array_equal(ops.vspace.zero_boundary(u), u)
+    assert abs(ops.pressure_weights @ p) <= 1e-12 * np.linalg.norm(p)
+
+
+STALLING = [
+    (0.01, 5.0),  # every correction makes the defect grow
+    (0.03, 2.0),  # the defect falls, by about 0.8 a step: 2e-4 after 30
+]
+
+
+@pytest.mark.parametrize("xi, amplitude", STALLING)
 def test_saddle_cache_falls_back_early(coarse_ops, monkeypatch, xi, amplitude):
     ops = coarse_ops
     params = ModelParams(xi=xi)
     k = 0.0625
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
-    cache = counted_cache(ops, params, k)
-    calls = counted_direct_solves(monkeypatch)
+    cache = SaddleCache(ops, params, k)
+    made = counted_factorisations(monkeypatch)
     cache.solve(A, rhs)
-    assert cache.lu.solves <= 2
-    assert len(calls) == 1
+    base, *fresh = made
+    assert base.solves <= 2
+    assert len(fresh) == 1 and fresh[0].solves == 1
+    assert cache.factor.lu is fresh[0]  # kept for the next solves
+
+
+@pytest.mark.parametrize("xi, amplitude", STALLING)
+def test_saddle_cache_nearby_system_after_a_stall_needs_no_factorisation(coarse_ops, monkeypatch, xi, amplitude):
+    # the next outer iteration of a step: convection by a nearby velocity
+    ops = coarse_ops
+    params = ModelParams(xi=xi)
+    k = 0.0625
+    A_first, rhs_first = random_step_system(ops, params, k, amplitude, 12)
+    A, rhs = random_step_system(ops, params, k, amplitude, 12, q_scale=1.01)
+    u_ref, p_ref = solve_saddle(ops, A, rhs, k)
+    cache = SaddleCache(ops, params, k)
+    made = counted_factorisations(monkeypatch)
+    cache.solve(A_first, rhs_first)
+    base, kept = made
+    base_solves = base.solves
+    u, p = cache.solve(A, rhs)
+    assert len(made) == 2
+    assert base.solves == base_solves
+    assert 1 < kept.solves < 1 + KeptFactor.max_corrections
+    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
 
 
 @pytest.mark.parametrize(
@@ -181,11 +201,40 @@ def test_saddle_cache_converging_correction_does_not_fall_back(coarse_ops, monke
     ops = coarse_ops
     params = ModelParams(xi=xi)
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
-    cache = counted_cache(ops, params, k)
-    calls = counted_direct_solves(monkeypatch)
+    cache = SaddleCache(ops, params, k)
+    made = counted_factorisations(monkeypatch)
     cache.solve(A, rhs)
-    assert 0 < cache.lu.solves < cache.max_defect_iterations
-    assert calls == []
+    base, *fresh = made
+    assert fresh == []
+    assert 0 < base.solves < KeptFactor.max_corrections
+
+
+def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
+    # factors still holding an earlier step's systems go back to the base when
+    # a step starts, so the step computes the same bits as with fresh factors
+    ops = coarse_ops
+    params = ModelParams(xi=0.01)
+    k = 0.0625
+    A, rhs = random_step_system(ops, params, k, 5.0, 12)
+    rng = np.random.default_rng(7)
+    c = np.ones(ops.mesh.n_vertices)
+    n = rng.random(ops.mesh.n_vertices)
+    u_prev = np.zeros(ops.vspace.n_velocity)
+    inputs = StepInputs(c_prev=c, c_trace_prev=ops.trace.restrict(c), n_prev=n, u_prev=u_prev, dt=k)
+    fresh = outer_step(inputs, params, ops)
+    held = StepFactors(ops, params, k)
+    made = counted_factorisations(monkeypatch)
+    held.fluid.solve(A, rhs)
+    base, stalled = made
+    other = StepInputs(c_prev=2 * c, c_trace_prev=2 * ops.trace.restrict(c), n_prev=n, u_prev=u_prev, dt=k)
+    picard_inner(other, u_prev, params, ops, factors=held)
+    assert held.oxygen.lu is not None and held.cells.lu is not None
+    base_solves = base.solves
+    result = outer_step(inputs, params, ops, factors=held)
+    assert base.solves > base_solves and stalled.solves == 1
+    for name in ("c", "n", "u", "p"):
+        assert np.array_equal(getattr(result, name), getattr(fresh, name))
+    assert result.diagnostics.residual_history == fresh.diagnostics.residual_history
 
 
 def test_kinetic_energy_identity(coarse_ops):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemoflow import cli
+from chemoflow import cli, fluid
 from chemoflow.cli import main
 from chemoflow.config import (
     ConfigError,
@@ -295,3 +295,18 @@ def test_cli_releases_heap_after_error_exit(tmp_path, monkeypatch, capsys):
 def test_release_heap_skips_a_missing_malloc_trim(monkeypatch):
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
     cli._release_heap()
+
+
+def test_cli_run_linear_solve_failure_exits_solver(tmp_path, monkeypatch, capsys):
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fluid, "splu", singular)
+    code = main(
+        ["run", "--config", str(STEADY_CONFIG), "--output", str(tmp_path / "out"), "--set", "time.N=2",
+         "--set", "mesh.target_h=0.35"]
+    )
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    assert "solver failure: step 1 " in err and "factorisation failed" in err
+    assert "Traceback" not in err

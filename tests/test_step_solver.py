@@ -1,8 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse.linalg import splu
 
+from chemoflow import fluid
+from chemoflow.assembly import build_operators
+from chemoflow.config import build_initial_state, load_config
 from chemoflow.fluid import project_divergence_free
+from chemoflow.geometry import build_disc_mesh, build_trace_map
 from chemoflow.model import ModelParams, ResponseSpec
 from chemoflow.step_solver import (
     SolverOptions,
@@ -243,3 +250,44 @@ def test_bad_tolerances_rejected(coarse_ops):
     inputs = make_inputs(ops)
     with pytest.raises(ValueError):
         picard_inner(inputs, inputs.u_prev, PARAMS, ops, tol=-1.0)
+
+
+# inner iterations of plain Picard on the benchmark data, from k = 1e-3 to 30;
+# None: no convergence within 200
+REGIME_INNER = (4, 4, 5, 5, 6, 8, 10, 15, 26, 144, None, 46)
+
+
+def test_step_regime_scan_counts():
+    # where plain Picard stops converging for the benchmark data: the first
+    # step from the initial state, one picard_inner per step size
+    config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
+    cfg = load_config(config)
+    mesh = build_disc_mesh(cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"]))
+    ops = build_operators(mesh, build_trace_map(mesh))
+    state0 = build_initial_state(cfg, ops)
+    counts = []
+    for k in np.geomspace(1e-3, 30.0, 12):
+        inputs = make_inputs(ops, c=state0.c, n=state0.n, u=state0.u, dt=k)
+        _, _, diag = picard_inner(inputs, state0.u, cfg.params, ops, tol=cfg.solver["inner_tol"], max_iter=200)
+        counts.append(diag.inner_iterations if diag.converged else None)
+        assert diag.converged or diag.inner_iterations == 200
+    assert tuple(counts) == REGIME_INNER
+
+
+def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
+    # several outer iterations, and every later one corrects around the
+    # oxygen, cell and fluid factors the step already holds
+    ops = coarse_ops
+    x, y = ops.mesh.vertices.T
+    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125), dt=0.05)
+    made = []
+
+    def counted(matrix):
+        made.append(matrix.shape)
+        return splu(matrix)
+
+    monkeypatch.setattr(fluid, "splu", counted)
+    result = outer_step(inputs, PARAMS, ops)
+    assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
+    scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
+    assert len(scalar) == 2 and len(made) == 3  # oxygen, cells, the fluid base

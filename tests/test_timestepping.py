@@ -1,8 +1,13 @@
+import gc
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from chemoflow import fluid, timestepping
+from chemoflow.fluid import project_divergence_free, steady_stokes_velocity
 from chemoflow.model import ModelParams
-from chemoflow.step_solver import SolverOptions
+from chemoflow.step_solver import SolverOptions, StepFactors
 from chemoflow.timestepping import (
     StepFailure,
     TimeGrid,
@@ -33,6 +38,43 @@ def bump_initial(ops):
 def short_run(coarse_ops):
     grid = TimeGrid(T=0.25, N=8)
     return run(coarse_ops, PARAMS, grid, bump_initial(coarse_ops)), grid
+
+
+def counted_projections(monkeypatch):
+    calls = []
+
+    def counted(u, ops):
+        calls.append(u)
+        return project_divergence_free(u, ops)
+
+    monkeypatch.setattr(timestepping, "project_divergence_free", counted)
+    return calls
+
+
+def test_initial_state_keeps_a_solenoidal_velocity(coarse_ops, monkeypatch):
+    ops = coarse_ops
+    x, y = ops.mesh.vertices.T
+    n0 = np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125)
+    u0 = steady_stokes_velocity(ops, PARAMS, n0)
+    calls = counted_projections(monkeypatch)
+    state = initial_state(ops, np.ones_like(n0), n0, u0)
+    assert calls == []
+    assert np.array_equal(state.u, u0)
+
+
+def test_initial_state_projects_a_velocity_that_is_not_solenoidal(coarse_ops, monkeypatch):
+    ops = coarse_ops
+    nv = ops.mesh.n_vertices
+    rng = np.random.default_rng(3)
+    divergent = ops.vspace.zero_boundary(rng.standard_normal(ops.vspace.n_velocity))
+    ones = np.ones(ops.vspace.n_velocity)
+    on_boundary = project_divergence_free(divergent, ops) + ones - ops.vspace.zero_boundary(ones)
+    calls = counted_projections(monkeypatch)
+    for u0 in (divergent, on_boundary):
+        state = initial_state(ops, np.ones(nv), np.zeros(nv), u0)
+        assert np.array_equal(ops.vspace.zero_boundary(state.u), state.u)
+        assert np.linalg.norm(ops.B @ state.u) <= 1e-10 * np.linalg.norm(state.u)
+    assert len(calls) == 2
 
 
 def test_grid_endpoint_exact():
@@ -151,6 +193,26 @@ def test_failure_after_retries_names_step(coarse_ops):
     assert exc.value.step == 1
 
 
+def failing_factorisation(monkeypatch):
+    attempts = []
+
+    def singular(matrix):
+        attempts.append(matrix.shape)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fluid, "splu", singular)
+    return attempts
+
+
+def test_linear_solve_failure_is_retried_then_names_step(coarse_ops, monkeypatch):
+    attempts = failing_factorisation(monkeypatch)
+    with pytest.raises(StepFailure, match="oxygen factorisation failed") as exc:
+        run(coarse_ops, PARAMS, TimeGrid(T=1.0, N=2), steady_initial(coarse_ops), retry_depth=2)
+    # k = 0.5 fails, then its first half, then the first quarter, which ends at 0.125
+    assert exc.value.step == 1 and exc.value.time == 0.125
+    assert len(attempts) == 3
+
+
 def test_retry_rescues_with_halved_step(coarse_ops, caplog):
     # starve the inner loop so the k=4 step fails but the k=2 halves succeed
     import logging
@@ -167,11 +229,16 @@ def test_retry_rescues_with_halved_step(coarse_ops, caplog):
     assert len(traj.diagnostics[1]) > 1  # substep diagnostics kept
 
 
-def test_checkpoint_roundtrip_and_resume(coarse_ops, tmp_path):
-    ops = coarse_ops
+def stokes_initial(ops, params):
+    x, y = ops.mesh.vertices.T
+    n0 = 0.8 * np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125)
+    return initial_state(ops, np.ones_like(n0), n0, steady_stokes_velocity(ops, params, n0))
+
+
+def check_roundtrip_and_resume(ops, params, state0, directory):
     grid = TimeGrid(T=0.2, N=4)
-    full = run(ops, PARAMS, grid, bump_initial(ops), checkpoint_dir=tmp_path / "a")
-    loaded = load_trajectory(tmp_path / "a", ops, grid, PARAMS)
+    full = run(ops, params, grid, state0, checkpoint_dir=directory)
+    loaded = load_trajectory(directory, ops, grid, params)
     for sa, sb in zip(full.states, loaded.states):
         assert np.array_equal(sa.c, sb.c)
         assert np.array_equal(sa.u, sb.u)
@@ -179,13 +246,49 @@ def test_checkpoint_roundtrip_and_resume(coarse_ops, tmp_path):
 
     # drop the last two checkpoints and resume
     for m in (3, 4):
-        (tmp_path / "a" / f"step_{m:06d}.ckpt").unlink()
-    resumed = run(
-        ops, PARAMS, grid, bump_initial(ops), checkpoint_dir=tmp_path / "a", resume=True
-    )
+        (directory / f"step_{m:06d}.ckpt").unlink()
+    resumed = run(ops, params, grid, state0, checkpoint_dir=directory, resume=True)
     for sa, sb in zip(full.states, resumed.states):
-        assert np.array_equal(sa.c, sb.c)
-        assert np.array_equal(sa.n, sb.n)
+        for name in ("c", "n", "u", "p"):
+            assert np.array_equal(getattr(sa, name), getattr(sb, name))
+
+
+def test_checkpoint_roundtrip_and_resume(coarse_ops, tmp_path):
+    check_roundtrip_and_resume(coarse_ops, PARAMS, bump_initial(coarse_ops), tmp_path / "a")
+
+
+def test_checkpoint_resume_with_fluid_fallbacks_within_steps(medium_ops, tmp_path, monkeypatch):
+    # a Stokes start at low viscosity: the fluid falls back to a fresh factor
+    # inside steps and keeps it for the step's later outer iterations
+    ops = medium_ops
+    params = ModelParams(xi=0.01)
+    state0 = stokes_initial(ops, params)
+    saddle_factorisations = []
+
+    def counted(matrix):
+        if matrix.shape[0] > ops.mesh.n_vertices:
+            saddle_factorisations.append(matrix.shape)
+        return splu(matrix)
+
+    monkeypatch.setattr(fluid, "splu", counted)
+    check_roundtrip_and_resume(ops, params, state0, tmp_path / "a")
+    assert len(saddle_factorisations) > 2  # the base and fallbacks, in both runs
+
+
+def test_held_factors_are_freed_with_the_run(coarse_ops):
+    # reference counting alone must free every held factor when the run
+    # returns, or the factors of earlier in-process runs stay resident
+    def held():
+        return sum(isinstance(o, (fluid.KeptFactor, StepFactors)) for o in gc.get_objects())
+
+    gc.collect()
+    before = held()
+    gc.disable()
+    try:
+        run(coarse_ops, PARAMS, TimeGrid(T=0.1, N=2), bump_initial(coarse_ops))
+        assert held() == before
+    finally:
+        gc.enable()
 
 
 def test_checkpoint_rejects_other_mesh(coarse_ops, medium_ops, tmp_path):
