@@ -201,6 +201,10 @@ class _Workspace:
         # [[P2, 0], [0, P2]]: its data is the P2 data once per component
         pair = np.vstack([self.tri_p2, self.tri_p2 + ns])
         self.p2_pair = _Pattern(pair, pair, (2 * ns, 2 * ns))
+        # entry positions + 1 (none zero), then its interior block: data[interior_slot]
+        rank = self.p2_pair.matrix(np.arange(1.0, self.p2_pair.indices.size + 1))
+        self._interior = rank[vspace.interior_velocity][:, vspace.interior_velocity]
+        self.interior_slot = self._interior.data.astype(np.intp) - 1
         # divergence columns: x component, then y component
         self.div = _Pattern(self.tri_p1, np.hstack([self.tri_p2, self.tri_p2 + ns]), (nv, 2 * ns))
         self.mix = _Pattern(self.tri_p2, self.tri_p1, (ns, nv))
@@ -209,6 +213,11 @@ class _Workspace:
         """Block-diagonal ``[[S, 0], [0, S]]`` of one P2 scalar element matrix set."""
         data = self.p2.data(local)
         return self.p2_pair.matrix(np.concatenate([data, data]))
+
+    def interior(self, data: np.ndarray) -> sp.csr_matrix:
+        """``A[idx][:, idx]`` over the interior velocity dofs, from ``A``'s pair-pattern ``data``."""
+        block = self._interior
+        return sp.csr_matrix((data[self.interior_slot], block.indices, block.indptr), shape=block.shape)
 
 
 @dataclass(frozen=True)
@@ -361,6 +370,9 @@ def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
     bv = trace.boundary_vertices
     M_bnd_global = _periodic_loop_matrix(mesh, trace, _mass_entries, bv, nv)
     K_bnd_global = _periodic_loop_matrix(mesh, trace, _laplace_beltrami_entries, bv, nv)
+    # where the entries of both loop operators (one pattern) sit in the P1 pattern
+    loop, rank = M_bnd_global.tocoo(), work.p1.matrix(np.arange(1.0, work.p1.indices.size + 1))
+    work.loop_slot = np.asarray(rank[loop.row, loop.col]).ravel().astype(np.intp) - 1
 
     # P2 scalar mass and stiffness, shared by both velocity components
     ref_mass = np.einsum("q,qa,qb->ab", work.w, work.p2_q, work.p2_q)
@@ -373,6 +385,10 @@ def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
     # divergence B: P2 velocity -> P1 pressure test space
     div_local = np.einsum("q,qp,tqad->tpda", work.w, work.lam_q, work.p2_grad)
     B = work.div.scatter(area * div_local.reshape(-1, 3, 12))
+    # on the interior velocity dofs, with its rows but pressure dof 0's, and their transposes
+    B_int = B[:, vspace.interior_velocity].tocsr()
+    Bp = B_int[1:, :]
+    work.interior_div = (B_int, B_int.T, Bp, Bp.T)
 
     return OperatorSet(
         mesh=mesh,

@@ -26,6 +26,7 @@ from .energy import (
     uniform_bound_scan,
 )
 from .fields_io import FieldsIOError, export_fields, snapshot_name
+from .fluid import LinearSolveError
 from .geometry import build_disc_mesh, build_trace_map, save_mesh
 from .model import validate_params
 from .step_solver import SolverOptions
@@ -315,10 +316,10 @@ def main(argv=None) -> int:
         for key, msg in exc.problems:
             print(f"ERROR   {key}: {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except StepFailure as exc:
+    except (StepFailure, LinearSolveError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except FieldsIOError as exc:
+    except (FieldsIOError, OSError) as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     finally:

@@ -16,10 +16,11 @@ the pressure to zero mean against the P1 basis integrals.
 
 Desk-scale systems are solved by sparse LU through ``KeptFactor``, the one
 linear layer of the oxygen, cell and fluid blocks: it holds a factor, solves
-each new system by defect correction around it, and factorises (and keeps)
-the true matrix only when the correction stalls.  A ``SaddleCache`` is the
-fluid block of one step size, based on its convection-free saddle;
-``solve_saddle`` solves the one-off set-up systems directly.
+each new system by defect correction around it, started from the iterate
+the solve replaces, and factorises (and keeps) the true matrix only when
+the correction stalls.  A ``SaddleCache`` is the fluid block of one step
+size, based on its convection-free saddle; ``solve_saddle`` solves the
+one-off set-up systems directly.  Velocity operators are P2 pattern data.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def build_saddle_system(
     pressure gradient enters the solve with scale k.
     """
     C = assemble_convection_velocity(ops, u_hat)
-    A = (ops.M_u + k * params.xi * ops.K_u + k * C).tocsr()
+    A = ops._work.p2_pair.matrix(ops.M_u.data + k * params.xi * ops.K_u.data + k * C.data)
     force = ops.buoyancy_load(n, np.asarray(params.grad_sigma, dtype=float))
     return A, k * force + ops.M_u @ u_prev
 
@@ -60,13 +61,13 @@ def build_saddle_system(
 class KeptFactor:
     """Sparse LU held across the nearby systems of one block.
 
-    ``solve`` corrects the defect around the held factor until it is below
-    ``0.01 tol ||rhs||``.  Once the last contraction, continued to
-    ``max_corrections``, cannot get there, or when nothing is held, it
-    factorises the true matrix, solves with it, checks the residual against
-    ``tol`` and keeps that factor.  ``reset`` goes back to the factor of
-    ``base()``, built when first needed, or to none.  ``matrix`` needs ``@``
-    and ``tocsc()``.
+    ``solve`` corrects the defect around the held factor, from ``guess`` or
+    zero, until it is below ``0.01 tol ||rhs||``.  Once the last contraction,
+    continued to ``max_corrections``, cannot get there, or when nothing is
+    held, it factorises the true matrix, solves with it, checks the residual
+    against ``tol`` and keeps that factor.  ``reset`` goes back to the factor
+    of ``base()``, built when first needed, or to none.  ``matrix`` needs
+    ``@`` and ``tocsc()``.
     """
 
     max_corrections = 30
@@ -86,7 +87,7 @@ class KeptFactor:
         except RuntimeError as exc:
             raise LinearSolveError(f"{self.what} factorisation failed: {exc}") from exc
 
-    def solve(self, matrix, rhs: np.ndarray, tol: float) -> np.ndarray:
+    def solve(self, matrix, rhs: np.ndarray, tol: float, guess=None) -> np.ndarray:
         if self.lu is None and self._base is not None:
             if self._base_lu is None:
                 self._base_lu = self._factorise(self._base())
@@ -94,7 +95,7 @@ class KeptFactor:
         scale = max(np.linalg.norm(rhs), 1e-300)
         if self.lu is not None:
             target = 0.01 * tol * scale
-            x = np.zeros_like(rhs)
+            x = np.zeros_like(rhs) if guess is None else np.array(guess, dtype=float)
             previous = np.inf
             for it in range(self.max_corrections):
                 r = rhs - matrix @ x
@@ -125,35 +126,38 @@ class _PinnedSaddle:
     the LU fill a dense mean-zero multiplier row would cause.
     """
 
-    def __init__(self, A, Bp, scale):
-        self.A, self.Bp, self.scale = A, Bp, scale
+    def __init__(self, A, Bp, BpT, scale):
+        self.A, self.Bp, self.BpT, self.scale = A, Bp, BpT, scale
 
     def __matmul__(self, x):
         n = self.A.shape[0]
-        return np.concatenate([self.A @ x[:n] - self.scale * (self.Bp.T @ x[n:]), self.Bp @ x[:n]])
+        return np.concatenate([self.A @ x[:n] - self.scale * (self.BpT @ x[n:]), self.Bp @ x[:n]])
 
     def tocsc(self):
-        return sp.bmat([[self.A, -self.scale * self.Bp.T], [self.Bp, None]], format="csc")
+        return sp.bmat([[self.A, -self.scale * self.BpT], [self.Bp, None]], format="csc")
 
 
-def _solve_pinned(ops, factor: KeptFactor, A, B, rhs, scale, tol):
+def _solve_pinned(ops, factor: KeptFactor, A, rhs, scale, tol, guess=None):
     """Full-length velocity and mean-zero pressure of ``(A, rhs)``, through ``factor``.
 
-    ``A`` and ``rhs`` live on the full velocity dof set, ``B`` is the
-    divergence on the interior dofs.  The residuals of both blocks are
-    checked against ``tol`` before returning.
+    ``A`` (on the P2 pair pattern) and ``rhs`` live on the full velocity dof
+    set, as is ``u`` of a ``guess`` ``(u, p)``.  The residuals of both blocks
+    are checked against ``tol`` before returning.
     """
     idx = ops.vspace.interior_velocity
-    A = A[idx][:, idx].tocsr()
+    B, BT, Bp, BpT = ops._work.interior_div
+    A = ops._work.interior(A.data)
     b = rhs[idx]
-    sol = factor.solve(_PinnedSaddle(A, B[1:, :], scale), np.concatenate([b, np.zeros(B.shape[0] - 1)]), tol)
+    if guess is not None:  # the pinned layout
+        guess = np.concatenate([guess[0][idx], guess[1][1:] - guess[1][0]])
+    sol = factor.solve(_PinnedSaddle(A, Bp, BpT, scale), np.concatenate([b, np.zeros(Bp.shape[0])]), tol, guess)
     u_int = sol[: idx.size]
     u = np.zeros(ops.vspace.n_velocity)
     u[idx] = u_int
     p = np.concatenate([[0.0], sol[idx.size :]])
     w = ops.pressure_weights
     p -= (w @ p) / w.sum()
-    r_mom = A @ u_int - scale * (B.T @ p) - b
+    r_mom = A @ u_int - scale * (BT @ p) - b
     mom_scale = max(np.linalg.norm(b), 1e-300)
     # near-zero velocities (hydrostatic balance) make a pure ||B u|| / ||u||
     # ratio meaningless, so fall back to the load scale
@@ -170,17 +174,15 @@ def _solve_pinned(ops, factor: KeptFactor, A, B, rhs, scale, tol):
 def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, pressure_scale: float, tol: float = 1e-10):
     """Solve the mixed system for velocity operator ``A`` and load ``rhs`` directly.
 
-    Both live on the full velocity dof set; the Dirichlet dofs are
-    eliminated here.  Returns (u, p): the velocity with exact zeros on the
-    boundary and the mean-zero pressure.  For the one-off set-up systems.
+    Both live on the full velocity dof set, ``A`` on the P2 pair pattern;
+    the Dirichlet dofs are eliminated here.  Returns (u, p): the velocity with
+    exact zeros on the boundary and the mean-zero pressure.  For set-up systems.
     """
-    B = ops.B[:, ops.vspace.interior_velocity].tocsr()
-    return _solve_pinned(ops, KeptFactor("saddle"), A, B, rhs, pressure_scale, tol)
+    return _solve_pinned(ops, KeptFactor("saddle"), A, rhs, pressure_scale, tol)
 
 
-def _stokes_saddle(ops, xi, k, B):
-    idx = ops.vspace.interior_velocity
-    return _PinnedSaddle((ops.M_u + k * xi * ops.K_u)[idx][:, idx].tocsr(), B[1:, :], k)
+def _stokes_saddle(ops, xi, k):
+    return _PinnedSaddle(ops._work.interior(ops.M_u.data + k * xi * ops.K_u.data), *ops._work.interior_div[2:], k)
 
 
 class SaddleCache:
@@ -193,13 +195,12 @@ class SaddleCache:
 
     def __init__(self, ops, params, k: float):
         self.ops, self.k = ops, k
-        self.B = ops.B[:, ops.vspace.interior_velocity].tocsr()
         # a partial, not a bound method: no factor may sit in a reference cycle
-        self.factor = KeptFactor("saddle", base=partial(_stokes_saddle, ops, params.xi, k, self.B))
+        self.factor = KeptFactor("saddle", base=partial(_stokes_saddle, ops, params.xi, k))
 
-    def solve(self, A, rhs: np.ndarray, tol: float = 1e-10):
-        """Solve the step system ``(A, rhs)`` of this cache's step size."""
-        return _solve_pinned(self.ops, self.factor, A, self.B, rhs, self.k, tol)
+    def solve(self, A, rhs: np.ndarray, tol: float = 1e-10, guess=None):
+        """Solve the step system ``(A, rhs)`` of this step size, correcting from ``guess = (u, p)``."""
+        return _solve_pinned(self.ops, self.factor, A, rhs, self.k, tol, guess)
 
 
 def steady_stokes_velocity(ops: OperatorSet, params, n: np.ndarray) -> np.ndarray:

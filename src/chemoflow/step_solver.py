@@ -18,6 +18,9 @@ with two nested loops replacing abstract fixed-point existence arguments:
 The oxygen equation carries the dynamic boundary condition: its mass and
 stiffness include the boundary operators scaled by alpha/b, so the boundary
 trace evolves with its own surface diffusion driven by the bulk flux.
+
+Each solve corrects around its block's held factor from the iterate it
+replaces; step matrices add fixed-pattern data in the order of the sparse sums.
 """
 
 from __future__ import annotations
@@ -107,20 +110,19 @@ class SolverOptions:
             raise ValueError("damping must lie in (0, 1]")
 
 
-def c_system_matrix(ops: OperatorSet, params, k: float, convection: sp.spmatrix) -> sp.csc_matrix:
+def c_system_matrix(ops: OperatorSet, params, k: float, convection: sp.csr_matrix) -> sp.csr_matrix:
     """Left side of the oxygen step, boundary evolution included."""
     a_ob = params.alpha / params.b
-    return (
-        ops.M_vol
-        + a_ob * ops.M_bnd_global
-        + k * params.alpha * ops.K_vol
-        + k * a_ob * ops.K_bnd_global
-        + k * convection
-    ).tocsc()
+    data = ops.M_vol.data.copy()
+    data[ops._work.loop_slot] += a_ob * ops.M_bnd_global.data
+    data += k * params.alpha * ops.K_vol.data
+    data[ops._work.loop_slot] += k * a_ob * ops.K_bnd_global.data
+    data += k * convection.data
+    return ops._work.p1.matrix(data)
 
 
-def n_system_matrix(ops: OperatorSet, params, k: float, convection: sp.spmatrix) -> sp.csc_matrix:
-    return (ops.M_vol + k * params.beta * ops.K_vol + k * convection).tocsc()
+def n_system_matrix(ops: OperatorSet, params, k: float, convection: sp.csr_matrix) -> sp.csr_matrix:
+    return ops._work.p1.matrix(ops.M_vol.data + k * params.beta * ops.K_vol.data + k * convection.data)
 
 
 def c_step_rhs(ops: OperatorSet, params, inputs: StepInputs, c_hat, n_hat, consumption_fn):
@@ -201,9 +203,9 @@ def picard_inner(
     linear_tol = min(tol, 1e-10)
     for it in range(1, max_iter + 1):
         rhs_c = c_step_rhs(ops, params, inputs, c_hat, n_hat, f)
-        c = factors.oxygen.solve(A_c, rhs_c, linear_tol)
+        c = factors.oxygen.solve(A_c, rhs_c, linear_tol, c_hat)
         rhs_n = n_step_rhs(ops, inputs, c, n_hat, g)
-        n = factors.cells.solve(A_n, rhs_n, linear_tol)
+        n = factors.cells.solve(A_n, rhs_n, linear_tol, n_hat)
         if damping < 1.0:
             c = c_hat + damping * (c - c_hat)
             n = n_hat + damping * (n - n_hat)
@@ -303,7 +305,7 @@ def outer_step(
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)
         A, rhs = build_saddle_system(ops, u_hat, n, inputs.u_prev, k, params)
-        u, p = factors.fluid.solve(A, rhs, tol=options.linear_tol)
+        u, p = factors.fluid.solve(A, rhs, tol=options.linear_tol, guess=(u_hat, p))
         du = u - u_hat
         num = np.sqrt(ops.velocity_norm_sq(du))
         den = np.sqrt(ops.velocity_norm_sq(u))

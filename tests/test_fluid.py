@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from chemoflow import fluid
-from chemoflow.assembly import assemble_convection
+from chemoflow.assembly import assemble_convection, assemble_convection_velocity, build_operators
 from chemoflow.fluid import (
     KeptFactor,
     SaddleCache,
@@ -11,8 +12,9 @@ from chemoflow.fluid import (
     project_divergence_free,
     solve_saddle,
 )
+from chemoflow.geometry import build_disc_mesh, build_trace_map
 from chemoflow.model import ModelParams
-from chemoflow.step_solver import StepFactors, StepInputs, outer_step, picard_inner
+from chemoflow.step_solver import StepFactors, StepInputs, c_system_matrix, n_system_matrix, outer_step, picard_inner
 
 
 PARAMS = ModelParams()
@@ -334,3 +336,65 @@ def test_skew_convection_annihilates_constants_for_divfree_velocity(coarse_ops):
     rng = np.random.default_rng(10)
     x = rng.standard_normal(ops.mesh.n_vertices)
     assert abs(ones @ (C @ x)) < 1e-10 * np.linalg.norm(x)
+
+
+def assert_dense_equal(a, b, rows=256):
+    """``np.array_equal`` of two sparse matrices as dense arrays, a block of rows at a time."""
+    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    assert a.shape == b.shape
+    for start in range(0, a.shape[0], rows):
+        assert np.array_equal(a[start : start + rows].toarray(), b[start : start + rows].toarray())
+
+
+def test_step_matrices_equal_the_sparse_sums():
+    # the pattern-data step matrices against the sparse-sum expressions they
+    # replace, on the N=64 benchmark mesh with convection on
+    mesh = build_disc_mesh(1.0, 0.05)
+    ops = build_operators(mesh, build_trace_map(mesh))
+    params = ModelParams(alpha=0.3, beta=0.7, xi=0.5, b=2.0)
+    k = 0.015625
+    u = ops.vspace.zero_boundary(ops.vspace.interpolate(lambda x, y: (-y + 0.3 * x * x, x - 0.2 * y)))
+    C = assemble_convection(ops, u)
+    a_ob = params.alpha / params.b
+    expected_c = ops.M_vol + a_ob * ops.M_bnd_global + k * params.alpha * ops.K_vol + k * a_ob * ops.K_bnd_global + k * C
+    assert_dense_equal(c_system_matrix(ops, params, k, C), expected_c)
+    assert_dense_equal(n_system_matrix(ops, params, k, C), ops.M_vol + k * params.beta * ops.K_vol + k * C)
+
+    A, _ = build_saddle_system(ops, u, np.ones(mesh.n_vertices), u, k, params)
+    expected_A = ops.M_u + k * params.xi * ops.K_u + k * assemble_convection_velocity(ops, u)
+    assert_dense_equal(A, expected_A)
+    idx = ops.vspace.interior_velocity
+    B = ops.B[:, idx].tocsr()
+    saddle = fluid._PinnedSaddle(ops._work.interior(A.data), *ops._work.interior_div[2:], k)
+    expected_saddle = sp.bmat([[expected_A[idx][:, idx], -k * B[1:, :].T], [B[1:, :], None]])
+    assert_dense_equal(saddle.tocsc(), expected_saddle)
+
+
+def test_guess_within_target_needs_no_triangular_solve(coarse_ops):
+    ops = coarse_ops
+    A = ops.M_vol + 0.1 * ops.K_vol
+    rhs = ops.M_vol @ np.linspace(1.0, 2.0, ops.mesh.n_vertices)
+    factor = KeptFactor("test")
+    x = factor.solve(A, rhs, 1e-10)
+    factor.lu = CountingLU(factor.lu)
+    assert np.array_equal(factor.solve(A, rhs, 1e-10, guess=x), x)
+    assert factor.lu.solves == 0
+    factor.solve(A, 1.01 * rhs, 1e-10, guess=x)
+    assert factor.lu.solves > 0
+
+
+def test_saddle_guess_maps_to_the_pinned_layout(coarse_ops, monkeypatch):
+    # the solution (u, p) of a step system, handed back as the guess, is
+    # already within target once p is re-pinned to its dof 0
+    ops = coarse_ops
+    k = 0.02
+    A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
+    cache = SaddleCache(ops, PARAMS, k)
+    made = counted_factorisations(monkeypatch)
+    u, p = cache.solve(A, rhs)
+    (base,) = made
+    solves = base.solves
+    u2, p2 = cache.solve(A, rhs, guess=(u, p))
+    assert base.solves == solves and len(made) == 1
+    assert np.linalg.norm(u2 - u) <= 1e-14 * np.linalg.norm(u)
+    assert np.linalg.norm(p2 - p) <= 1e-14 * np.linalg.norm(p)

@@ -310,3 +310,32 @@ def test_cli_run_linear_solve_failure_exits_solver(tmp_path, monkeypatch, capsys
     assert code == cli.EXIT_SOLVER
     assert "solver failure: step 1 " in err and "factorisation failed" in err
     assert "Traceback" not in err
+
+
+def test_cli_setup_solve_failure_exits_solver(tmp_path, monkeypatch, capsys):
+    # the Stokes preset's saddle solve fails before the first step
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fluid, "splu", singular)
+    code = main(
+        ["run", "--config", str(STEADY_CONFIG), "--output", str(tmp_path / "out"),
+         "--set", "initial.u.preset=stokes", "--set", "mesh.target_h=0.35"]
+    )
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    assert "solver failure: saddle factorisation failed" in err
+    assert "Traceback" not in err
+
+
+def test_cli_write_failure_exits_io(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file")
+    code = main(
+        ["run", "--config", str(STEADY_CONFIG), "--set", f"output.directory={blocker / 'out'}",
+         "--set", "time.N=2", "--set", "mesh.target_h=0.35"]
+    )
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert err.startswith("I/O failure: ")
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.sparse.linalg import splu
 
 from chemoflow import fluid
 from chemoflow.assembly import build_operators
-from chemoflow.config import build_initial_state, load_config
+from chemoflow.config import apply_overrides, build_initial_state, config_from_dict, load_config
 from chemoflow.fluid import project_divergence_free
 from chemoflow.geometry import build_disc_mesh, build_trace_map
 from chemoflow.model import ModelParams, ResponseSpec
@@ -18,6 +19,7 @@ from chemoflow.step_solver import (
     picard_inner,
     step_residual,
 )
+from chemoflow.timestepping import TimeGrid, run
 
 PARAMS = ModelParams()
 # zero sensitivity decouples the cell step from the oxygen gradient, so a
@@ -291,3 +293,43 @@ def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
     assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
     scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
     assert len(scalar) == 2 and len(made) == 3  # oxygen, cells, the fluid base
+
+
+def solves_by_block(monkeypatch):
+    """Triangular solves of every factor made from now on, by block.
+
+    Wraps each factor ``fluid.splu`` makes for a ``KeptFactor`` (its only
+    caller), labelled with that factor's block name.
+    """
+    solves = Counter()
+    factorise = fluid.KeptFactor._factorise
+
+    class Counted:
+        def __init__(self, lu, what):
+            self.lu, self.what = lu, what
+
+        def solve(self, rhs):
+            solves[self.what] += 1
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(fluid.KeptFactor, "_factorise", lambda self, matrix: Counted(factorise(self, matrix), self.what))
+    return solves
+
+
+def test_warm_started_run_triangular_solves(monkeypatch):
+    # every held-factor solve corrects from the iterate it replaces, so the
+    # later outer iterations of a step need fewer corrections; bounds are the
+    # counts of the warm-started solver (cold starts took 192, 529 and 529)
+    config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
+    raw = apply_overrides(load_config(config).raw, ["mesh.target_h=0.1", "time.N=16"])
+    raw.pop("_base_dir", None)
+    cfg = config_from_dict(raw, base_dir=config.parent)
+    mesh = build_disc_mesh(cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"]))
+    ops = build_operators(mesh, build_trace_map(mesh))
+    state0 = build_initial_state(cfg, ops)
+    solves = solves_by_block(monkeypatch)
+    traj = run(ops, cfg.params, TimeGrid(T=cfg.time["T"], N=cfg.time["N"]), state0)
+    assert all(d.converged for ds in traj.diagnostics[1:] for d in ds)
+    assert solves["saddle"] <= 109
+    assert solves["oxygen"] <= 280
+    assert solves["cell-density"] <= 230
