@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 3
 EXIT_IO = 4
+EXIT_VERIFY = 5
 
 
 def _load(args) -> "RunConfig":
@@ -178,7 +179,7 @@ def cmd_converge(args) -> int:
     text = "\n".join(lines) + "\n"
     (out_dir / "convergence_report.txt").write_text(text)
     print(text, end="")
-    return EXIT_OK if report.uniform else EXIT_SOLVER
+    return EXIT_OK if report.uniform else EXIT_VERIFY
 
 
 def cmd_energy(args) -> int:

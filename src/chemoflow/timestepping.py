@@ -302,15 +302,24 @@ def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State)
 
     Layout: magic, u32 version, 64-byte mesh hash, u64 N, u64 m, f64 T,
     f64 t, u64 nv, u64 n_velocity, then c, n, u, p as little-endian f64.
+    The file is written as ``<name>.tmp`` beside ``path`` and renamed onto
+    it, so an interrupted write never leaves a checkpoint that a resume or
+    ``load_trajectory`` would read.
     """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     nv = state.c.shape[0]
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(mesh_hash.encode())
-        f.write(struct.pack("<QQddQQ", grid.N, m, grid.T, state.t, nv, state.u.shape[0]))
-        for arr in (state.c, state.n, state.u, state.p):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(mesh_hash.encode())
+            f.write(struct.pack("<QQddQQ", grid.N, m, grid.T, state.t, nv, state.u.shape[0]))
+            for arr in (state.c, state.n, state.u, state.p):
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_checkpoint(path, mesh_hash: str, grid: TimeGrid):

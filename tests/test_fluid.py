@@ -101,8 +101,8 @@ def counted_factorisations(monkeypatch):
     """Every factor ``fluid.splu`` makes from now on, in order, counting its solves."""
     made = []
 
-    def counted(matrix):
-        made.append(CountingLU(splu(matrix)))
+    def counted(matrix, **kw):
+        made.append(CountingLU(splu(matrix, **kw)))
         return made[-1]
 
     monkeypatch.setattr(fluid, "splu", counted)
@@ -398,3 +398,22 @@ def test_saddle_guess_maps_to_the_pinned_layout(coarse_ops, monkeypatch):
     assert base.solves == solves and len(made) == 1
     assert np.linalg.norm(u2 - u) <= 1e-14 * np.linalg.norm(u)
     assert np.linalg.norm(p2 - p) <= 1e-14 * np.linalg.norm(p)
+
+
+def test_held_factors_keep_fill_low(medium_ops):
+    # the symmetric-mode ordering on the h=0.1 saddles: COLAMD fills 0.60,
+    # 0.60 and 0.47 M, and a diagonal pivot threshold of 0.1 (projection,
+    # 4.3 M) or 1.0 (xi=0.01 base, 4.9 M) undoes the ordering
+    ops = medium_ops
+    _, _, Bp, BpT = ops._work.interior_div
+    systems = {
+        "xi=0.01 base": fluid._stokes_saddle(ops, 0.01, 1 / 16),
+        "projection": fluid._PinnedSaddle(ops._work.interior(ops.M_u.data), Bp, BpT, 1.0),
+        "stokes": fluid._PinnedSaddle(ops._work.interior(PARAMS.xi * ops.K_u.data), Bp, BpT, 1.0),
+    }
+    rhs = np.random.default_rng(3).standard_normal(Bp.shape[1] + Bp.shape[0])
+    for name, saddle in systems.items():
+        factor = KeptFactor(name)
+        x = factor.solve(saddle, rhs, 1e-12)
+        assert factor.lu.L.nnz + factor.lu.U.nnz <= 350_000, name
+        assert np.linalg.norm(saddle @ x - rhs) <= 1e-12 * np.linalg.norm(rhs), name

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,20 @@ def test_cli_converge_smoke(tmp_path, capsys):
     assert (tmp_path / "conv" / "ledger_N64.csv").exists()
 
 
+def test_cli_converge_non_uniform_verdict_exits_verify(tmp_path, monkeypatch, capsys):
+    # a gate no ladder can meet: every level solves, the verdict fails
+    scan = cli.uniform_bound_scan
+    monkeypatch.setattr(cli, "uniform_bound_scan", lambda *a, **kw: replace(scan(*a, **kw), factor=0.5))
+    code = main(
+        ["converge", "--config", str(STEADY_CONFIG), "--levels", "3", "--output", str(tmp_path / "conv"),
+         "--set", "mesh.target_h=0.35", "--set", "time.N=4"]
+    )
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY == 5
+    assert "[FAIL]" in (tmp_path / "conv" / "convergence_report.txt").read_text()
+    assert "Traceback" not in captured.err
+
+
 def test_cli_converge_level_check(tmp_path, capsys):
     code = main(
         [
@@ -298,7 +313,7 @@ def test_release_heap_skips_a_missing_malloc_trim(monkeypatch):
 
 
 def test_cli_run_linear_solve_failure_exits_solver(tmp_path, monkeypatch, capsys):
-    def singular(matrix):
+    def singular(matrix, **kw):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(fluid, "splu", singular)
@@ -314,7 +329,7 @@ def test_cli_run_linear_solve_failure_exits_solver(tmp_path, monkeypatch, capsys
 
 def test_cli_setup_solve_failure_exits_solver(tmp_path, monkeypatch, capsys):
     # the Stokes preset's saddle solve fails before the first step
-    def singular(matrix):
+    def singular(matrix, **kw):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(fluid, "splu", singular)

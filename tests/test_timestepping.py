@@ -196,7 +196,7 @@ def test_failure_after_retries_names_step(coarse_ops):
 def failing_factorisation(monkeypatch):
     attempts = []
 
-    def singular(matrix):
+    def singular(matrix, **kw):
         attempts.append(matrix.shape)
         raise RuntimeError("Factor is exactly singular")
 
@@ -257,6 +257,49 @@ def test_checkpoint_roundtrip_and_resume(coarse_ops, tmp_path):
     check_roundtrip_and_resume(coarse_ops, PARAMS, bump_initial(coarse_ops), tmp_path / "a")
 
 
+def test_interrupted_checkpoint_write_leaves_no_checkpoint(coarse_ops, tmp_path, monkeypatch):
+    # the write of step 3 fails on its last field, p: the partial file never
+    # becomes a checkpoint, and a resume restarts from step 2
+    ops, grid, directory = coarse_ops, TimeGrid(T=0.2, N=4), tmp_path / "a"
+    state0 = bump_initial(ops)
+    full = run(ops, PARAMS, grid, state0)
+    fields = []
+
+    class Unwritable:
+        def tobytes(self):
+            raise OSError("no space left on device")
+
+    class NumpyFailingOnStep3P:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def ascontiguousarray(self, arr, dtype=None):
+            if fields:  # armed once step 2 is written; fields c, n, u, p follow
+                fields.append(arr)
+                if len(fields) == 5:
+                    return Unwritable()
+            return np.ascontiguousarray(arr, dtype=dtype)
+
+    def arm(m, state, diags):
+        if m == 2:
+            fields.append(None)
+
+    monkeypatch.setattr(timestepping, "np", NumpyFailingOnStep3P())
+    with pytest.raises(OSError, match="no space"):
+        run(ops, PARAMS, grid, state0, checkpoint_dir=directory, step_callback=arm)
+    monkeypatch.undo()
+    assert fields[-1] is not None and fields[-1].shape == state0.p.shape
+    assert sorted(path.name for path in directory.iterdir()) == [f"step_{m:06d}.ckpt" for m in range(3)]
+
+    computed = []
+    resumed = run(ops, PARAMS, grid, state0, checkpoint_dir=directory, resume=True,
+                  step_callback=lambda m, state, diags: computed.append(m))
+    assert computed == [3, 4]
+    for sa, sb in zip(full.states, resumed.states):
+        for name in ("c", "n", "u", "p"):
+            assert np.array_equal(getattr(sa, name), getattr(sb, name))
+
+
 def test_checkpoint_resume_with_fluid_fallbacks_within_steps(medium_ops, tmp_path, monkeypatch):
     # a Stokes start at low viscosity: the fluid falls back to a fresh factor
     # inside steps and keeps it for the step's later outer iterations
@@ -265,10 +308,10 @@ def test_checkpoint_resume_with_fluid_fallbacks_within_steps(medium_ops, tmp_pat
     state0 = stokes_initial(ops, params)
     saddle_factorisations = []
 
-    def counted(matrix):
+    def counted(matrix, **kw):
         if matrix.shape[0] > ops.mesh.n_vertices:
             saddle_factorisations.append(matrix.shape)
-        return splu(matrix)
+        return splu(matrix, **kw)
 
     monkeypatch.setattr(fluid, "splu", counted)
     check_roundtrip_and_resume(ops, params, state0, tmp_path / "a")
