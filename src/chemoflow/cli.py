@@ -1,7 +1,7 @@
 """Command-line surface: run | converge | energy | validate | mesh-info.
 
 Exit codes: 0 success, 1 configuration or validation failure, 2 usage error,
-3 solver failure, 4 I/O failure.
+3 solver failure, 4 I/O failure, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ def _solver_options(cfg) -> SolverOptions:
         linear_tol=s["linear_tol"],
         max_inner=s["max_inner"],
         max_outer=s["max_outer"],
-        damping=s["damping"],
     )
 
 

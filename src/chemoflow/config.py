@@ -49,7 +49,6 @@ DEFAULTS = {
         "linear_tol": 1e-10,
         "max_inner": 60,
         "max_outer": 60,
-        "damping": 1.0,
         "retry_depth": 3,
     },
     "output": {"directory": "out", "snapshot_stride": 0, "checkpoints": True},
@@ -190,9 +189,6 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
         v = _require_number(solver, key, problems, integer=True, minimum=1)
         if v is not None:
             solver[key] = int(v)
-    damping = _require_number(solver, "damping", problems, positive=True)
-    if damping is not None and damping > 1:
-        problems.append(("solver.damping", f"must lie in (0, 1], got {damping}"))
     rd = _require_number(solver, "retry_depth", problems, integer=True, minimum=0)
     if rd is not None:
         solver["retry_depth"] = int(rd)

@@ -20,15 +20,13 @@ each new system by defect correction around it, started from the iterate
 the solve replaces, and factorises (and keeps) the true matrix only when
 the correction stalls.  Every factor uses one symmetric-mode, fill-reducing
 ordering: all these systems are structurally symmetric, and a small diagonal
-pivot threshold keeps SuperLU's row swaps from undoing that ordering.  A
-``SaddleCache`` is the fluid block of one step size, based on its
-convection-free saddle; ``solve_saddle`` solves the one-off set-up systems
-directly.  Velocity operators are P2 pattern data.
+pivot threshold keeps SuperLU's row swaps from undoing that ordering.
+``solve_saddle`` is the one saddle entry point: a time step passes the held
+factor of its step size, based on ``stokes_saddle``, and the one-off set-up
+systems pass none.  Velocity operators are P2 pattern data.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -148,13 +146,17 @@ class _PinnedSaddle:
         return sp.bmat([[self.A, -self.scale * self.BpT], [self.Bp, None]], format="csc")
 
 
-def _solve_pinned(ops, factor: KeptFactor, A, rhs, scale, tol, guess=None):
-    """Full-length velocity and mean-zero pressure of ``(A, rhs)``, through ``factor``.
+def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, scale: float, tol: float = 1e-10, factor=None, guess=None):
+    """Velocity and mean-zero pressure of the mixed system ``(A, rhs)``, pressure scale ``scale``.
 
     ``A`` (on the P2 pair pattern) and ``rhs`` live on the full velocity dof
-    set, as is ``u`` of a ``guess`` ``(u, p)``.  The residuals of both blocks
-    are checked against ``tol`` before returning.
+    set, as does ``u`` of a ``guess`` ``(u, p)``; the Dirichlet dofs are
+    eliminated here, so ``u`` has exact zeros on the boundary.  Solves
+    through the ``KeptFactor`` ``factor``, or a fresh one, and checks the
+    residuals of both blocks against ``tol`` before returning.
     """
+    if factor is None:
+        factor = KeptFactor("saddle")
     idx = ops.vspace.interior_velocity
     B, BT, Bp, BpT = ops._work.interior_div
     A = ops._work.interior(A.data)
@@ -182,36 +184,9 @@ def _solve_pinned(ops, factor: KeptFactor, A, rhs, scale, tol, guess=None):
     return u, p
 
 
-def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, pressure_scale: float, tol: float = 1e-10):
-    """Solve the mixed system for velocity operator ``A`` and load ``rhs`` directly.
-
-    Both live on the full velocity dof set, ``A`` on the P2 pair pattern;
-    the Dirichlet dofs are eliminated here.  Returns (u, p): the velocity with
-    exact zeros on the boundary and the mean-zero pressure.  For set-up systems.
-    """
-    return _solve_pinned(ops, KeptFactor("saddle"), A, rhs, pressure_scale, tol)
-
-
-def _stokes_saddle(ops, xi, k):
+def stokes_saddle(ops, xi, k):
+    """The convection-free pinned saddle ``M + k xi K`` of step size ``k``."""
     return _PinnedSaddle(ops._work.interior(ops.M_u.data + k * xi * ops.K_u.data), *ops._work.interior_div[2:], k)
-
-
-class SaddleCache:
-    """The fluid block of one step size, solved through a ``KeptFactor``.
-
-    Its base factorises the convection-free saddle ``M + k xi K``, on the
-    first solve: within one step size the matrix changes only through the
-    skew convection block, a small perturbation at desk-scale velocities.
-    """
-
-    def __init__(self, ops, params, k: float):
-        self.ops, self.k = ops, k
-        # a partial, not a bound method: no factor may sit in a reference cycle
-        self.factor = KeptFactor("saddle", base=partial(_stokes_saddle, ops, params.xi, k))
-
-    def solve(self, A, rhs: np.ndarray, tol: float = 1e-10, guess=None):
-        """Solve the step system ``(A, rhs)`` of this step size, correcting from ``guess = (u, p)``."""
-        return _solve_pinned(self.ops, self.factor, A, rhs, self.k, tol, guess)
 
 
 def steady_stokes_velocity(ops: OperatorSet, params, n: np.ndarray) -> np.ndarray:

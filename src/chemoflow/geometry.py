@@ -2,8 +2,8 @@
 
 The solver works on a convex planar domain whose boundary carries its own
 differential operators, so the mesh keeps more boundary structure than a
-generic triangulation: an ordered closed loop of boundary vertices, the
-cumulative arclength along that loop, and outward unit normals.  Meshes are
+generic triangulation: an ordered closed loop of boundary vertices, from
+which the boundary operators are assembled edge by edge.  Meshes are
 immutable after construction and safe to share between threads.
 """
 
@@ -38,10 +38,6 @@ class Mesh:
         Vertex index triples, all counter-clockwise.
     boundary_loop : (nb,) int array
         Boundary vertex indices forming one closed CCW cycle.
-    boundary_arclength : (nb,) float array
-        Cumulative polygonal arclength from ``boundary_loop[0]``.
-    outward_normals : (nb, 2) float array
-        Unit outward normal at each boundary vertex (edge-normal bisector).
     h_max : float
         Longest edge length over all triangles.
     """
@@ -49,8 +45,6 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_loop: np.ndarray
-    boundary_arclength: np.ndarray
-    outward_normals: np.ndarray
     h_max: float
 
     @property
@@ -123,21 +117,11 @@ class Mesh:
             problems.append("boundary loop revisits a vertex")
         if len(loop) < 3:
             problems.append("boundary loop has fewer than 3 vertices")
-        arc = self.boundary_arclength
-        if np.any(np.diff(arc) <= 0) or arc[0] != 0.0:
-            problems.append("boundary arclength not strictly increasing from 0")
-        edges = self.boundary_edge_lengths()
-        total = arc[-1] + edges[-1]
-        if not math.isclose(total, edges.sum(), rel_tol=1e-12):
-            problems.append("cumulative arclength inconsistent with edge lengths")
         pts = self.vertices[loop]
         e = np.roll(pts, -1, axis=0) - pts
         cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
         if np.any(cross <= 0):
             problems.append("boundary polygon is not convex/CCW")
-        norms = np.linalg.norm(self.outward_normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            problems.append("outward normals not unit length")
         if problems:
             raise MeshError("; ".join(problems))
 
@@ -269,18 +253,6 @@ def _finalize_mesh(vertices: np.ndarray, triangles: np.ndarray, loop: np.ndarray
     triangles = np.asarray(triangles, dtype=np.int64)
     loop = np.asarray(loop, dtype=np.int64)
 
-    pts = vertices[loop]
-    edges = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    arclength = np.concatenate([[0.0], np.cumsum(edges[:-1])])
-
-    # Outward normal at a vertex: normalised bisector of the two adjacent
-    # edge normals (for CCW loops the edge normal is (ty, -tx)).
-    tangents = np.roll(pts, -1, axis=0) - pts
-    tangents /= np.linalg.norm(tangents, axis=1)[:, None]
-    edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-    vertex_normals = edge_normals + np.roll(edge_normals, 1, axis=0)
-    vertex_normals /= np.linalg.norm(vertex_normals, axis=1)[:, None]
-
     p = vertices[triangles]
     side = np.stack(
         [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
@@ -291,8 +263,6 @@ def _finalize_mesh(vertices: np.ndarray, triangles: np.ndarray, loop: np.ndarray
         vertices=_readonly(vertices),
         triangles=_readonly(triangles),
         boundary_loop=_readonly(loop),
-        boundary_arclength=_readonly(arclength),
-        outward_normals=_readonly(vertex_normals),
         h_max=h_max,
     )
 

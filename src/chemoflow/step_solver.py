@@ -26,24 +26,24 @@ replaces; step matrices add fixed-pattern data in the order of the sparse sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import OperatorSet, assemble_chemotaxis_rhs, assemble_convection
-from .fluid import KeptFactor, SaddleCache, build_saddle_system
+from .fluid import KeptFactor, build_saddle_system, solve_saddle, stokes_saddle
 
 
 @dataclass(frozen=True)
 class StepInputs:
     """Previous-step fields feeding one implicit step.
 
-    ``c_trace_prev`` must be the boundary trace of ``c_prev``; both come from
-    the same previous state, and inconsistent pairs are rejected.
+    The oxygen boundary trace is the restriction of ``c_prev``; the boundary
+    operators store only boundary columns, so it needs no field of its own.
     """
 
     c_prev: np.ndarray
-    c_trace_prev: np.ndarray
     n_prev: np.ndarray
     u_prev: np.ndarray
     dt: float
@@ -56,12 +56,6 @@ class StepInputs:
             raise ValueError("scalar fields do not match the mesh vertex count")
         if self.u_prev.shape != (ops.vspace.n_velocity,):
             raise ValueError("velocity field does not match the velocity space")
-        if self.c_trace_prev.shape != (ops.trace.n_boundary,):
-            raise ValueError("boundary trace has the wrong length")
-        trace = ops.trace.restrict(self.c_prev)
-        scale = max(float(np.max(np.abs(trace))), 1.0)
-        if np.max(np.abs(trace - self.c_trace_prev)) > 1e-12 * scale:
-            raise ValueError("c_trace_prev is not the trace of c_prev")
 
 
 @dataclass
@@ -78,7 +72,6 @@ class FixedPointDiagnostics:
     residual_history: list = field(default_factory=list)
     inner_history: list = field(default_factory=list)
     converged: bool = False
-    damping: float = 1.0
     final_residual: float = float("nan")
 
     def csv_rows(self, step: int):
@@ -98,7 +91,6 @@ class SolverOptions:
     linear_tol: float = 1e-10
     max_inner: int = 60
     max_outer: int = 60
-    damping: float = 1.0
 
     def validate(self) -> None:
         for name in ("inner_tol", "outer_tol", "linear_tol"):
@@ -106,8 +98,6 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive")
         if self.max_inner < 1 or self.max_outer < 1:
             raise ValueError("iteration limits must be >= 1")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 def c_system_matrix(ops: OperatorSet, params, k: float, convection: sp.csr_matrix) -> sp.csr_matrix:
@@ -130,7 +120,7 @@ def c_step_rhs(ops: OperatorSet, params, inputs: StepInputs, c_hat, n_hat, consu
     consumption = n_hat * consumption_fn(c_hat)
     return (
         ops.M_vol @ inputs.c_prev
-        + a_ob * (ops.M_bnd_global @ ops.trace.prolong(inputs.c_trace_prev))
+        + a_ob * (ops.M_bnd_global @ inputs.c_prev)
         - inputs.dt * (ops.M_vol @ consumption)
     )
 
@@ -141,20 +131,25 @@ def n_step_rhs(ops: OperatorSet, inputs: StepInputs, c, n_hat, sensitivity_fn):
 
 
 class StepFactors:
-    """Held factors of the oxygen, cell and fluid blocks for one step size.
+    """Held factors of the oxygen, cell and fluid blocks for one step size ``k``.
 
+    The fluid base is the convection-free saddle ``M + k xi K``, factorised
+    on the first solve: within one step size the matrix changes only through
+    the skew convection block, a small perturbation at desk-scale velocities.
     ``outer_step`` resets them when a step attempt starts, so no factor
     carries state from one step to the next and a resumed run or a halved
     retry computes the same bits as an uninterrupted run.
     """
 
     def __init__(self, ops: OperatorSet, params, k: float):
+        self.k = k
         self.oxygen = KeptFactor("oxygen")
         self.cells = KeptFactor("cell-density")
-        self.fluid = SaddleCache(ops, params, k)
+        # a partial, not a bound method: no factor may sit in a reference cycle
+        self.fluid = KeptFactor("saddle", base=partial(stokes_saddle, ops, params.xi, k))
 
     def reset(self) -> None:
-        for factor in (self.oxygen, self.cells, self.fluid.factor):
+        for factor in (self.oxygen, self.cells, self.fluid):
             factor.reset()
 
 
@@ -171,7 +166,6 @@ def picard_inner(
     ops: OperatorSet,
     tol: float = 1e-11,
     max_iter: int = 60,
-    damping: float = 1.0,
     initial_guess=None,
     factors: StepFactors | None = None,
 ):
@@ -183,8 +177,8 @@ def picard_inner(
     caller owns the retry policy.
     """
     inputs.validate(ops)
-    if not tol > 0 or max_iter < 1 or not 0 < damping <= 1:
-        raise ValueError("need tol > 0, max_iter >= 1, damping in (0, 1]")
+    if not tol > 0 or max_iter < 1:
+        raise ValueError("need tol > 0, max_iter >= 1")
     k = inputs.dt
     if factors is None:
         factors = StepFactors(ops, params, k)
@@ -199,16 +193,13 @@ def picard_inner(
     else:
         c_hat, n_hat = initial_guess
 
-    diag = FixedPointDiagnostics(damping=damping)
+    diag = FixedPointDiagnostics()
     linear_tol = min(tol, 1e-10)
     for it in range(1, max_iter + 1):
         rhs_c = c_step_rhs(ops, params, inputs, c_hat, n_hat, f)
         c = factors.oxygen.solve(A_c, rhs_c, linear_tol, c_hat)
         rhs_n = n_step_rhs(ops, inputs, c, n_hat, g)
         n = factors.cells.solve(A_n, rhs_n, linear_tol, n_hat)
-        if damping < 1.0:
-            c = c_hat + damping * (c - c_hat)
-            n = n_hat + damping * (n - n_hat)
         num, den = _pair_update_norm(ops, c - c_hat, n - n_hat, c, n)
         diag.inner_iterations = it
         diag.residual_history.append(num / den if den > 0 else num)
@@ -281,12 +272,12 @@ def outer_step(
     k = inputs.dt
     if factors is None:
         factors = StepFactors(ops, params, k)
-    elif factors.fluid.k != k:
+    elif factors.k != k:
         raise ValueError("held factors built for a different step size")
     factors.reset()
     u_hat = np.asarray(inputs.u_prev, dtype=float)
     guess = None
-    diag = FixedPointDiagnostics(damping=options.damping)
+    diag = FixedPointDiagnostics()
     c = n = None
     u, p = u_hat, np.zeros(ops.mesh.n_vertices)
     for it in range(1, options.max_outer + 1):
@@ -297,7 +288,6 @@ def outer_step(
             ops,
             tol=options.inner_tol,
             max_iter=options.max_inner,
-            damping=options.damping,
             initial_guess=guess,
             factors=factors,
         )
@@ -305,16 +295,12 @@ def outer_step(
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)
         A, rhs = build_saddle_system(ops, u_hat, n, inputs.u_prev, k, params)
-        u, p = factors.fluid.solve(A, rhs, tol=options.linear_tol, guess=(u_hat, p))
-        du = u - u_hat
-        num = np.sqrt(ops.velocity_norm_sq(du))
+        u, p = solve_saddle(ops, A, rhs, k, tol=options.linear_tol, factor=factors.fluid, guess=(u_hat, p))
+        num = np.sqrt(ops.velocity_norm_sq(u - u_hat))
         den = np.sqrt(ops.velocity_norm_sq(u))
         diag.outer_iterations = it
         diag.residual_history.append(num / den if den > 0 else num)
-        if options.damping < 1.0:
-            u_hat = u_hat + options.damping * du
-        else:
-            u_hat = u
+        u_hat = u
         if inner.converged and num <= options.outer_tol * den:
             residual = step_residual(ops, params, inputs, c, n, u, p)
             diag.final_residual = residual

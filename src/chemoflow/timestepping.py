@@ -142,13 +142,7 @@ def _advance(ops, params, state: State, k: float, t_next: float, options, depth:
     """
     if k not in caches:
         caches[k] = StepFactors(ops, params, k)
-    inputs = StepInputs(
-        c_prev=state.c,
-        c_trace_prev=ops.trace.restrict(state.c),
-        n_prev=state.n,
-        u_prev=state.u,
-        dt=k,
-    )
+    inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u, dt=k)
     try:
         result = outer_step(inputs, params, ops, options, factors=caches[k])
     except LinearSolveError as exc:
@@ -217,13 +211,8 @@ def run(
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
         if resume:
             for m in range(grid.N, 0, -1):
-                path = checkpoint_dir / checkpoint_name(m)
-                if path.exists():
-                    states = [None] * m + [read_checkpoint(path, mesh_hash, grid)[1]]
-                    for j in range(m):
-                        states[j] = read_checkpoint(
-                            checkpoint_dir / checkpoint_name(j), mesh_hash, grid
-                        )[1]
+                if (checkpoint_dir / checkpoint_name(m)).exists():
+                    states = _read_states(checkpoint_dir, mesh_hash, grid, m)
                     diagnostics = [()] * (m + 1)
                     start = m
                     break
@@ -350,16 +339,20 @@ def read_checkpoint(path, mesh_hash: str, grid: TimeGrid):
     return m, State(c=c, n=n, u=u, p=p, t=t)
 
 
-def load_trajectory(checkpoint_dir, ops: OperatorSet, grid: TimeGrid, params) -> Trajectory:
-    """Rebuild a trajectory from a complete run of checkpoints."""
-    checkpoint_dir = Path(checkpoint_dir)
-    mesh_hash = ops.mesh.data_hash()
+def _read_states(checkpoint_dir: Path, mesh_hash: str, grid: TimeGrid, last: int) -> list:
+    """The states of steps ``0..last`` from their checkpoints; a missing one is a ``StepFailure``."""
     states = []
-    for m in range(grid.N + 1):
+    for m in range(last + 1):
         path = checkpoint_dir / checkpoint_name(m)
         if not path.exists():
-            raise StepFailure(f"missing checkpoint for step {m} in {checkpoint_dir}")
+            raise StepFailure(f"missing checkpoint for step {m} in {checkpoint_dir}", step=m)
         states.append(read_checkpoint(path, mesh_hash, grid)[1])
+    return states
+
+
+def load_trajectory(checkpoint_dir, ops: OperatorSet, grid: TimeGrid, params) -> Trajectory:
+    """Rebuild a trajectory from a complete run of checkpoints."""
+    states = _read_states(Path(checkpoint_dir), ops.mesh.data_hash(), grid, grid.N)
     data_hash = trajectory_data_hash(ops, params, states[0], grid.T)
     return Trajectory(
         grid=grid,

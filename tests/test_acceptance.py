@@ -191,7 +191,6 @@ def test_criterion_08_step_size_regime(bench_ops, bench_state0):
     def inputs_for(k):
         return StepInputs(
             c_prev=bench_state0.c,
-            c_trace_prev=bench_ops.trace.restrict(bench_state0.c),
             n_prev=bench_state0.n,
             u_prev=bench_state0.u,
             dt=k,
@@ -269,7 +268,7 @@ def dense_newton_step(ops, params, inputs, tol=1e-12, max_iter=40):
     w = ops.pressure_weights
     gs = np.asarray(params.grad_sigma, dtype=float)
     rhs_c = ops.M_vol @ inputs.c_prev + a_ob * (
-        ops.M_bnd_global @ ops.trace.prolong(inputs.c_trace_prev)
+        ops.M_bnd_global @ ops.trace.prolong(ops.trace.restrict(inputs.c_prev))
     )
     rhs_n = ops.M_vol @ inputs.n_prev
     rhs_u = (ops.M_u @ inputs.u_prev)[idx]
@@ -338,7 +337,6 @@ def test_criterion_11_oracle_equivalence(coarse_ops):
     state0 = bench_initial(ops)
     inputs = StepInputs(
         c_prev=state0.c,
-        c_trace_prev=ops.trace.restrict(state0.c),
         n_prev=state0.n,
         u_prev=state0.u,
         dt=0.05,

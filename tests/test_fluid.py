@@ -7,7 +7,6 @@ from chemoflow import fluid
 from chemoflow.assembly import assemble_convection, assemble_convection_velocity, build_operators
 from chemoflow.fluid import (
     KeptFactor,
-    SaddleCache,
     build_saddle_system,
     project_divergence_free,
     solve_saddle,
@@ -23,7 +22,7 @@ PARAMS = ModelParams()
 def fluid_step(ops, n, q, k, params):
     """One coupled step from cell density n and velocity q, with no oxygen."""
     c = np.zeros(ops.mesh.n_vertices)
-    inputs = StepInputs(c_prev=c, c_trace_prev=ops.trace.restrict(c), n_prev=n, u_prev=q, dt=k)
+    inputs = StepInputs(c_prev=c, n_prev=n, u_prev=q, dt=k)
     result = outer_step(inputs, params, ops)
     return result.u, result.p, result.diagnostics
 
@@ -119,13 +118,13 @@ def random_step_system(ops, params, k, amplitude, seed, q_scale=1.0):
 
 
 def test_saddle_cache_matches_direct_solve(coarse_ops, monkeypatch):
-    # convection on: the cache defect-corrects around the Stokes factor
+    # convection on: the fluid factor defect-corrects around its Stokes base
     ops = coarse_ops
     k = 0.02
     A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
     u_ref, p_ref = solve_saddle(ops, A, rhs, k)
     made = counted_factorisations(monkeypatch)
-    u, p = SaddleCache(ops, PARAMS, k).solve(A, rhs)
+    u, p = solve_saddle(ops, A, rhs, k, factor=StepFactors(ops, PARAMS, k).fluid)
     assert len(made) == 1  # the convection-free base, nothing else
     assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
@@ -138,7 +137,7 @@ def test_saddle_cache_falls_back_once_at_low_viscosity(coarse_ops, monkeypatch):
     k = 0.0625
     A, rhs = random_step_system(ops, params, k, 5.0, 12)
     made = counted_factorisations(monkeypatch)
-    u, p = SaddleCache(ops, params, k).solve(A, rhs)
+    u, p = solve_saddle(ops, A, rhs, k, factor=StepFactors(ops, params, k).fluid)
     assert len(made) == 2  # the base, then the true matrix
     idx = ops.vspace.interior_velocity
     B = ops.B[:, idx]
@@ -161,13 +160,13 @@ def test_saddle_cache_falls_back_early(coarse_ops, monkeypatch, xi, amplitude):
     params = ModelParams(xi=xi)
     k = 0.0625
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
-    cache = SaddleCache(ops, params, k)
+    factor = StepFactors(ops, params, k).fluid
     made = counted_factorisations(monkeypatch)
-    cache.solve(A, rhs)
+    solve_saddle(ops, A, rhs, k, factor=factor)
     base, *fresh = made
     assert base.solves <= 2
     assert len(fresh) == 1 and fresh[0].solves == 1
-    assert cache.factor.lu is fresh[0]  # kept for the next solves
+    assert factor.lu is fresh[0]  # kept for the next solves
 
 
 @pytest.mark.parametrize("xi, amplitude", STALLING)
@@ -179,12 +178,12 @@ def test_saddle_cache_nearby_system_after_a_stall_needs_no_factorisation(coarse_
     A_first, rhs_first = random_step_system(ops, params, k, amplitude, 12)
     A, rhs = random_step_system(ops, params, k, amplitude, 12, q_scale=1.01)
     u_ref, p_ref = solve_saddle(ops, A, rhs, k)
-    cache = SaddleCache(ops, params, k)
+    factor = StepFactors(ops, params, k).fluid
     made = counted_factorisations(monkeypatch)
-    cache.solve(A_first, rhs_first)
+    solve_saddle(ops, A_first, rhs_first, k, factor=factor)
     base, kept = made
     base_solves = base.solves
-    u, p = cache.solve(A, rhs)
+    u, p = solve_saddle(ops, A, rhs, k, factor=factor)
     assert len(made) == 2
     assert base.solves == base_solves
     assert 1 < kept.solves < 1 + KeptFactor.max_corrections
@@ -203,9 +202,9 @@ def test_saddle_cache_converging_correction_does_not_fall_back(coarse_ops, monke
     ops = coarse_ops
     params = ModelParams(xi=xi)
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
-    cache = SaddleCache(ops, params, k)
+    factor = StepFactors(ops, params, k).fluid
     made = counted_factorisations(monkeypatch)
-    cache.solve(A, rhs)
+    solve_saddle(ops, A, rhs, k, factor=factor)
     base, *fresh = made
     assert fresh == []
     assert 0 < base.solves < KeptFactor.max_corrections
@@ -222,13 +221,13 @@ def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
     c = np.ones(ops.mesh.n_vertices)
     n = rng.random(ops.mesh.n_vertices)
     u_prev = np.zeros(ops.vspace.n_velocity)
-    inputs = StepInputs(c_prev=c, c_trace_prev=ops.trace.restrict(c), n_prev=n, u_prev=u_prev, dt=k)
+    inputs = StepInputs(c_prev=c, n_prev=n, u_prev=u_prev, dt=k)
     fresh = outer_step(inputs, params, ops)
     held = StepFactors(ops, params, k)
     made = counted_factorisations(monkeypatch)
-    held.fluid.solve(A, rhs)
+    solve_saddle(ops, A, rhs, k, factor=held.fluid)
     base, stalled = made
-    other = StepInputs(c_prev=2 * c, c_trace_prev=2 * ops.trace.restrict(c), n_prev=n, u_prev=u_prev, dt=k)
+    other = StepInputs(c_prev=2 * c, n_prev=n, u_prev=u_prev, dt=k)
     picard_inner(other, u_prev, params, ops, factors=held)
     assert held.oxygen.lu is not None and held.cells.lu is not None
     base_solves = base.solves
@@ -389,12 +388,12 @@ def test_saddle_guess_maps_to_the_pinned_layout(coarse_ops, monkeypatch):
     ops = coarse_ops
     k = 0.02
     A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
-    cache = SaddleCache(ops, PARAMS, k)
+    factor = StepFactors(ops, PARAMS, k).fluid
     made = counted_factorisations(monkeypatch)
-    u, p = cache.solve(A, rhs)
+    u, p = solve_saddle(ops, A, rhs, k, factor=factor)
     (base,) = made
     solves = base.solves
-    u2, p2 = cache.solve(A, rhs, guess=(u, p))
+    u2, p2 = solve_saddle(ops, A, rhs, k, factor=factor, guess=(u, p))
     assert base.solves == solves and len(made) == 1
     assert np.linalg.norm(u2 - u) <= 1e-14 * np.linalg.norm(u)
     assert np.linalg.norm(p2 - p) <= 1e-14 * np.linalg.norm(p)
@@ -407,7 +406,7 @@ def test_held_factors_keep_fill_low(medium_ops):
     ops = medium_ops
     _, _, Bp, BpT = ops._work.interior_div
     systems = {
-        "xi=0.01 base": fluid._stokes_saddle(ops, 0.01, 1 / 16),
+        "xi=0.01 base": fluid.stokes_saddle(ops, 0.01, 1 / 16),
         "projection": fluid._PinnedSaddle(ops._work.interior(ops.M_u.data), Bp, BpT, 1.0),
         "stokes": fluid._PinnedSaddle(ops._work.interior(PARAMS.xi * ops.K_u.data), Bp, BpT, 1.0),
     }

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from chemoflow.geometry import (
     build_disc_mesh,
     build_trace_map,
     load_mesh,
+    mesh_from_arrays,
     save_mesh,
 )
 
@@ -60,21 +59,16 @@ def test_orientation_consistent_and_single_loop():
     assert np.sum(counts == 1) == mesh.n_boundary
 
 
-def test_arclength_matches_edge_lengths():
-    mesh = build_disc_mesh(1.0, 0.2)
-    arc = mesh.boundary_arclength
-    edges = mesh.boundary_edge_lengths()
-    # cumulative sums round, so differences match to 1e-12 of scale rather
-    # than bit-exactly
-    assert np.allclose(np.diff(arc), edges[:-1], rtol=0, atol=1e-12 * mesh.perimeter)
-    assert math.isclose(arc[-1] + edges[-1], mesh.perimeter, rel_tol=1e-12)
-
-
-def test_normals_radial_on_disc():
-    mesh = build_disc_mesh(1.5, 0.3)
-    pts = mesh.vertices[mesh.boundary_loop]
-    radial = pts / np.linalg.norm(pts, axis=1)[:, None]
-    assert np.allclose(mesh.outward_normals, radial, atol=1e-12)
+def test_mesh_from_arrays_rejects_coincident_boundary_vertices():
+    # a unit square fanned from its centre, with loop vertices 1 and 2 at the
+    # same point: the fan triangle on the zero-length edge has no area, and
+    # the zero edge breaks the loop's convexity
+    vertices = [[0, 0], [1, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
+    triangles = [[5, j, (j + 1) % 5] for j in range(5)]
+    with pytest.raises(MeshError) as exc:
+        mesh_from_arrays(vertices, triangles, [0, 1, 2, 3, 4])
+    assert "non-positive area" in str(exc.value)
+    assert "not convex" in str(exc.value)
 
 
 def test_first_ring_controls_boundary_count():

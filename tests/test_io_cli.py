@@ -53,7 +53,7 @@ def test_config_zero_steps_rejected(tmp_path):
 def test_config_collects_all_errors(tmp_path):
     path = write_config(
         tmp_path,
-        {"time": {"N": 0}, "params": {"b": 0.0, "alpha": -1}, "solver": {"damping": 2.0}},
+        {"time": {"N": 0}, "params": {"b": 0.0, "alpha": -1}, "solver": {"max_inner": 0}},
     )
     with pytest.raises(ConfigError) as exc:
         load_config(path)
@@ -68,13 +68,19 @@ def test_config_parse_error_has_position(tmp_path):
     assert "line 1" in exc.value.problems[0][1]
 
 
-# a typo, and two keys the format dropped, each with a value it once accepted
-UNKNOWN_KEYS = {"tyme": {"N": 4}, "mollifier_eps": 0.0, "seed": 0}
+# a typo, and three keys the format dropped, each with a value it once
+# accepted; keyed by the name the error reports
+UNKNOWN_KEYS = {
+    "tyme": {"tyme": {"N": 4}},
+    "mollifier_eps": {"mollifier_eps": 0.0},
+    "seed": {"seed": 0},
+    "solver.damping": {"solver": {"damping": 1.0}},
+}
 
 
 @pytest.mark.parametrize("key", list(UNKNOWN_KEYS))
 def test_config_unknown_key_rejected(tmp_path, key):
-    path = write_config(tmp_path, {key: UNKNOWN_KEYS[key]})
+    path = write_config(tmp_path, UNKNOWN_KEYS[key])
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert any(k == key for k, _ in exc.value.problems)

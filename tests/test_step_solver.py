@@ -13,7 +13,6 @@ from chemoflow.fluid import project_divergence_free
 from chemoflow.geometry import build_disc_mesh, build_trace_map
 from chemoflow.model import ModelParams, ResponseSpec
 from chemoflow.step_solver import (
-    SolverOptions,
     StepInputs,
     outer_step,
     picard_inner,
@@ -32,9 +31,7 @@ def make_inputs(ops, c=None, n=None, u=None, dt=0.01):
     c = np.zeros(nv) if c is None else np.asarray(c, dtype=float)
     n = np.zeros(nv) if n is None else np.asarray(n, dtype=float)
     u = np.zeros(ops.vspace.n_velocity) if u is None else np.asarray(u, dtype=float)
-    return StepInputs(
-        c_prev=c, c_trace_prev=ops.trace.restrict(c), n_prev=n, u_prev=u, dt=dt
-    )
+    return StepInputs(c_prev=c, n_prev=n, u_prev=u, dt=dt)
 
 
 def test_constant_oxygen_is_steady(coarse_ops):
@@ -154,19 +151,6 @@ def test_picard_large_step_struggles(coarse_ops):
     )
 
 
-def test_picard_damping_reaches_same_fixed_point(coarse_ops):
-    ops = coarse_ops
-    rng = np.random.default_rng(21)
-    inputs = make_inputs(ops, c=1 + 0.3 * rng.random(ops.mesh.n_vertices),
-                         n=rng.random(ops.mesh.n_vertices), dt=0.05)
-    c1, n1, d1 = picard_inner(inputs, inputs.u_prev, PARAMS, ops, tol=1e-12)
-    c2, n2, d2 = picard_inner(inputs, inputs.u_prev, PARAMS, ops, tol=1e-12, damping=0.5)
-    assert d1.converged and d2.converged
-    assert d2.damping == 0.5
-    assert np.allclose(c1, c2, rtol=1e-10, atol=1e-12)
-    assert np.allclose(n1, n2, rtol=1e-10, atol=1e-12)
-
-
 def test_picard_monotone_residuals_when_converged(coarse_ops):
     ops = coarse_ops
     rng = np.random.default_rng(15)
@@ -234,17 +218,7 @@ def test_inputs_validation(coarse_ops):
     good = make_inputs(ops, c=np.ones(nv))
     good.validate(ops)
     with pytest.raises(ValueError):
-        StepInputs(
-            c_prev=np.ones(nv),
-            c_trace_prev=np.zeros(ops.trace.n_boundary),  # not the trace
-            n_prev=np.zeros(nv),
-            u_prev=np.zeros(ops.vspace.n_velocity),
-            dt=0.01,
-        ).validate(ops)
-    with pytest.raises(ValueError):
         make_inputs(ops, dt=-1.0).validate(ops)
-    with pytest.raises(ValueError):
-        SolverOptions(damping=0.0).validate()
 
 
 def test_bad_tolerances_rejected(coarse_ops):

@@ -300,6 +300,17 @@ def test_interrupted_checkpoint_write_leaves_no_checkpoint(coarse_ops, tmp_path,
             assert np.array_equal(getattr(sa, name), getattr(sb, name))
 
 
+def test_resume_with_an_earlier_checkpoint_missing_names_the_step(coarse_ops, tmp_path):
+    # the last checkpoint is there but step 1's is not: the resume refuses
+    ops, grid, directory = coarse_ops, TimeGrid(T=0.15, N=3), tmp_path / "a"
+    state0 = bump_initial(ops)
+    run(ops, PARAMS, grid, state0, checkpoint_dir=directory)
+    (directory / "step_000001.ckpt").unlink()
+    with pytest.raises(StepFailure, match="missing checkpoint for step 1 in") as exc:
+        run(ops, PARAMS, grid, state0, checkpoint_dir=directory, resume=True)
+    assert exc.value.step == 1
+
+
 def test_checkpoint_resume_with_fluid_fallbacks_within_steps(medium_ops, tmp_path, monkeypatch):
     # a Stokes start at low viscosity: the fluid falls back to a fresh factor
     # inside steps and keeps it for the step's later outer iterations
