@@ -5,7 +5,7 @@ verification suite for the discrete energy estimates."""
 from .assembly import OperatorSet, build_operators
 from .config import ConfigError, RunConfig, load_config
 from .energy import EnergyLedger, build_ledger, discrete_gronwall, uniform_bound_scan
-from .geometry import Mesh, TraceMap, build_disc_mesh, build_trace_map
+from .geometry import Mesh, build_disc_mesh
 from .model import ModelParams, ResponseSpec, validate_params
 from .step_solver import SolverOptions, StepInputs, outer_step, picard_inner
 from .timestepping import State, TimeGrid, Trajectory, run
@@ -24,12 +24,10 @@ __all__ = [
     "State",
     "StepInputs",
     "TimeGrid",
-    "TraceMap",
     "Trajectory",
     "build_disc_mesh",
     "build_ledger",
     "build_operators",
-    "build_trace_map",
     "discrete_gronwall",
     "load_config",
     "outer_step",

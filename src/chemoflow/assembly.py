@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Mesh, MeshError, TraceMap
+from .geometry import Mesh, MeshError
 
 # Degree-5 rule on the reference triangle (7 points, weights sum to 1).
 _SQRT15 = np.sqrt(15.0)
@@ -225,12 +225,11 @@ class OperatorSet:
     """All mesh-bound sparse operators plus the assembly workspace.
 
     Boundary operators come in boundary-loop indexing (``M_bnd``, ``K_bnd``)
-    and prolonged to global vertex indexing (``M_bnd_global``,
-    ``K_bnd_global``) via the trace map.
+    and in global vertex indexing (``M_bnd_global``, ``K_bnd_global``), loop
+    position j being vertex ``mesh.boundary_loop[j]``.
     """
 
     mesh: Mesh
-    trace: TraceMap
     vspace: VelocitySpace
     M_vol: sp.csr_matrix  # P1 mass, (nv, nv)
     K_vol: sp.csr_matrix  # P1 stiffness, (nv, nv)
@@ -257,9 +256,7 @@ class OperatorSet:
         return np.concatenate([grad_sigma[0] * mn, grad_sigma[1] * mn])
 
 
-def _periodic_loop_matrix(
-    mesh: Mesh, trace: TraceMap, edge_entries, numbering=None, size=None
-) -> sp.csr_matrix:
+def _periodic_loop_matrix(mesh: Mesh, edge_entries, numbering=None, size=None) -> sp.csr_matrix:
     """Scatter per-edge 2x2 blocks [[d, o], [o, d]] around the closed boundary loop.
 
     ``edge_entries`` maps the boundary edge lengths to the diagonal and
@@ -267,7 +264,7 @@ def _periodic_loop_matrix(
     Loop vertex j becomes row/column ``numbering[j]`` of a ``size`` square
     matrix; the default is boundary indexing.
     """
-    nb = trace.n_boundary
+    nb = mesh.n_boundary
     if nb < 3:
         raise MeshError("boundary loop needs at least 3 vertices")
     if numbering is None:
@@ -287,17 +284,17 @@ def _laplace_beltrami_entries(h):
     return 1.0 / h, -1.0 / h
 
 
-def assemble_boundary_mass(mesh: Mesh, trace: TraceMap) -> sp.csr_matrix:
+def assemble_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass on the closed boundary loop, boundary-indexed.
 
     ``1' M 1`` equals the polygonal boundary length exactly.
     """
-    return _periodic_loop_matrix(mesh, trace, _mass_entries)
+    return _periodic_loop_matrix(mesh, _mass_entries)
 
 
-def assemble_boundary_laplace_beltrami(mesh: Mesh, trace: TraceMap) -> sp.csr_matrix:
+def assemble_boundary_laplace_beltrami(mesh: Mesh) -> sp.csr_matrix:
     """Periodic 1D stiffness in arclength on the boundary loop."""
-    return _periodic_loop_matrix(mesh, trace, _laplace_beltrami_entries)
+    return _periodic_loop_matrix(mesh, _laplace_beltrami_entries)
 
 
 def _velocity_at_quad(work: _Workspace, ns: int, u: np.ndarray) -> np.ndarray:
@@ -352,7 +349,7 @@ def assemble_chemotaxis_rhs(ops: OperatorSet, n: np.ndarray, c: np.ndarray, g) -
     return np.bincount(work.tri_p1.ravel(), weights=local.ravel(), minlength=ops.mesh.n_vertices)
 
 
-def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
+def build_operators(mesh: Mesh) -> OperatorSet:
     """Assemble every mesh-bound operator once; the result is immutable."""
     vspace = build_velocity_space(mesh)
     work = _Workspace(mesh, vspace)
@@ -363,13 +360,12 @@ def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
     ref_p1_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
     M_vol = work.p1.scatter(area * ref_p1_mass[None, :, :])
     K_vol = work.p1.scatter(area * np.einsum("tid,tjd->tij", work.dlam, work.dlam))
-    M_bnd = assemble_boundary_mass(mesh, trace)
-    K_bnd = assemble_boundary_laplace_beltrami(mesh, trace)
+    M_bnd = assemble_boundary_mass(mesh)
+    K_bnd = assemble_boundary_laplace_beltrami(mesh)
 
     # the same loop operators in global vertex indexing
-    bv = trace.boundary_vertices
-    M_bnd_global = _periodic_loop_matrix(mesh, trace, _mass_entries, bv, nv)
-    K_bnd_global = _periodic_loop_matrix(mesh, trace, _laplace_beltrami_entries, bv, nv)
+    M_bnd_global = _periodic_loop_matrix(mesh, _mass_entries, mesh.boundary_loop, nv)
+    K_bnd_global = _periodic_loop_matrix(mesh, _laplace_beltrami_entries, mesh.boundary_loop, nv)
     # where the entries of both loop operators (one pattern) sit in the P1 pattern
     loop, rank = M_bnd_global.tocoo(), work.p1.matrix(np.arange(1.0, work.p1.indices.size + 1))
     work.loop_slot = np.asarray(rank[loop.row, loop.col]).ravel().astype(np.intp) - 1
@@ -392,7 +388,6 @@ def build_operators(mesh: Mesh, trace: TraceMap) -> OperatorSet:
 
     return OperatorSet(
         mesh=mesh,
-        trace=trace,
         vspace=vspace,
         M_vol=M_vol,
         K_vol=K_vol,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import build_operators
-from .config import ConfigError, apply_overrides, build_initial_state, config_from_dict, load_config
+from .config import ConfigError, build_initial_state, load_config
 from .energy import (
     build_ledger,
     check_cell_solve_bound,
@@ -27,7 +27,7 @@ from .energy import (
 )
 from .fields_io import FieldsIOError, export_fields, snapshot_name
 from .fluid import LinearSolveError
-from .geometry import build_disc_mesh, build_trace_map, save_mesh
+from .geometry import build_disc_mesh, save_mesh
 from .model import validate_params
 from .step_solver import SolverOptions
 from .timestepping import StepFailure, TimeGrid, interpolant_step_gap, load_trajectory, run as run_time_loop
@@ -40,21 +40,14 @@ EXIT_VERIFY = 5
 
 
 def _load(args) -> "RunConfig":
-    cfg = load_config(args.config)
-    if getattr(args, "set", None):
-        raw = apply_overrides(cfg.raw, args.set)
-        raw.pop("_base_dir", None)
-        cfg = config_from_dict(raw, base_dir=Path(args.config).parent)
-    return cfg
+    return load_config(args.config, args.set)
 
 
 def _setup(cfg):
     mesh = build_disc_mesh(
         cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"])
     )
-    trace = build_trace_map(mesh)
-    ops = build_operators(mesh, trace)
-    return mesh, ops
+    return mesh, build_operators(mesh)
 
 
 def _solver_options(cfg) -> SolverOptions:
@@ -205,8 +198,8 @@ def cmd_energy(args) -> int:
         f"  worst oxygen-solve slack:  {worst['oxygen']:.6g}",
         f"  worst cell-solve slack:    {worst['cell']:.6g}",
         f"  max kinetic identity residual: {kin:.3e}",
-        f"  cell mass drift: {np.max(np.abs(ledger.mass_n - ledger.mass_n[0])):.3e}",
-        f"  min cell density over run: {ledger.min_n.min():.6g}",
+        f"  cell mass drift: {np.max(np.abs(ledger['mass_n'] - ledger['mass_n'][0])):.3e}",
+        f"  min cell density over run: {ledger['min_n'].min():.6g}",
     ]
     shifts = [grid.T / 4, grid.T / 8, grid.T / 16, grid.T / 32]
     decay = time_translate_decay(traj, ops, shifts)

@@ -60,10 +60,12 @@ VELOCITY_PRESETS = ("zero", "stokes", "swirl", "file")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration; ``raw`` is the fully defaulted dictionary."""
+    """Validated configuration; ``raw`` is the fully defaulted dictionary and
+    ``base_dir`` the directory that ``file`` preset paths are relative to."""
 
     raw: dict
     params: ModelParams
+    base_dir: Path = Path(".")
 
     @property
     def mesh(self) -> dict:
@@ -86,8 +88,7 @@ class RunConfig:
         return self.raw["output"]
 
     def to_json(self) -> str:
-        public = {k: v for k, v in self.raw.items() if not k.startswith("_")}
-        return json.dumps(public, sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
 
 
 def _merge_defaults(raw: dict, defaults: dict, prefix: str, problems: list) -> dict:
@@ -148,9 +149,10 @@ def _validate_field_spec(spec, path, presets, problems, base_dir):
             problems.append((f"{path}.path", f"referenced file does not exist: {p}"))
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a JSON config file; raise ConfigError with all
-    problems (parse position for syntax errors, key paths for semantic ones)."""
+def load_config(path, overrides=()) -> RunConfig:
+    """Parse a JSON config file, apply ``key=value`` overrides, then validate;
+    raise ConfigError with all problems (parse position for syntax errors,
+    key paths for semantic ones)."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -162,7 +164,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError([(str(path), f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([(str(path), "top level must be a JSON object")])
-    return config_from_dict(raw, base_dir=path.parent)
+    return config_from_dict(apply_overrides(raw, overrides), base_dir=path.parent)
 
 
 def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
@@ -218,8 +220,7 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    merged["_base_dir"] = str(base_dir)
-    return RunConfig(raw=merged, params=params)
+    return RunConfig(raw=merged, params=params, base_dir=Path(base_dir))
 
 
 def _params_from_dict(d: dict, problems: list) -> ModelParams:
@@ -250,7 +251,8 @@ def _params_from_dict(d: dict, problems: list) -> ModelParams:
 
 def apply_overrides(raw: dict, assignments) -> dict:
     """Apply dotted-path ``key=value`` overrides; values parse as JSON when
-    possible and fall back to strings."""
+    possible and fall back to strings.  An object the path creates starts from
+    its defaults, so an override lands on the defaulted configuration."""
     out = copy.deepcopy(raw)
     for assignment in assignments:
         if "=" not in assignment:
@@ -260,10 +262,11 @@ def apply_overrides(raw: dict, assignments) -> dict:
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value
-        node = out
+        node, default = out, DEFAULTS
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            default = default.get(part, {}) if isinstance(default, dict) else {}
+            node = node.setdefault(part, copy.deepcopy(default))
             if not isinstance(node, dict):
                 raise ConfigError([(key, "override path crosses a non-object value")])
         node[parts[-1]] = parsed
@@ -320,8 +323,7 @@ def build_initial_state(cfg: RunConfig, ops):
     """Evaluate the configured initial fields on the mesh."""
     from .timestepping import initial_state
 
-    base = Path(cfg.raw.get("_base_dir", "."))
-    c0 = build_scalar_field(cfg.initial["c"], ops.mesh, base)
-    n0 = build_scalar_field(cfg.initial["n"], ops.mesh, base)
-    u0 = build_velocity_field(cfg.initial["u"], ops, cfg.params, n0, base)
+    c0 = build_scalar_field(cfg.initial["c"], ops.mesh, cfg.base_dir)
+    n0 = build_scalar_field(cfg.initial["n"], ops.mesh, cfg.base_dir)
+    u0 = build_velocity_field(cfg.initial["u"], ops, cfg.params, n0, cfg.base_dir)
     return initial_state(ops, c0, n0, u0)

@@ -29,37 +29,6 @@ from .timestepping import Trajectory, interpolate_state
 _FIELDS = ("c", "ctau", "n", "u")
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Norm table over a trajectory; one row per time level."""
-
-    k: float
-    T: float
-    N: int
-    data_hash: str
-    t: np.ndarray
-    sq: dict  # field -> |a^m|^2 arrays, fields c, ctau, n, u
-    grad_sq: dict  # field -> |grad a^m|^2 arrays
-    inc_sq: dict  # field -> |a^m - a^{m-1}|^2, zero at m=0
-    inc_inner2: dict  # field -> 2 (a^m, a^m - a^{m-1}), zero at m=0
-    mass_n: np.ndarray
-    mass_c_combined: np.ndarray  # volume mass of c plus (alpha/b) boundary mass of its trace
-    consumption: np.ndarray  # integral of n f(c), nodal product rule
-    force_dot_u: np.ndarray  # (n grad_sigma, u)
-    min_n: np.ndarray
-    max_n: np.ndarray
-    min_c: np.ndarray
-    max_c: np.ndarray
-
-    def identity_residual(self, field: str) -> float:
-        """Max relative defect of 2(a, a-b) = |a|^2 - |b|^2 + |a-b|^2."""
-        lhs = self.inc_inner2[field][1:]
-        sq = self.sq[field]
-        rhs = sq[1:] - sq[:-1] + self.inc_sq[field][1:]
-        scale = np.maximum(np.abs(lhs) + np.abs(sq[1:]) + np.abs(sq[:-1]), 1e-300)
-        return float(np.max(np.abs(lhs - rhs) / scale)) if len(lhs) else 0.0
-
-
 CSV_COLUMNS = (
     ["m", "t"]
     + [f"{f}_sq" for f in _FIELDS]
@@ -71,97 +40,73 @@ CSV_COLUMNS = (
 )
 
 
+@dataclass(frozen=True)
+class EnergyLedger:
+    """Norm table over a trajectory; one row per time level.
+
+    ``columns`` maps each ``CSV_COLUMNS`` name but ``m`` to its array, read as
+    ``ledger[name]``; ``docs/formats.md`` says what each column holds.
+    """
+
+    k: float
+    T: float
+    N: int
+    data_hash: str
+    columns: dict
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def identity_residual(self, field: str) -> float:
+        """Max relative defect of 2(a, a-b) = |a|^2 - |b|^2 + |a-b|^2."""
+        lhs = self[f"inner2_{field}"][1:]
+        sq = self[f"{field}_sq"]
+        rhs = sq[1:] - sq[:-1] + self[f"d{field}_sq"][1:]
+        scale = np.maximum(np.abs(lhs) + np.abs(sq[1:]) + np.abs(sq[:-1]), 1e-300)
+        return float(np.max(np.abs(lhs - rhs) / scale)) if len(lhs) else 0.0
+
+
 def export_ledger(ledger: EnergyLedger, path) -> None:
     """One CSV row per step, columns in the documented order."""
+    columns = [ledger[name] for name in CSV_COLUMNS[1:]]
     with open(path, "w") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
         for m in range(ledger.N + 1):
-            row = [str(m), f"{ledger.t[m]:.17g}"]
-            row += [f"{ledger.sq[x][m]:.17g}" for x in _FIELDS]
-            row += [f"{ledger.grad_sq[x][m]:.17g}" for x in _FIELDS]
-            row += [f"{ledger.inc_sq[x][m]:.17g}" for x in _FIELDS]
-            row += [f"{ledger.inc_inner2[x][m]:.17g}" for x in _FIELDS]
-            row += [
-                f"{arr[m]:.17g}"
-                for arr in (
-                    ledger.mass_n,
-                    ledger.mass_c_combined,
-                    ledger.consumption,
-                    ledger.force_dot_u,
-                    ledger.min_n,
-                    ledger.max_n,
-                    ledger.min_c,
-                    ledger.max_c,
-                )
-            ]
-            f.write(",".join(row) + "\n")
+            f.write(",".join([str(m)] + [f"{col[m]:.17g}" for col in columns]) + "\n")
 
 
 def build_ledger(traj: Trajectory, ops: OperatorSet, params) -> EnergyLedger:
     """Compute the full norm table; all norms are mass-matrix weighted."""
-    states = traj.states
     N = traj.grid.N
     f = params.consumption()
     grad_sigma = np.asarray(params.grad_sigma, dtype=float)
     a_ob = params.alpha / params.b
-
-    def traces(state):
-        return ops.trace.restrict(state.c)
-
-    sq = {x: np.zeros(N + 1) for x in _FIELDS}
-    grad_sq = {x: np.zeros(N + 1) for x in _FIELDS}
-    inc_sq = {x: np.zeros(N + 1) for x in _FIELDS}
-    inc_inner2 = {x: np.zeros(N + 1) for x in _FIELDS}
-    mass_n = np.zeros(N + 1)
-    mass_c = np.zeros(N + 1)
-    consumption = np.zeros(N + 1)
-    force_dot_u = np.zeros(N + 1)
-    min_n = np.zeros(N + 1)
-    max_n = np.zeros(N + 1)
-    min_c = np.zeros(N + 1)
-    max_c = np.zeros(N + 1)
+    col = {name: np.zeros(N + 1) for name in CSV_COLUMNS[1:]}
+    col["t"] = traj.grid.times()
 
     ones_v = np.ones(ops.mesh.n_vertices)
-    ones_b = np.ones(ops.trace.n_boundary)
+    ones_b = np.ones(ops.mesh.n_boundary)
     prev = None
-    for m, s in enumerate(states):
-        ct = traces(s)
+    for m, s in enumerate(traj.states):
+        ct = s.c[ops.mesh.boundary_loop]
         fields = {"c": (s.c, ops.M_vol, ops.K_vol), "ctau": (ct, ops.M_bnd, ops.K_bnd),
                   "n": (s.n, ops.M_vol, ops.K_vol), "u": (s.u, ops.M_u, ops.K_u)}
         for name, (vec, M, K) in fields.items():
-            sq[name][m] = vec @ (M @ vec)
-            grad_sq[name][m] = vec @ (K @ vec)
+            col[f"{name}_sq"][m] = vec @ (M @ vec)
+            col[f"grad_{name}_sq"][m] = vec @ (K @ vec)
             if prev is not None:
-                d = vec - prev[name]
-                inc_sq[name][m] = d @ (M @ d)
-                inc_inner2[name][m] = 2.0 * (vec @ (M @ d))
-        mass_n[m] = ones_v @ (ops.M_vol @ s.n)
-        mass_c[m] = ones_v @ (ops.M_vol @ s.c) + a_ob * (ones_b @ (ops.M_bnd @ ct))
-        consumption[m] = ones_v @ (ops.M_vol @ (s.n * f(s.c)))
-        force_dot_u[m] = ops.buoyancy_load(s.n, grad_sigma) @ s.u
-        min_n[m], max_n[m] = s.n.min(), s.n.max()
-        min_c[m], max_c[m] = s.c.min(), s.c.max()
-        prev = {"c": s.c, "ctau": ct, "n": s.n, "u": s.u}
+                d = vec - prev[name][0]
+                col[f"d{name}_sq"][m] = d @ (M @ d)
+                col[f"inner2_{name}"][m] = 2.0 * (vec @ (M @ d))
+        col["mass_n"][m] = ones_v @ (ops.M_vol @ s.n)
+        col["mass_c_combined"][m] = ones_v @ (ops.M_vol @ s.c) + a_ob * (ones_b @ (ops.M_bnd @ ct))
+        col["consumption"][m] = ones_v @ (ops.M_vol @ (s.n * f(s.c)))
+        col["force_dot_u"][m] = ops.buoyancy_load(s.n, grad_sigma) @ s.u
+        col["min_n"][m], col["max_n"][m] = s.n.min(), s.n.max()
+        col["min_c"][m], col["max_c"][m] = s.c.min(), s.c.max()
+        prev = fields
 
-    return EnergyLedger(
-        k=traj.grid.k,
-        T=traj.grid.T,
-        N=N,
-        data_hash=traj.data_hash,
-        t=traj.grid.times(),
-        sq=sq,
-        grad_sq=grad_sq,
-        inc_sq=inc_sq,
-        inc_inner2=inc_inner2,
-        mass_n=mass_n,
-        mass_c_combined=mass_c,
-        consumption=consumption,
-        force_dot_u=force_dot_u,
-        min_n=min_n,
-        max_n=max_n,
-        min_c=min_c,
-        max_c=max_c,
-    )
+    return EnergyLedger(k=traj.grid.k, T=traj.grid.T, N=N, data_hash=traj.data_hash, columns=col)
 
 
 @dataclass(frozen=True)
@@ -199,16 +144,17 @@ def check_step_inequality(ledger: EnergyLedger, m: int, params, delta: float) ->
     g1 = params.g1
 
     def diff(field):
-        return ledger.sq[field][m] - ledger.sq[field][m - 1] + ledger.inc_sq[field][m]
+        sq = ledger[f"{field}_sq"]
+        return sq[m] - sq[m - 1] + ledger[f"d{field}_sq"][m]
 
     lhs = (
         diff("c")
-        + (2 * k * a / b) * ledger.grad_sq["ctau"][m]
+        + (2 * k * a / b) * ledger["grad_ctau_sq"][m]
         + (a / b) * diff("ctau")
         + (4 * delta * a / g1) * diff("n")
-        + (8 * k * delta / g1) * (a * params.beta - g1 * a * delta) * ledger.grad_sq["n"][m]
+        + (8 * k * delta / g1) * (a * params.beta - g1 * a * delta) * ledger["grad_n_sq"][m]
     )
-    rhs = k * params.f1 * (ledger.sq["c"][m] + ledger.sq["n"][m])
+    rhs = k * params.f1 * (ledger["c_sq"][m] + ledger["n_sq"][m])
     return InequalityReport("combined-step", m, float(lhs), float(rhs), delta)
 
 
@@ -220,15 +166,15 @@ def check_oxygen_solve_bound(ledger: EnergyLedger, m: int, params, delta: float 
         raise ValueError("delta must lie in (0, min(1, 1/b))")
     k, a, b = ledger.k, params.alpha, params.b
     lhs = (
-        (a * k / b) * ledger.grad_sq["ctau"][m]
-        + a * k * ledger.grad_sq["c"][m]
-        + (1 - delta) * ledger.sq["c"][m]
-        + a * (1 / b - delta) * ledger.sq["ctau"][m]
+        (a * k / b) * ledger["grad_ctau_sq"][m]
+        + a * k * ledger["grad_c_sq"][m]
+        + (1 - delta) * ledger["c_sq"][m]
+        + a * (1 / b - delta) * ledger["ctau_sq"][m]
     )
     rhs = (
-        (1 / (2 * delta)) * ledger.sq["c"][m - 1]
-        + (a / (4 * delta * b * b)) * ledger.sq["ctau"][m - 1]
-        + (k * k * params.f1**2 / (2 * delta)) * ledger.sq["n"][m]
+        (1 / (2 * delta)) * ledger["c_sq"][m - 1]
+        + (a / (4 * delta * b * b)) * ledger["ctau_sq"][m - 1]
+        + (k * k * params.f1**2 / (2 * delta)) * ledger["n_sq"][m]
     )
     return InequalityReport("oxygen-solve", m, float(lhs), float(rhs), delta)
 
@@ -238,8 +184,8 @@ def check_cell_solve_bound(ledger: EnergyLedger, m: int, params, delta: float = 
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     k, g1 = ledger.k, params.g1
-    lhs = (k * params.beta - k * g1 / 2) * ledger.grad_sq["n"][m] + (1 - delta) * ledger.sq["n"][m]
-    rhs = (1 / (4 * delta)) * ledger.sq["n"][m - 1] + (k * g1 / 2) * ledger.grad_sq["c"][m]
+    lhs = (k * params.beta - k * g1 / 2) * ledger["grad_n_sq"][m] + (1 - delta) * ledger["n_sq"][m]
+    rhs = (1 / (4 * delta)) * ledger["n_sq"][m - 1] + (k * g1 / 2) * ledger["grad_c_sq"][m]
     return InequalityReport("cell-solve", m, float(lhs), float(rhs), delta)
 
 
@@ -251,13 +197,13 @@ def kinetic_identity_residual(ledger: EnergyLedger, m: int, params) -> float:
     """
     k = ledger.k
     lhs = (
-        ledger.sq["u"][m]
-        - ledger.sq["u"][m - 1]
-        + ledger.inc_sq["u"][m]
-        + 2 * k * params.xi * ledger.grad_sq["u"][m]
+        ledger["u_sq"][m]
+        - ledger["u_sq"][m - 1]
+        + ledger["du_sq"][m]
+        + 2 * k * params.xi * ledger["grad_u_sq"][m]
     )
-    rhs = 2 * k * ledger.force_dot_u[m]
-    scale = max(ledger.sq["u"][m], ledger.sq["u"][m - 1], abs(rhs), 1e-300)
+    rhs = 2 * k * ledger["force_dot_u"][m]
+    scale = max(ledger["u_sq"][m], ledger["u_sq"][m - 1], abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
 
 
@@ -317,17 +263,17 @@ def uniform_bound_scan(ledgers, params, factor: float = 1.10) -> UniformBoundRep
 
     table = np.zeros((len(UNIFORM_QUANTITIES), len(ledgers)))
     for j, led in enumerate(ledgers):
-        d0 = led.sq["c"][0] + led.sq["ctau"][0] + led.sq["n"][0]
-        d0u = d0 + led.sq["u"][0]
+        d0 = led["c_sq"][0] + led["ctau_sq"][0] + led["n_sq"][0]
+        d0u = d0 + led["u_sq"][0]
         q = [
-            np.max(led.sq["c"][1:]) + np.max(led.sq["n"][1:]),
-            led.k * np.sum(led.grad_sq["ctau"][1:] + led.grad_sq["n"][1:]),
-            np.sum(led.inc_sq["c"][1:] + led.inc_sq["ctau"][1:] + led.inc_sq["n"][1:]),
-            np.max(led.sq["ctau"][1:]),
-            np.sum(led.inc_sq["ctau"][1:]),
-            np.max(led.sq["u"][1:]),
-            np.sum(led.inc_sq["u"][1:]),
-            led.k * np.sum(led.grad_sq["u"][1:]),
+            np.max(led["c_sq"][1:]) + np.max(led["n_sq"][1:]),
+            led.k * np.sum(led["grad_ctau_sq"][1:] + led["grad_n_sq"][1:]),
+            np.sum(led["dc_sq"][1:] + led["dctau_sq"][1:] + led["dn_sq"][1:]),
+            np.max(led["ctau_sq"][1:]),
+            np.sum(led["dctau_sq"][1:]),
+            np.max(led["u_sq"][1:]),
+            np.sum(led["du_sq"][1:]),
+            led.k * np.sum(led["grad_u_sq"][1:]),
         ]
         denom = [d0] * 5 + [d0u] * 3
         for i, (qi, di) in enumerate(zip(q, denom)):

@@ -126,39 +126,6 @@ class Mesh:
             raise MeshError("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class TraceMap:
-    """Index maps between global vertex fields and boundary-loop fields.
-
-    ``restrict`` followed by ``prolong`` is the identity on boundary degrees
-    of freedom and zero elsewhere.
-    """
-
-    boundary_vertices: np.ndarray  # global vertex index per boundary position
-    n_global: int
-
-    @property
-    def n_boundary(self) -> int:
-        return self.boundary_vertices.shape[0]
-
-    def restrict(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values)[..., self.boundary_vertices]
-
-    def prolong(self, boundary_values: np.ndarray) -> np.ndarray:
-        boundary_values = np.asarray(boundary_values)
-        out = np.zeros(boundary_values.shape[:-1] + (self.n_global,), dtype=boundary_values.dtype)
-        out[..., self.boundary_vertices] = boundary_values
-        return out
-
-
-def build_trace_map(mesh: Mesh) -> TraceMap:
-    """Trace map selecting boundary-loop values out of global vertex fields."""
-    return TraceMap(
-        boundary_vertices=_readonly(mesh.boundary_loop.copy()),
-        n_global=mesh.n_vertices,
-    )
-
-
 def _zip_rings(inner: np.ndarray, outer: np.ndarray) -> list[tuple[int, int, int]]:
     """Triangulate the annulus between two concentric CCW vertex rings.
 

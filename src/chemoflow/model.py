@@ -164,19 +164,26 @@ def validate_params(p: ModelParams) -> ValidationReport:
         out.append(Finding(ERROR, "sensitivity-bound", f"g1 must be positive, got {p.g1}"))
     if not np.all(np.isfinite(p.grad_sigma)):
         out.append(Finding(ERROR, "forcing", f"grad_sigma must be finite, got {p.grad_sigma}"))
+    responses = []
+    for make in (p.consumption, p.sensitivity):
+        try:
+            responses.append(make())
+        except ValueError as exc:
+            out.append(Finding(ERROR, "response-family", str(exc)))
 
     if out:
         return ValidationReport(tuple(out))
+    f, g = responses
 
     rng = np.random.default_rng(0)
     c_samples = np.concatenate([np.linspace(-100, 100, _SAMPLES // 2), rng.standard_cauchy(_SAMPLES // 2)])
-    fvals = p.consumption()(c_samples)
+    fvals = f(c_samples)
     if fvals.min() < p.f0 - 1e-12 or fvals.max() > p.f1 + 1e-12:
         out.append(
             Finding(ERROR, "consumption-range", f"sampled f leaves [f0, f1]: [{fvals.min()}, {fvals.max()}]")
         )
     n_samples = rng.standard_cauchy(_SAMPLES)
-    gvals = p.sensitivity()(n_samples, c_samples)
+    gvals = g(n_samples, c_samples)
     if np.abs(gvals).max() > p.g1 + 1e-12:
         out.append(Finding(ERROR, "sensitivity-range", f"sampled |g| exceeds g1: {np.abs(gvals).max()}"))
 

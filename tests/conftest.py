@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chemoflow.assembly import build_operators
-from chemoflow.geometry import build_disc_mesh, build_trace_map, mesh_from_arrays
+from chemoflow.geometry import build_disc_mesh, mesh_from_arrays
 from chemoflow.model import ModelParams
 
 # Benchmark coefficients: slow enough that the coarsest ladder step (T/16)
@@ -30,16 +30,14 @@ def bench_initial(ops):
 def coarse_ops():
     """Very small disc (37 vertices) for dense oracles."""
     mesh = build_disc_mesh(1.0, 0.35)
-    trace = build_trace_map(mesh)
-    return build_operators(mesh, trace)
+    return build_operators(mesh)
 
 
 @pytest.fixture(scope="session")
 def medium_ops():
     """Medium disc for quantitative operator checks."""
     mesh = build_disc_mesh(1.0, 0.1)
-    trace = build_trace_map(mesh)
-    return build_operators(mesh, trace)
+    return build_operators(mesh)
 
 
 @pytest.fixture(scope="session")

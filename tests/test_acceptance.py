@@ -27,7 +27,7 @@ from chemoflow.energy import (
     time_translate_decay,
     uniform_bound_scan,
 )
-from chemoflow.geometry import build_disc_mesh, build_trace_map
+from chemoflow.geometry import build_disc_mesh
 from chemoflow.step_solver import SolverOptions, StepInputs, outer_step, picard_inner
 from chemoflow.timestepping import TimeGrid, initial_state, interpolant_step_gap, run
 
@@ -50,7 +50,7 @@ def report(criterion: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def bench_ops():
     mesh = build_disc_mesh(1.0, 0.05)
-    return build_operators(mesh, build_trace_map(mesh))
+    return build_operators(mesh)
 
 
 @pytest.fixture(scope="module")
@@ -97,26 +97,26 @@ def test_criterion_01_skew_convection_identity(bench_ops):
 
 
 def test_criterion_02_cell_mass_conservation(bench_ledger):
-    drift = np.max(np.abs(bench_ledger.mass_n - bench_ledger.mass_n[0]))
-    rel = drift / abs(bench_ledger.mass_n[0])
+    drift = np.max(np.abs(bench_ledger["mass_n"] - bench_ledger["mass_n"][0]))
+    rel = drift / abs(bench_ledger["mass_n"][0])
     report("criterion-2 cell-mass conservation", rel <= 1e-8, f"relative drift {rel:.3e}")
 
 
 def test_criterion_03_combined_oxygen_mass(bench_ledger):
     led = bench_ledger
-    scale = abs(led.mass_c_combined[0])
+    scale = abs(led["mass_c_combined"][0])
     residuals = [
-        abs(led.mass_c_combined[m] - led.mass_c_combined[m - 1] + led.k * led.consumption[m]) / scale
+        abs(led["mass_c_combined"][m] - led["mass_c_combined"][m - 1] + led.k * led["consumption"][m]) / scale
         for m in range(1, led.N + 1)
     ]
     ok_identity = max(residuals) <= 1e-8
     ok_monotone = True
-    if led.min_n.min() >= 0.0:
-        ok_monotone = bool(np.all(np.diff(led.mass_c_combined) < 0))
+    if led["min_n"].min() >= 0.0:
+        ok_monotone = bool(np.all(np.diff(led["mass_c_combined"]) < 0))
     report(
         "criterion-3 combined oxygen mass",
         ok_identity and ok_monotone,
-        f"max identity residual {max(residuals):.3e}, min n {led.min_n.min():.3e}, "
+        f"max identity residual {max(residuals):.3e}, min n {led['min_n'].min():.3e}, "
         f"monotone decrease {ok_monotone}",
     )
 
@@ -219,10 +219,9 @@ def test_criterion_08_step_size_regime(bench_ops, bench_state0):
 
 def test_criterion_09_boundary_spectrum():
     mesh = build_disc_mesh(1.0, 1.0 / 32.0, first_ring=8)
-    trace = build_trace_map(mesh)
     assert mesh.n_boundary == 256
-    K = assemble_boundary_laplace_beltrami(mesh, trace).toarray()
-    M = assemble_boundary_mass(mesh, trace).toarray()
+    K = assemble_boundary_laplace_beltrami(mesh).toarray()
+    M = assemble_boundary_mass(mesh).toarray()
     eig = eigh(K, M, eigvals_only=True)
     worst = 0.0
     for m in range(1, 6):
@@ -267,9 +266,7 @@ def dense_newton_step(ops, params, inputs, tol=1e-12, max_iter=40):
     g = params.sensitivity()
     w = ops.pressure_weights
     gs = np.asarray(params.grad_sigma, dtype=float)
-    rhs_c = ops.M_vol @ inputs.c_prev + a_ob * (
-        ops.M_bnd_global @ ops.trace.prolong(ops.trace.restrict(inputs.c_prev))
-    )
+    rhs_c = ops.M_vol @ inputs.c_prev + a_ob * (ops.M_bnd_global @ inputs.c_prev)
     rhs_n = ops.M_vol @ inputs.n_prev
     rhs_u = (ops.M_u @ inputs.u_prev)[idx]
 

@@ -15,11 +15,11 @@ from chemoflow.assembly import (
     assemble_convection_velocity,
     build_operators,
 )
-from chemoflow.geometry import MeshError, build_disc_mesh, build_trace_map, mesh_from_arrays
+from chemoflow.geometry import MeshError, build_disc_mesh, mesh_from_arrays
 
 
 def p1_operators(mesh):
-    return build_operators(mesh, build_trace_map(mesh))
+    return build_operators(mesh)
 
 
 def rel_sym_defect(a):
@@ -47,7 +47,7 @@ def test_operators_reject_non_positive_area(reference_triangle_mesh):
         reference_triangle_mesh, triangles=reference_triangle_mesh.triangles[:, ::-1]
     )
     with pytest.raises(MeshError, match="non-positive"):
-        build_operators(flipped, build_trace_map(reference_triangle_mesh))
+        build_operators(flipped)
 
 
 def test_mass_total_is_disc_area():
@@ -92,9 +92,8 @@ def test_stiffness_kernel_is_constants(coarse_ops):
 
 def test_boundary_mass_total():
     mesh = build_disc_mesh(1.0, 1.0 / 32.0, first_ring=8)
-    trace = build_trace_map(mesh)
-    M = assemble_boundary_mass(mesh, trace)
-    ones = np.ones(trace.n_boundary)
+    M = assemble_boundary_mass(mesh)
+    ones = np.ones(mesh.n_boundary)
     total = ones @ (M @ ones)
     assert mesh.n_boundary == 256
     assert abs(total - 2 * np.pi) / (2 * np.pi) < 0.001
@@ -107,17 +106,15 @@ def test_boundary_mass_rejects_degenerate_loop():
         triangles=np.array([[0, 1, 2]]),
         boundary_loop=np.array([0, 1, 2]),
     )
-    trace = build_trace_map(mesh)
-    bad = type(trace)(boundary_vertices=np.array([0, 1]), n_global=3)
+    bad = dataclasses.replace(mesh, boundary_loop=np.array([0, 1]))
     with pytest.raises(MeshError):
-        assemble_boundary_mass(mesh, bad)
+        assemble_boundary_mass(bad)
 
 
 def test_laplace_beltrami_constants_and_sine_mode():
     mesh = build_disc_mesh(1.0, 1.0 / 32.0, first_ring=8)
-    trace = build_trace_map(mesh)
-    K = assemble_boundary_laplace_beltrami(mesh, trace)
-    ones = np.ones(trace.n_boundary)
+    K = assemble_boundary_laplace_beltrami(mesh)
+    ones = np.ones(mesh.n_boundary)
     assert np.max(np.abs(K @ ones)) < 1e-12
     theta = np.arctan2(
         mesh.vertices[mesh.boundary_loop, 1], mesh.vertices[mesh.boundary_loop, 0]
@@ -129,9 +126,8 @@ def test_laplace_beltrami_constants_and_sine_mode():
 
 def test_laplace_beltrami_spectrum():
     mesh = build_disc_mesh(1.0, 1.0 / 32.0, first_ring=8)
-    trace = build_trace_map(mesh)
-    K = assemble_boundary_laplace_beltrami(mesh, trace).toarray()
-    M = assemble_boundary_mass(mesh, trace).toarray()
+    K = assemble_boundary_laplace_beltrami(mesh).toarray()
+    M = assemble_boundary_mass(mesh).toarray()
     eig = eigh(K, M, eigvals_only=True)
     # circle eigenvalues m^2, doubly degenerate for m >= 1
     assert abs(eig[0]) < 1e-10
@@ -230,7 +226,7 @@ def test_divergence_of_curl_decreases_under_refinement():
     residuals = []
     for h in (0.3, 0.15):
         mesh = build_disc_mesh(1.0, h)
-        ops = build_operators(mesh, build_trace_map(mesh))
+        ops = build_operators(mesh)
         u = stream_velocity(ops)
         div = ops.B @ u
         residuals.append(np.linalg.norm(div) / np.linalg.norm(u))
@@ -240,9 +236,8 @@ def test_divergence_of_curl_decreases_under_refinement():
 
 def test_assembly_deterministic():
     mesh = build_disc_mesh(1.0, 0.3)
-    trace = build_trace_map(mesh)
-    a = build_operators(mesh, trace)
-    b = build_operators(mesh, trace)
+    a = build_operators(mesh)
+    b = build_operators(mesh)
     for x, y in [(a.M_vol, b.M_vol), (a.K_vol, b.K_vol), (a.B, b.B), (a.M_u, b.M_u)]:
         assert np.array_equal(x.toarray(), y.toarray())
     rng = np.random.default_rng(4)

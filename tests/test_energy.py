@@ -43,8 +43,8 @@ def test_steady_ledger_all_increments_zero(coarse_ops):
     traj = run(coarse_ops, PARAMS, TimeGrid(T=0.2, N=4), steady_initial(coarse_ops))
     led = build_ledger(traj, coarse_ops, PARAMS)
     for f in ("c", "ctau", "n", "u"):
-        assert np.max(led.inc_sq[f]) < 1e-24
-        assert np.allclose(led.sq[f], led.sq[f][0], rtol=1e-12, atol=1e-20)
+        assert np.max(led[f"d{f}_sq"]) < 1e-24
+        assert np.allclose(led[f"{f}_sq"], led[f"{f}_sq"][0], rtol=1e-12, atol=1e-20)
 
 
 @settings(max_examples=50, deadline=None)
@@ -67,13 +67,13 @@ def test_ledger_identity_rows(bump_ledger):
 
 def test_ledger_mass_rows(bump_ledger):
     led, _ = bump_ledger
-    assert np.max(np.abs(led.mass_n - led.mass_n[0])) <= 1e-8 * abs(led.mass_n[0])
+    assert np.max(np.abs(led["mass_n"] - led["mass_n"][0])) <= 1e-8 * abs(led["mass_n"][0])
     # combined oxygen mass drops by exactly the consumed amount per step
     for m in range(1, led.N + 1):
-        residual = led.mass_c_combined[m] - led.mass_c_combined[m - 1] + led.k * led.consumption[m]
-        assert abs(residual) <= 1e-8 * abs(led.mass_c_combined[0])
-    if led.min_n.min() >= 0:
-        assert np.all(np.diff(led.mass_c_combined) < 0)
+        residual = led["mass_c_combined"][m] - led["mass_c_combined"][m - 1] + led.k * led["consumption"][m]
+        assert abs(residual) <= 1e-8 * abs(led["mass_c_combined"][0])
+    if led["min_n"].min() >= 0:
+        assert np.all(np.diff(led["mass_c_combined"]) < 0)
 
 
 def test_step_inequality_on_benchmark_run(bump_ledger):
@@ -237,3 +237,8 @@ def test_ledger_csv_export(tmp_path, bump_ledger):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == led.N + 2
+    for m, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert int(cells[0]) == m
+        for name, cell in zip(CSV_COLUMNS[1:], cells[1:], strict=True):
+            assert float(cell) == led[name][m], (name, m)

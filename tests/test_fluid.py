@@ -11,7 +11,7 @@ from chemoflow.fluid import (
     project_divergence_free,
     solve_saddle,
 )
-from chemoflow.geometry import build_disc_mesh, build_trace_map
+from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams
 from chemoflow.step_solver import StepFactors, StepInputs, c_system_matrix, n_system_matrix, outer_step, picard_inner
 
@@ -349,7 +349,7 @@ def test_step_matrices_equal_the_sparse_sums():
     # the pattern-data step matrices against the sparse-sum expressions they
     # replace, on the N=64 benchmark mesh with convection on
     mesh = build_disc_mesh(1.0, 0.05)
-    ops = build_operators(mesh, build_trace_map(mesh))
+    ops = build_operators(mesh)
     params = ModelParams(alpha=0.3, beta=0.7, xi=0.5, b=2.0)
     k = 0.015625
     u = ops.vspace.zero_boundary(ops.vspace.interpolate(lambda x, y: (-y + 0.3 * x * x, x - 0.2 * y)))

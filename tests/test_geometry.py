@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chemoflow.geometry import (
     MeshError,
     build_disc_mesh,
-    build_trace_map,
     load_mesh,
     mesh_from_arrays,
     save_mesh,
@@ -74,33 +71,6 @@ def test_mesh_from_arrays_rejects_coincident_boundary_vertices():
 def test_first_ring_controls_boundary_count():
     mesh = build_disc_mesh(1.0, 1.0 / 32.0, first_ring=8)
     assert mesh.n_boundary == 256
-
-
-def test_trace_map_cardinality():
-    mesh = build_disc_mesh(1.0, 0.5)
-    tm = build_trace_map(mesh)
-    assert tm.n_boundary == mesh.n_boundary
-    assert set(tm.boundary_vertices) == set(mesh.boundary_loop)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_trace_restrict_prolong_roundtrip(seed):
-    mesh = build_disc_mesh(1.0, 0.4)
-    tm = build_trace_map(mesh)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(mesh.n_vertices)
-    y = tm.prolong(tm.restrict(x))
-    assert np.array_equal(y[tm.boundary_vertices], x[tm.boundary_vertices])
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), tm.boundary_vertices)
-    assert np.all(y[interior] == 0.0)
-
-
-def test_trace_of_constant_is_ones():
-    mesh = build_disc_mesh(1.0, 0.4)
-    tm = build_trace_map(mesh)
-    assert np.array_equal(tm.restrict(np.ones(mesh.n_vertices)), np.ones(tm.n_boundary))
-    assert np.all(tm.prolong(np.zeros(tm.n_boundary)) == 0.0)
 
 
 def test_mesh_file_roundtrip(tmp_path):

@@ -96,7 +96,6 @@ def test_config_missing_file_reference(tmp_path):
 def test_overrides_apply_and_validate(tmp_path):
     cfg = load_config(write_config(tmp_path, {}))
     raw = apply_overrides(cfg.raw, ["time.N=8", "params.alpha=0.25"])
-    raw.pop("_base_dir")
     cfg2 = config_from_dict(raw)
     assert cfg2.time["N"] == 8 and cfg2.params.alpha == 0.25
     with pytest.raises(ConfigError):
@@ -153,6 +152,27 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     code = main(["validate", "--config", str(path)])
     assert code == 1
     assert "params.b" in capsys.readouterr().out
+
+
+def test_cli_overrides_apply_before_validation(tmp_path, capsys):
+    path = write_config(tmp_path, {"params": {"xi": -1}})
+    assert main(["validate", "--config", str(path), "--set", "params.xi=1.0"]) == 0
+    assert "configuration valid" in capsys.readouterr().out
+    cfg = load_config(path, ["params.xi=1.0", "params.g.g1=0.3"])
+    assert cfg.params.xi == 1.0 and cfg.base_dir == tmp_path
+    # an object the override creates starts from its defaults
+    assert cfg.raw["params"]["g"] == {"family": "saturating", "g1": 0.3}
+
+
+@pytest.mark.parametrize(
+    "response", [{"f": {"family": "bogus"}}, {"g": {"family": "constant", "theta": 2}}]
+)
+def test_cli_bad_response_family_exits_config(tmp_path, capsys, response):
+    path = write_config(tmp_path, {"params": response})
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "response-family" in capsys.readouterr().out
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert "response-family" in capsys.readouterr().err
 
 
 def test_cli_mesh_info(capsys):

@@ -10,7 +10,7 @@ from chemoflow import fluid
 from chemoflow.assembly import build_operators
 from chemoflow.config import apply_overrides, build_initial_state, config_from_dict, load_config
 from chemoflow.fluid import project_divergence_free
-from chemoflow.geometry import build_disc_mesh, build_trace_map
+from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams, ResponseSpec
 from chemoflow.step_solver import (
     StepInputs,
@@ -239,7 +239,7 @@ def test_step_regime_scan_counts():
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     cfg = load_config(config)
     mesh = build_disc_mesh(cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"]))
-    ops = build_operators(mesh, build_trace_map(mesh))
+    ops = build_operators(mesh)
     state0 = build_initial_state(cfg, ops)
     counts = []
     for k in np.geomspace(1e-3, 30.0, 12):
@@ -296,10 +296,9 @@ def test_warm_started_run_triangular_solves(monkeypatch):
     # counts of the warm-started solver (cold starts took 192, 529 and 529)
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     raw = apply_overrides(load_config(config).raw, ["mesh.target_h=0.1", "time.N=16"])
-    raw.pop("_base_dir", None)
     cfg = config_from_dict(raw, base_dir=config.parent)
     mesh = build_disc_mesh(cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"]))
-    ops = build_operators(mesh, build_trace_map(mesh))
+    ops = build_operators(mesh)
     state0 = build_initial_state(cfg, ops)
     solves = solves_by_block(monkeypatch)
     traj = run(ops, cfg.params, TimeGrid(T=cfg.time["T"], N=cfg.time["N"]), state0)

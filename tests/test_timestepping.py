@@ -102,7 +102,7 @@ def test_mass_behaviour_on_short_run(coarse_ops, short_run):
     assert all(abs(m - mass_n[0]) <= 1e-8 * abs(mass_n[0]) for m in mass_n)
     combined = [
         ones @ (ops.M_vol @ s.c)
-        + (PARAMS.alpha / PARAMS.b) * (np.ones(ops.trace.n_boundary) @ (ops.M_bnd @ ops.trace.restrict(s.c)))
+        + (PARAMS.alpha / PARAMS.b) * (np.ones(ops.mesh.n_boundary) @ (ops.M_bnd @ s.c[ops.mesh.boundary_loop]))
         for s in traj.states
     ]
     min_n = min(s.n.min() for s in traj.states)
