@@ -224,19 +224,17 @@ class _Workspace:
 class OperatorSet:
     """All mesh-bound sparse operators plus the assembly workspace.
 
-    Boundary operators come in boundary-loop indexing (``M_bnd``, ``K_bnd``)
-    and in global vertex indexing (``M_bnd_global``, ``K_bnd_global``), loop
-    position j being vertex ``mesh.boundary_loop[j]``.
+    The boundary-loop operators ``M_bnd_global`` and ``K_bnd_global`` are in
+    vertex indexing; ``M[loop][:, loop]`` with ``loop = mesh.boundary_loop``
+    is their loop-indexed form.
     """
 
     mesh: Mesh
     vspace: VelocitySpace
     M_vol: sp.csr_matrix  # P1 mass, (nv, nv)
     K_vol: sp.csr_matrix  # P1 stiffness, (nv, nv)
-    M_bnd: sp.csr_matrix  # boundary P1 mass, (nb, nb)
-    K_bnd: sp.csr_matrix  # boundary Laplace-Beltrami stiffness, (nb, nb)
-    M_bnd_global: sp.csr_matrix
-    K_bnd_global: sp.csr_matrix
+    M_bnd_global: sp.csr_matrix  # boundary P1 mass, (nv, nv)
+    K_bnd_global: sp.csr_matrix  # boundary Laplace-Beltrami stiffness, (nv, nv)
     B: sp.csr_matrix  # divergence: velocity dofs -> pressure dofs, (nv, 2 ns)
     M_u: sp.csr_matrix  # P2 vector mass, (2 ns, 2 ns)
     K_u: sp.csr_matrix  # P2 vector stiffness, (2 ns, 2 ns)
@@ -256,24 +254,21 @@ class OperatorSet:
         return np.concatenate([grad_sigma[0] * mn, grad_sigma[1] * mn])
 
 
-def _periodic_loop_matrix(mesh: Mesh, edge_entries, numbering=None, size=None) -> sp.csr_matrix:
+def _periodic_loop_matrix(mesh: Mesh, edge_entries) -> sp.csr_matrix:
     """Scatter per-edge 2x2 blocks [[d, o], [o, d]] around the closed boundary loop.
 
     ``edge_entries`` maps the boundary edge lengths to the diagonal and
     off-diagonal entries ``(d, o)``; edge j joins loop vertices j and j+1.
-    Loop vertex j becomes row/column ``numbering[j]`` of a ``size`` square
-    matrix; the default is boundary indexing.
+    The result is in vertex indexing, zero off the loop.
     """
     nb = mesh.n_boundary
     if nb < 3:
         raise MeshError("boundary loop needs at least 3 vertices")
-    if numbering is None:
-        numbering, size = np.arange(nb), nb
     d, o = edge_entries(mesh.boundary_edge_lengths())
     i = np.arange(nb)
-    ends = numbering[np.stack([i, (i + 1) % nb], axis=1)]
+    ends = mesh.boundary_loop[np.stack([i, (i + 1) % nb], axis=1)]
     local = np.stack([d, o, o, d], axis=1).reshape(nb, 2, 2)
-    return _Pattern(ends, ends, (size, size)).scatter(local)
+    return _Pattern(ends, ends, (mesh.n_vertices,) * 2).scatter(local)
 
 
 def _mass_entries(h):
@@ -285,7 +280,7 @@ def _laplace_beltrami_entries(h):
 
 
 def assemble_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass on the closed boundary loop, boundary-indexed.
+    """Consistent P1 mass on the closed boundary loop, vertex-indexed.
 
     ``1' M 1`` equals the polygonal boundary length exactly.
     """
@@ -293,7 +288,7 @@ def assemble_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 def assemble_boundary_laplace_beltrami(mesh: Mesh) -> sp.csr_matrix:
-    """Periodic 1D stiffness in arclength on the boundary loop."""
+    """Periodic 1D stiffness in arclength on the boundary loop, vertex-indexed."""
     return _periodic_loop_matrix(mesh, _laplace_beltrami_entries)
 
 
@@ -356,16 +351,11 @@ def build_operators(mesh: Mesh) -> OperatorSet:
     area = work.areas[:, None, None]
 
     # P1 mass (1' M 1 is the mesh area exactly) and stiffness (annihilates constants)
-    nv = mesh.n_vertices
     ref_p1_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
     M_vol = work.p1.scatter(area * ref_p1_mass[None, :, :])
     K_vol = work.p1.scatter(area * np.einsum("tid,tjd->tij", work.dlam, work.dlam))
-    M_bnd = assemble_boundary_mass(mesh)
-    K_bnd = assemble_boundary_laplace_beltrami(mesh)
-
-    # the same loop operators in global vertex indexing
-    M_bnd_global = _periodic_loop_matrix(mesh, _mass_entries, mesh.boundary_loop, nv)
-    K_bnd_global = _periodic_loop_matrix(mesh, _laplace_beltrami_entries, mesh.boundary_loop, nv)
+    M_bnd_global = assemble_boundary_mass(mesh)
+    K_bnd_global = assemble_boundary_laplace_beltrami(mesh)
     # where the entries of both loop operators (one pattern) sit in the P1 pattern
     loop, rank = M_bnd_global.tocoo(), work.p1.matrix(np.arange(1.0, work.p1.indices.size + 1))
     work.loop_slot = np.asarray(rank[loop.row, loop.col]).ravel().astype(np.intp) - 1
@@ -391,8 +381,6 @@ def build_operators(mesh: Mesh) -> OperatorSet:
         vspace=vspace,
         M_vol=M_vol,
         K_vol=K_vol,
-        M_bnd=M_bnd,
-        K_bnd=K_bnd,
         M_bnd_global=M_bnd_global,
         K_bnd_global=K_bnd_global,
         B=B,

@@ -86,10 +86,12 @@ def build_ledger(traj: Trajectory, ops: OperatorSet, params) -> EnergyLedger:
 
     ones_v = np.ones(ops.mesh.n_vertices)
     ones_b = np.ones(ops.mesh.n_boundary)
+    loop = ops.mesh.boundary_loop
+    M_bnd, K_bnd = ops.M_bnd_global[loop][:, loop], ops.K_bnd_global[loop][:, loop]
     prev = None
     for m, s in enumerate(traj.states):
-        ct = s.c[ops.mesh.boundary_loop]
-        fields = {"c": (s.c, ops.M_vol, ops.K_vol), "ctau": (ct, ops.M_bnd, ops.K_bnd),
+        ct = s.c[loop]
+        fields = {"c": (s.c, ops.M_vol, ops.K_vol), "ctau": (ct, M_bnd, K_bnd),
                   "n": (s.n, ops.M_vol, ops.K_vol), "u": (s.u, ops.M_u, ops.K_u)}
         for name, (vec, M, K) in fields.items():
             col[f"{name}_sq"][m] = vec @ (M @ vec)
@@ -99,7 +101,7 @@ def build_ledger(traj: Trajectory, ops: OperatorSet, params) -> EnergyLedger:
                 col[f"d{name}_sq"][m] = d @ (M @ d)
                 col[f"inner2_{name}"][m] = 2.0 * (vec @ (M @ d))
         col["mass_n"][m] = ones_v @ (ops.M_vol @ s.n)
-        col["mass_c_combined"][m] = ones_v @ (ops.M_vol @ s.c) + a_ob * (ones_b @ (ops.M_bnd @ ct))
+        col["mass_c_combined"][m] = ones_v @ (ops.M_vol @ s.c) + a_ob * (ones_b @ (M_bnd @ ct))
         col["consumption"][m] = ones_v @ (ops.M_vol @ (s.n * f(s.c)))
         col["force_dot_u"][m] = ops.buoyancy_load(s.n, grad_sigma) @ s.u
         col["min_n"][m], col["max_n"][m] = s.n.min(), s.n.max()

@@ -18,12 +18,11 @@ Desk-scale systems are solved by sparse LU through ``KeptFactor``, the one
 linear layer of the oxygen, cell and fluid blocks: it holds a factor, solves
 each new system by defect correction around it, started from the iterate
 the solve replaces, and factorises (and keeps) the true matrix only when
-the correction stalls.  Every factor uses one symmetric-mode, fill-reducing
-ordering: all these systems are structurally symmetric, and a small diagonal
-pivot threshold keeps SuperLU's row swaps from undoing that ordering.
-``solve_saddle`` is the one saddle entry point: a time step passes the held
-factor of its step size, based on ``stokes_saddle``, and the one-off set-up
-systems pass none.  Velocity operators are P2 pattern data.
+the correction stalls.  ``factorise`` makes every factor, with one
+symmetric-mode, fill-reducing ordering.  ``solve_saddle`` is the one saddle
+entry point: a time step passes a factor started from the ``stokes_factor``
+of its step size, and the one-off set-up systems pass none.  Velocity
+operators are P2 pattern data.
 """
 
 from __future__ import annotations
@@ -59,48 +58,41 @@ def build_saddle_system(
     return A, k * force + ops.M_u @ u_prev
 
 
+def factorise(matrix, what: str):
+    """Sparse LU of ``matrix`` (needs ``tocsc()``); a failure names the block ``what``.
+
+    Orders ``A + A'`` by minimum degree in SuperLU's symmetric mode with
+    diagonal pivot threshold 1e-3, because larger thresholds swap rows off
+    the ordered diagonal (1 on the xi=0.01 saddles, 0.1 on the scale-1
+    set-up saddles) and fill in about tenfold; the residual checks of the
+    solves guard the weaker pivoting.
+    """
+    try:
+        return splu(
+            matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3, options={"SymmetricMode": True}
+        )
+    except RuntimeError as exc:
+        raise LinearSolveError(f"{what} factorisation failed: {exc}") from exc
+
+
 class KeptFactor:
     """Sparse LU held across the nearby systems of one block.
 
-    ``solve`` corrects the defect around the held factor, from ``guess`` or
-    zero, until it is below ``0.01 tol ||rhs||``.  Once the last contraction,
-    continued to ``max_corrections``, cannot get there, or when nothing is
-    held, it factorises the true matrix, solves with it, checks the residual
-    against ``tol`` and keeps that factor.  ``reset`` goes back to the factor
-    of ``base()``, built when first needed, or to none.  ``matrix`` needs
+    ``solve`` corrects the defect around the held factor ``lu``, from
+    ``guess`` or zero, until it is below ``0.01 tol ||rhs||``.  Once the last
+    contraction, continued to ``max_corrections``, cannot get there, or when
+    nothing is held, it factorises the true matrix, solves with it, checks
+    the residual against ``tol`` and keeps that factor.  ``matrix`` needs
     ``@`` and ``tocsc()``.
-
-    Factors order ``A + A'`` by minimum degree in SuperLU's symmetric mode
-    with diagonal pivot threshold 1e-3, because larger thresholds swap rows
-    off the ordered diagonal (1 on the xi=0.01 saddles, 0.1 on the scale-1
-    set-up saddles) and fill in about tenfold; the residual checks guard
-    the weaker pivoting.
     """
 
     max_corrections = 30
 
-    def __init__(self, what: str, base=None):
+    def __init__(self, what: str, lu=None):
         self.what = what
-        self._base = base
-        self._base_lu = None
-        self.lu = None
-
-    def reset(self) -> None:
-        self.lu = None
-
-    def _factorise(self, matrix):
-        try:
-            return splu(
-                matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3, options={"SymmetricMode": True}
-            )
-        except RuntimeError as exc:
-            raise LinearSolveError(f"{self.what} factorisation failed: {exc}") from exc
+        self.lu = lu
 
     def solve(self, matrix, rhs: np.ndarray, tol: float, guess=None) -> np.ndarray:
-        if self.lu is None and self._base is not None:
-            if self._base_lu is None:
-                self._base_lu = self._factorise(self._base())
-            self.lu = self._base_lu
         scale = max(np.linalg.norm(rhs), 1e-300)
         if self.lu is not None:
             target = 0.01 * tol * scale
@@ -117,7 +109,7 @@ class KeptFactor:
                     break
                 previous = defect
                 x += self.lu.solve(r)
-        self.lu = self._factorise(matrix)
+        self.lu = factorise(matrix, self.what)
         x = self.lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise LinearSolveError(f"{self.what} solve produced non-finite values")
@@ -184,9 +176,10 @@ def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, scale: float, tol: float 
     return u, p
 
 
-def stokes_saddle(ops, xi, k):
-    """The convection-free pinned saddle ``M + k xi K`` of step size ``k``."""
-    return _PinnedSaddle(ops._work.interior(ops.M_u.data + k * xi * ops.K_u.data), *ops._work.interior_div[2:], k)
+def stokes_factor(ops, xi, k):
+    """Factor of the convection-free pinned saddle ``M + k xi K`` of step size ``k``."""
+    saddle = _PinnedSaddle(ops._work.interior(ops.M_u.data + k * xi * ops.K_u.data), *ops._work.interior_div[2:], k)
+    return factorise(saddle, "saddle")
 
 
 def steady_stokes_velocity(ops: OperatorSet, params, n: np.ndarray) -> np.ndarray:

@@ -21,18 +21,20 @@ trace evolves with its own surface diffusion driven by the bulk flux.
 
 Each solve corrects around its block's held factor from the iterate it
 replaces; step matrices add fixed-pattern data in the order of the sparse sums.
+Factors live one step attempt, except the never-changed factor of the
+convection-free saddle ``M + k xi K``, one per step size: the step saddles
+differ from it by the skew convection block alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import OperatorSet, assemble_chemotaxis_rhs, assemble_convection
-from .fluid import KeptFactor, build_saddle_system, solve_saddle, stokes_saddle
+from .fluid import KeptFactor, build_saddle_system, solve_saddle, stokes_factor
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class StepInputs:
     """Previous-step fields feeding one implicit step.
 
     The oxygen boundary trace is the restriction of ``c_prev``; the boundary
-    operators store only boundary columns, so it needs no field of its own.
+    operators are vertex-indexed, so it needs no field of its own.
     """
 
     c_prev: np.ndarray
@@ -130,29 +132,6 @@ def n_step_rhs(ops: OperatorSet, inputs: StepInputs, c, n_hat, sensitivity_fn):
     return ops.M_vol @ inputs.n_prev + inputs.dt * assemble_chemotaxis_rhs(ops, n_hat, c, sensitivity_fn)
 
 
-class StepFactors:
-    """Held factors of the oxygen, cell and fluid blocks for one step size ``k``.
-
-    The fluid base is the convection-free saddle ``M + k xi K``, factorised
-    on the first solve: within one step size the matrix changes only through
-    the skew convection block, a small perturbation at desk-scale velocities.
-    ``outer_step`` resets them when a step attempt starts, so no factor
-    carries state from one step to the next and a resumed run or a halved
-    retry computes the same bits as an uninterrupted run.
-    """
-
-    def __init__(self, ops: OperatorSet, params, k: float):
-        self.k = k
-        self.oxygen = KeptFactor("oxygen")
-        self.cells = KeptFactor("cell-density")
-        # a partial, not a bound method: no factor may sit in a reference cycle
-        self.fluid = KeptFactor("saddle", base=partial(stokes_saddle, ops, params.xi, k))
-
-    def reset(self) -> None:
-        for factor in (self.oxygen, self.cells, self.fluid):
-            factor.reset()
-
-
 def _pair_update_norm(ops, dc, dn, c, n):
     num = np.sqrt(ops.scalar_norm_sq(dc) + ops.scalar_norm_sq(dn))
     den = np.sqrt(ops.scalar_norm_sq(c) + ops.scalar_norm_sq(n))
@@ -167,21 +146,20 @@ def picard_inner(
     tol: float = 1e-11,
     max_iter: int = 60,
     initial_guess=None,
-    factors: StepFactors | None = None,
+    factors=None,
 ):
     """Iterate the frozen-coefficient (c, n) map to its fixed point.
 
     Starts from the previous-step fields unless a warmer guess is supplied,
-    and solves through the held factors of ``factors`` or fresh ones.
-    Non-convergence is reported through the diagnostics, not raised; the
-    caller owns the retry policy.
+    and solves through the ``(oxygen, cells)`` factor pair ``factors`` or
+    fresh ones.  Non-convergence is reported through the diagnostics, not
+    raised; the caller owns the retry policy.
     """
     inputs.validate(ops)
     if not tol > 0 or max_iter < 1:
         raise ValueError("need tol > 0, max_iter >= 1")
     k = inputs.dt
-    if factors is None:
-        factors = StepFactors(ops, params, k)
+    oxygen, cells = factors or (KeptFactor("oxygen"), KeptFactor("cell-density"))
     C = assemble_convection(ops, u_hat)
     A_c = c_system_matrix(ops, params, k, C)
     A_n = n_system_matrix(ops, params, k, C)
@@ -197,9 +175,9 @@ def picard_inner(
     linear_tol = min(tol, 1e-10)
     for it in range(1, max_iter + 1):
         rhs_c = c_step_rhs(ops, params, inputs, c_hat, n_hat, f)
-        c = factors.oxygen.solve(A_c, rhs_c, linear_tol, c_hat)
+        c = oxygen.solve(A_c, rhs_c, linear_tol, c_hat)
         rhs_n = n_step_rhs(ops, inputs, c, n_hat, g)
-        n = factors.cells.solve(A_n, rhs_n, linear_tol, n_hat)
+        n = cells.solve(A_n, rhs_n, linear_tol, n_hat)
         num, den = _pair_update_norm(ops, c - c_hat, n - n_hat, c, n)
         diag.inner_iterations = it
         diag.residual_history.append(num / den if den > 0 else num)
@@ -256,25 +234,25 @@ def outer_step(
     params,
     ops: OperatorSet,
     options: SolverOptions = SolverOptions(),
-    factors: StepFactors | None = None,
+    stokes: dict | None = None,
 ) -> StepResult:
     """Full coupled step: alternate the (c, n) fixed point with fluid solves.
 
     Convection in the fluid is linearised at the previous outer velocity
     iterate.  Convergence requires the inner loop converged, the velocity
     update below tolerance, and the fully nonlinear residual below tolerance;
-    failure is reported in the diagnostics.  All three blocks are solved
-    through the held factors of ``factors`` for this step size, reset here
-    first; without them, fresh ones are built.
+    failure is reported in the diagnostics.  The attempt holds fresh oxygen
+    and cell factors, and a fluid factor started from ``stokes[k]``, the
+    Stokes factor of its step size, which is made and added when missing.
     """
     inputs.validate(ops)
     options.validate()
     k = inputs.dt
-    if factors is None:
-        factors = StepFactors(ops, params, k)
-    elif factors.k != k:
-        raise ValueError("held factors built for a different step size")
-    factors.reset()
+    stokes = {} if stokes is None else stokes
+    if k not in stokes:
+        stokes[k] = stokes_factor(ops, params.xi, k)
+    factors = (KeptFactor("oxygen"), KeptFactor("cell-density"))
+    fluid = KeptFactor("saddle", stokes[k])
     u_hat = np.asarray(inputs.u_prev, dtype=float)
     guess = None
     diag = FixedPointDiagnostics()
@@ -295,7 +273,7 @@ def outer_step(
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)
         A, rhs = build_saddle_system(ops, u_hat, n, inputs.u_prev, k, params)
-        u, p = solve_saddle(ops, A, rhs, k, tol=options.linear_tol, factor=factors.fluid, guess=(u_hat, p))
+        u, p = solve_saddle(ops, A, rhs, k, tol=options.linear_tol, factor=fluid, guess=(u_hat, p))
         num = np.sqrt(ops.velocity_norm_sq(u - u_hat))
         den = np.sqrt(ops.velocity_norm_sq(u))
         diag.outer_iterations = it

@@ -220,8 +220,9 @@ def test_criterion_08_step_size_regime(bench_ops, bench_state0):
 def test_criterion_09_boundary_spectrum():
     mesh = build_disc_mesh(1.0, 1.0 / 32.0, first_ring=8)
     assert mesh.n_boundary == 256
-    K = assemble_boundary_laplace_beltrami(mesh).toarray()
-    M = assemble_boundary_mass(mesh).toarray()
+    loop = mesh.boundary_loop
+    K = assemble_boundary_laplace_beltrami(mesh)[loop][:, loop].toarray()
+    M = assemble_boundary_mass(mesh)[loop][:, loop].toarray()
     eig = eigh(K, M, eigvals_only=True)
     worst = 0.0
     for m in range(1, 6):

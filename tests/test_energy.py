@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,10 @@ from chemoflow.energy import (
     time_translate_decay,
     uniform_bound_scan,
 )
+from chemoflow.assembly import build_operators
+from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams
-from chemoflow.timestepping import TimeGrid, initial_state, run
+from chemoflow.timestepping import State, TimeGrid, Trajectory, initial_state, run
 from conftest import BENCH_PARAMS, bench_initial
 
 PARAMS = ModelParams()
@@ -63,6 +67,34 @@ def test_ledger_identity_rows(bump_ledger):
     led, _ = bump_ledger
     for f in ("c", "ctau", "n", "u"):
         assert led.identity_residual(f) < 1e-12
+
+
+def test_ledger_boundary_rows_on_a_non_monotone_loop():
+    # a loop that starts mid-way round: restricting the vertex-indexed loop
+    # operators to it reorders their entries, the one place where it does.
+    # The disc is stretched to an ellipse so the edge lengths differ and a
+    # loop operator indexed off by a rotation would show.
+    mesh = build_disc_mesh(1.0, 0.35)
+    mesh = dataclasses.replace(mesh, vertices=mesh.vertices * [1.5, 1.0], boundary_loop=np.roll(mesh.boundary_loop, 5))
+    assert np.any(np.diff(mesh.boundary_loop) < 0)
+    ops = build_operators(mesh)
+    rng = np.random.default_rng(4)
+    nv, nu = mesh.n_vertices, ops.vspace.n_velocity
+    states = tuple(State(c=rng.random(nv), n=rng.random(nv), u=np.zeros(nu), p=np.zeros(nv), t=t) for t in (0.0, 1.0))
+    traj = Trajectory(grid=TimeGrid(T=1.0, N=1), states=states, diagnostics=((), ()), data_hash="")
+    led = build_ledger(traj, ops, PARAMS)
+    # dense loop-indexed operators, edge j joining loop positions j and j+1
+    h = mesh.boundary_edge_lengths()
+    nb = mesh.n_boundary
+    M, K = np.zeros((nb, nb)), np.zeros((nb, nb))
+    for j in range(nb):
+        ends = np.ix_([j, (j + 1) % nb], [j, (j + 1) % nb])
+        M[ends] += h[j] / 6 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        K[ends] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h[j]
+    for m, state in enumerate(states):
+        ct = state.c[mesh.boundary_loop]
+        assert abs(led["ctau_sq"][m] - ct @ M @ ct) <= 1e-14 * (ct @ M @ ct)
+        assert abs(led["grad_ctau_sq"][m] - ct @ K @ ct) <= 1e-14 * (ct @ K @ ct)
 
 
 def test_ledger_mass_rows(bump_ledger):

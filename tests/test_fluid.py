@@ -13,7 +13,7 @@ from chemoflow.fluid import (
 )
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams
-from chemoflow.step_solver import StepFactors, StepInputs, c_system_matrix, n_system_matrix, outer_step, picard_inner
+from chemoflow.step_solver import StepInputs, c_system_matrix, n_system_matrix, outer_step, picard_inner
 
 
 PARAMS = ModelParams()
@@ -124,7 +124,7 @@ def test_saddle_cache_matches_direct_solve(coarse_ops, monkeypatch):
     A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
     u_ref, p_ref = solve_saddle(ops, A, rhs, k)
     made = counted_factorisations(monkeypatch)
-    u, p = solve_saddle(ops, A, rhs, k, factor=StepFactors(ops, PARAMS, k).fluid)
+    u, p = solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", fluid.stokes_factor(ops, PARAMS.xi, k)))
     assert len(made) == 1  # the convection-free base, nothing else
     assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
@@ -137,7 +137,7 @@ def test_saddle_cache_falls_back_once_at_low_viscosity(coarse_ops, monkeypatch):
     k = 0.0625
     A, rhs = random_step_system(ops, params, k, 5.0, 12)
     made = counted_factorisations(monkeypatch)
-    u, p = solve_saddle(ops, A, rhs, k, factor=StepFactors(ops, params, k).fluid)
+    u, p = solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", fluid.stokes_factor(ops, params.xi, k)))
     assert len(made) == 2  # the base, then the true matrix
     idx = ops.vspace.interior_velocity
     B = ops.B[:, idx]
@@ -160,8 +160,8 @@ def test_saddle_cache_falls_back_early(coarse_ops, monkeypatch, xi, amplitude):
     params = ModelParams(xi=xi)
     k = 0.0625
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
-    factor = StepFactors(ops, params, k).fluid
     made = counted_factorisations(monkeypatch)
+    factor = KeptFactor("saddle", fluid.stokes_factor(ops, params.xi, k))
     solve_saddle(ops, A, rhs, k, factor=factor)
     base, *fresh = made
     assert base.solves <= 2
@@ -178,8 +178,8 @@ def test_saddle_cache_nearby_system_after_a_stall_needs_no_factorisation(coarse_
     A_first, rhs_first = random_step_system(ops, params, k, amplitude, 12)
     A, rhs = random_step_system(ops, params, k, amplitude, 12, q_scale=1.01)
     u_ref, p_ref = solve_saddle(ops, A, rhs, k)
-    factor = StepFactors(ops, params, k).fluid
     made = counted_factorisations(monkeypatch)
+    factor = KeptFactor("saddle", fluid.stokes_factor(ops, params.xi, k))
     solve_saddle(ops, A_first, rhs_first, k, factor=factor)
     base, kept = made
     base_solves = base.solves
@@ -202,8 +202,8 @@ def test_saddle_cache_converging_correction_does_not_fall_back(coarse_ops, monke
     ops = coarse_ops
     params = ModelParams(xi=xi)
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
-    factor = StepFactors(ops, params, k).fluid
     made = counted_factorisations(monkeypatch)
+    factor = KeptFactor("saddle", fluid.stokes_factor(ops, params.xi, k))
     solve_saddle(ops, A, rhs, k, factor=factor)
     base, *fresh = made
     assert fresh == []
@@ -211,8 +211,10 @@ def test_saddle_cache_converging_correction_does_not_fall_back(coarse_ops, monke
 
 
 def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
-    # factors still holding an earlier step's systems go back to the base when
-    # a step starts, so the step computes the same bits as with fresh factors
+    # a Stokes factor shared with an earlier solve that stalled and kept its
+    # own factor: the step starts from the base alone, and the oxygen and cell
+    # factors held elsewhere play no part, so the step computes the same bits
+    # as with fresh factors
     ops = coarse_ops
     params = ModelParams(xi=0.01)
     k = 0.0625
@@ -223,15 +225,16 @@ def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
     u_prev = np.zeros(ops.vspace.n_velocity)
     inputs = StepInputs(c_prev=c, n_prev=n, u_prev=u_prev, dt=k)
     fresh = outer_step(inputs, params, ops)
-    held = StepFactors(ops, params, k)
     made = counted_factorisations(monkeypatch)
-    solve_saddle(ops, A, rhs, k, factor=held.fluid)
+    stokes = {k: fluid.stokes_factor(ops, params.xi, k)}
+    solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", stokes[k]))
     base, stalled = made
+    held = (KeptFactor("oxygen"), KeptFactor("cell-density"))
     other = StepInputs(c_prev=2 * c, n_prev=n, u_prev=u_prev, dt=k)
     picard_inner(other, u_prev, params, ops, factors=held)
-    assert held.oxygen.lu is not None and held.cells.lu is not None
+    assert held[0].lu is not None and held[1].lu is not None
     base_solves = base.solves
-    result = outer_step(inputs, params, ops, factors=held)
+    result = outer_step(inputs, params, ops, stokes=stokes)
     assert base.solves > base_solves and stalled.solves == 1
     for name in ("c", "n", "u", "p"):
         assert np.array_equal(getattr(result, name), getattr(fresh, name))
@@ -388,8 +391,8 @@ def test_saddle_guess_maps_to_the_pinned_layout(coarse_ops, monkeypatch):
     ops = coarse_ops
     k = 0.02
     A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
-    factor = StepFactors(ops, PARAMS, k).fluid
     made = counted_factorisations(monkeypatch)
+    factor = KeptFactor("saddle", fluid.stokes_factor(ops, PARAMS.xi, k))
     u, p = solve_saddle(ops, A, rhs, k, factor=factor)
     (base,) = made
     solves = base.solves
@@ -405,8 +408,9 @@ def test_held_factors_keep_fill_low(medium_ops):
     # 4.3 M) or 1.0 (xi=0.01 base, 4.9 M) undoes the ordering
     ops = medium_ops
     _, _, Bp, BpT = ops._work.interior_div
+    k = 1 / 16
     systems = {
-        "xi=0.01 base": fluid.stokes_saddle(ops, 0.01, 1 / 16),
+        "xi=0.01 base": fluid._PinnedSaddle(ops._work.interior(ops.M_u.data + k * 0.01 * ops.K_u.data), Bp, BpT, k),
         "projection": fluid._PinnedSaddle(ops._work.interior(ops.M_u.data), Bp, BpT, 1.0),
         "stokes": fluid._PinnedSaddle(ops._work.interior(PARAMS.xi * ops.K_u.data), Bp, BpT, 1.0),
     }

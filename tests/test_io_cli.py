@@ -380,3 +380,31 @@ def test_cli_write_failure_exits_io(tmp_path, capsys):
     assert code == cli.EXIT_IO
     assert err.startswith("I/O failure: ")
     assert "Traceback" not in err
+
+
+SMALL_STEADY = ["--config", str(STEADY_CONFIG), "--set", "time.N=2", "--set", "mesh.target_h=0.35"]
+
+
+def missing_checkpoints(tmp_path):
+    return tmp_path / "none", "missing checkpoint for step 0 in "
+
+
+def truncated_checkpoint(tmp_path):
+    assert main(["run", *SMALL_STEADY, "--output", str(tmp_path / "run"), "--set", "output.checkpoints=true"]) == 0
+    directory = tmp_path / "run" / "checkpoints"
+    path = directory / "step_000001.ckpt"
+    path.write_bytes(path.read_bytes()[:300])
+    return directory, "checkpoint is 300 bytes, its header implies "
+
+
+@pytest.mark.parametrize("checkpoints", [missing_checkpoints, truncated_checkpoint])
+def test_cli_energy_refused_checkpoint_exits_solver(tmp_path, capsys, checkpoints):
+    # a checkpoint the reader refuses is a StepFailure, exit 3; exit 4 is an
+    # OSError while opening a file
+    directory, message = checkpoints(tmp_path)
+    capsys.readouterr()
+    code = main(["energy", *SMALL_STEADY, "--checkpoints", str(directory), "--output", str(tmp_path / "energy")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    assert err.startswith("solver failure: ") and message in err
+    assert "Traceback" not in err

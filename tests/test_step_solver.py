@@ -272,11 +272,11 @@ def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
 def solves_by_block(monkeypatch):
     """Triangular solves of every factor made from now on, by block.
 
-    Wraps each factor ``fluid.splu`` makes for a ``KeptFactor`` (its only
-    caller), labelled with that factor's block name.
+    Wraps each factor ``fluid.factorise`` makes (the one caller of
+    ``fluid.splu``), labelled with the block name it is given.
     """
     solves = Counter()
-    factorise = fluid.KeptFactor._factorise
+    factorise = fluid.factorise
 
     class Counted:
         def __init__(self, lu, what):
@@ -286,7 +286,7 @@ def solves_by_block(monkeypatch):
             solves[self.what] += 1
             return self.lu.solve(rhs)
 
-    monkeypatch.setattr(fluid.KeptFactor, "_factorise", lambda self, matrix: Counted(factorise(self, matrix), self.what))
+    monkeypatch.setattr(fluid, "factorise", lambda matrix, what: Counted(factorise(matrix, what), what))
     return solves
 
 

@@ -7,7 +7,7 @@ from scipy.sparse.linalg import splu
 from chemoflow import fluid, timestepping
 from chemoflow.fluid import project_divergence_free, steady_stokes_velocity
 from chemoflow.model import ModelParams
-from chemoflow.step_solver import SolverOptions, StepFactors
+from chemoflow.step_solver import SolverOptions
 from chemoflow.timestepping import (
     StepFailure,
     TimeGrid,
@@ -97,12 +97,13 @@ def test_steady_state_reproduced(coarse_ops):
 def test_mass_behaviour_on_short_run(coarse_ops, short_run):
     traj, grid = short_run
     ops = coarse_ops
+    loop = ops.mesh.boundary_loop
     ones = np.ones(ops.mesh.n_vertices)
     mass_n = [ones @ (ops.M_vol @ s.n) for s in traj.states]
     assert all(abs(m - mass_n[0]) <= 1e-8 * abs(mass_n[0]) for m in mass_n)
     combined = [
         ones @ (ops.M_vol @ s.c)
-        + (PARAMS.alpha / PARAMS.b) * (np.ones(ops.mesh.n_boundary) @ (ops.M_bnd @ s.c[ops.mesh.boundary_loop]))
+        + (PARAMS.alpha / PARAMS.b) * (np.ones(ops.mesh.n_boundary) @ (ops.M_bnd_global[loop][:, loop] @ s.c[loop]))
         for s in traj.states
     ]
     min_n = min(s.n.min() for s in traj.states)
@@ -206,14 +207,14 @@ def failing_factorisation(monkeypatch):
 
 def test_linear_solve_failure_is_retried_then_names_step(coarse_ops, monkeypatch):
     attempts = failing_factorisation(monkeypatch)
-    with pytest.raises(StepFailure, match="oxygen factorisation failed") as exc:
+    with pytest.raises(StepFailure, match="saddle factorisation failed") as exc:
         run(coarse_ops, PARAMS, TimeGrid(T=1.0, N=2), steady_initial(coarse_ops), retry_depth=2)
     # k = 0.5 fails, then its first half, then the first quarter, which ends at 0.125
     assert exc.value.step == 1 and exc.value.time == 0.125
     assert len(attempts) == 3
 
 
-def test_retry_rescues_with_halved_step(coarse_ops, caplog):
+def test_retry_rescues_with_halved_step(coarse_ops, caplog, monkeypatch):
     # starve the inner loop so the k=4 step fails but the k=2 halves succeed
     import logging
 
@@ -221,12 +222,23 @@ def test_retry_rescues_with_halved_step(coarse_ops, caplog):
     grid = TimeGrid(T=4.0, N=1)
     params = ModelParams(grad_sigma=(0.0, 0.0))  # one outer pass per attempt
     opts = SolverOptions(max_inner=8, max_outer=1, inner_tol=1e-10, outer_tol=1e-9)
+    made = []
+
+    def counted(matrix, **kw):
+        made.append(matrix.shape)
+        return splu(matrix, **kw)
+
+    monkeypatch.setattr(fluid, "splu", counted)
     with caplog.at_level(logging.WARNING):
         traj = run(ops, params, grid, bump_initial(ops), options=opts, retry_depth=2)
     assert any("retrying with k/2" in r.message for r in caplog.records)
     assert len(traj.states) == grid.N + 1
     assert traj.states[1].t == grid.time(1)  # merged back onto the uniform grid
     assert len(traj.diagnostics[1]) > 1  # substep diagnostics kept
+    # one Stokes factor per step size, shared by both k=2 halves; fresh
+    # oxygen and cell factors for each of the three attempts
+    scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
+    assert len(made) - len(scalar) == 2 and len(scalar) == 6
 
 
 def stokes_initial(ops, params):
@@ -333,7 +345,7 @@ def test_held_factors_are_freed_with_the_run(coarse_ops):
     # reference counting alone must free every held factor when the run
     # returns, or the factors of earlier in-process runs stay resident
     def held():
-        return sum(isinstance(o, (fluid.KeptFactor, StepFactors)) for o in gc.get_objects())
+        return sum(isinstance(o, fluid.KeptFactor) for o in gc.get_objects())
 
     gc.collect()
     before = held()
