@@ -292,39 +292,30 @@ def assemble_boundary_laplace_beltrami(mesh: Mesh) -> sp.csr_matrix:
     return _periodic_loop_matrix(mesh, _laplace_beltrami_entries)
 
 
-def _velocity_at_quad(work: _Workspace, ns: int, u: np.ndarray) -> np.ndarray:
-    """Velocity values at quadrature points, shape (nt, nq, 2)."""
-    u_local = np.stack([u[:ns], u[ns:]], axis=-1)[work.tri_p2]  # (nt, 6, 2)
-    return work.p2_q @ u_local
-
-
 def _skew(local: np.ndarray) -> np.ndarray:
     return 0.5 * (local - local.transpose(0, 2, 1))
 
 
-def assemble_convection(ops: OperatorSet, u: np.ndarray) -> sp.csr_matrix:
-    """Skew-symmetric P1 convection operator for a P2 velocity field.
+def assemble_convection(ops: OperatorSet, u: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Skew-symmetric convection operators ``(C, C_u)`` of a P2 velocity field.
 
-    ``C = (N - N') / 2`` with ``N_ij = integral (u . grad phi_j) phi_i``,
-    skew-symmetrised per element, so ``C' = -C`` bitwise and ``x' C x = 0``
-    for every x and every u.
+    ``C`` is the P1 operator ``(N - N') / 2`` with ``N_ij = integral
+    (u . grad phi_j) phi_i``, and ``C_u`` the P2 block of the same form,
+    applied per velocity component.  Both are skew-symmetrised per element,
+    so ``C' = -C`` bitwise and ``x' C x = 0`` for every x and every u, and
+    both use one evaluation of u at the quadrature points.
     """
     work = ops._work
-    uq = _velocity_at_quad(work, ops.vspace.n_scalar, u)
+    ns = ops.vspace.n_scalar
+    u_local = np.stack([u[:ns], u[ns:]], axis=-1)[work.tri_p2]  # (nt, 6, 2)
+    uq = work.p2_q @ u_local  # (nt, nq, 2)
     # integral of phi_i u over each triangle, then dotted with grad phi_j
     test_u = (work.w_lam_t @ uq) * work.areas[:, None, None]  # (nt, 3, 2)
-    local = test_u @ work.dlam.transpose(0, 2, 1)
-    return work.p1.scatter(_skew(local))
-
-
-def assemble_convection_velocity(ops: OperatorSet, u: np.ndarray) -> sp.csr_matrix:
-    """Skew-symmetric P2 convection block, applied per velocity component."""
-    work = ops._work
-    uq = _velocity_at_quad(work, ops.vspace.n_scalar, u)
+    C = work.p1.scatter(_skew(test_u @ work.dlam.transpose(0, 2, 1)))
     # u . grad N_b at the quadrature points, then the weighted test values
     u_grad = (work.p2_grad @ uq[..., None])[..., 0]  # (nt, nq, 6)
     local = (work.w_p2_t @ u_grad) * work.areas[:, None, None]
-    return work.scatter_pair(_skew(local))
+    return C, work.scatter_pair(_skew(local))
 
 
 def assemble_chemotaxis_rhs(ops: OperatorSet, n: np.ndarray, c: np.ndarray, g) -> np.ndarray:

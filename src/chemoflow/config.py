@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,21 +117,35 @@ def _is_leaf_dict(path: str) -> bool:
     return path in ("params.f", "params.g", "initial.c", "initial.n", "initial.u")
 
 
-def _require_number(d, key, problems, positive=False, minimum=None, integer=False):
-    val = d.get(key)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        problems.append((key, f"expected a number, got {val!r}"))
+def _require_number(val, path, problems, positive=False, minimum=None, integer=False):
+    """``val`` if it is a finite number (not a bool) meeting the bounds, else None with a problem at ``path``."""
+    # the comparison also rejects nan, and integers too large for a float
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
+        problems.append((path, f"expected a finite number, got {val!r}"))
         return None
     if integer and int(val) != val:
-        problems.append((key, f"expected an integer, got {val!r}"))
+        problems.append((path, f"expected an integer, got {val!r}"))
         return None
     if positive and not val > 0:
-        problems.append((key, f"must be positive, got {val}"))
+        problems.append((path, f"must be positive, got {val}"))
         return None
     if minimum is not None and val < minimum:
-        problems.append((key, f"must be >= {minimum}, got {val}"))
+        problems.append((path, f"must be >= {minimum}, got {val}"))
         return None
     return val
+
+
+def _require_vector(val, path, problems):
+    """``val`` as a tuple of two floats, else None with a problem at ``path`` or at a bad entry."""
+    if not (isinstance(val, (list, tuple)) and len(val) == 2):
+        problems.append((path, f"expected a 2-vector, got {val!r}"))
+        return None
+    entries = [_require_number(v, f"{path}[{i}]", problems) for i, v in enumerate(val)]
+    return None if None in entries else tuple(float(v) for v in entries)
+
+
+# the numeric parameters of each field preset
+PRESET_NUMBERS = {"constant": ("value",), "gaussian": ("amplitude", "width_sq"), "swirl": ("amplitude", "radius")}
 
 
 def _validate_field_spec(spec, path, presets, problems, base_dir):
@@ -141,6 +156,11 @@ def _validate_field_spec(spec, path, presets, problems, base_dir):
     if preset not in presets:
         problems.append((f"{path}.preset", f"unknown preset {preset!r}; choose from {presets}"))
         return
+    for key in PRESET_NUMBERS.get(preset, ()):
+        if key in spec:
+            _require_number(spec[key], f"{path}.{key}", problems, positive=key == "width_sq")
+    if preset == "gaussian" and "center" in spec:
+        _require_vector(spec["center"], f"{path}.center", problems)
     if preset == "file":
         p = spec.get("path")
         if not isinstance(p, str):
@@ -172,31 +192,31 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
     merged = _merge_defaults(raw, DEFAULTS, "", problems)
 
     mesh = merged["mesh"]
-    radius = _require_number(mesh, "radius", problems, positive=True)
-    target_h = _require_number(mesh, "target_h", problems, positive=True)
+    radius = _require_number(mesh["radius"], "mesh.radius", problems, positive=True)
+    target_h = _require_number(mesh["target_h"], "mesh.target_h", problems, positive=True)
     if radius and target_h and not target_h < radius:
         problems.append(("mesh.target_h", f"must be smaller than the radius {radius}"))
-    _require_number(mesh, "first_ring", problems, integer=True, minimum=3)
+    _require_number(mesh["first_ring"], "mesh.first_ring", problems, integer=True, minimum=3)
 
     time = merged["time"]
-    _require_number(time, "T", problems, positive=True)
-    n_steps = _require_number(time, "N", problems, integer=True, minimum=1)
+    _require_number(time["T"], "time.T", problems, positive=True)
+    n_steps = _require_number(time["N"], "time.N", problems, integer=True, minimum=1)
     if n_steps is not None:
         time["N"] = int(n_steps)
 
     solver = merged["solver"]
     for key in ("inner_tol", "outer_tol", "linear_tol"):
-        _require_number(solver, key, problems, positive=True)
+        _require_number(solver[key], f"solver.{key}", problems, positive=True)
     for key in ("max_inner", "max_outer"):
-        v = _require_number(solver, key, problems, integer=True, minimum=1)
+        v = _require_number(solver[key], f"solver.{key}", problems, integer=True, minimum=1)
         if v is not None:
             solver[key] = int(v)
-    rd = _require_number(solver, "retry_depth", problems, integer=True, minimum=0)
+    rd = _require_number(solver["retry_depth"], "solver.retry_depth", problems, integer=True, minimum=0)
     if rd is not None:
         solver["retry_depth"] = int(rd)
 
     out = merged["output"]
-    stride = _require_number(out, "snapshot_stride", problems, integer=True, minimum=0)
+    stride = _require_number(out["snapshot_stride"], "output.snapshot_stride", problems, integer=True, minimum=0)
     if stride is not None:
         out["snapshot_stride"] = int(stride)
     if not isinstance(out.get("directory"), str):
@@ -204,11 +224,7 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
     if not isinstance(out.get("checkpoints"), bool):
         problems.append(("output.checkpoints", "must be true or false"))
 
-    params = None
-    try:
-        params = _params_from_dict(merged["params"], problems)
-    except (TypeError, ValueError) as exc:
-        problems.append(("params", str(exc)))
+    params = _params_from_dict(merged["params"], problems)
     if params is not None:
         report = validate_params(params)
         for finding in report.errors:
@@ -223,29 +239,26 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
     return RunConfig(raw=merged, params=params, base_dir=Path(base_dir))
 
 
-def _params_from_dict(d: dict, problems: list) -> ModelParams:
-    fd = d.get("f", {})
-    gd = d.get("g", {})
-    if not isinstance(fd, dict) or not isinstance(gd, dict):
-        problems.append(("params.f/g", "response specs must be objects"))
-        fd, gd = {}, {}
+def _params_from_dict(d: dict, problems: list):
+    """The model parameters, or None when a coefficient is not a number."""
+    for key in ("f", "g"):
+        if not isinstance(d[key], dict):
+            problems.append((f"params.{key}", "response spec must be an object"))
+    fd, gd = (d[key] if isinstance(d[key], dict) else {} for key in ("f", "g"))
+    numbers = {key: _require_number(d[key], f"params.{key}", problems) for key in ("alpha", "beta", "xi", "b")}
+    for key, default in (("f0", 0.1), ("f1", 1.0)):
+        numbers[key] = _require_number(fd.get(key, default), f"params.f.{key}", problems)
+    numbers["g1"] = _require_number(gd.get("g1", 0.5), "params.g.g1", problems)
+    grad_sigma = _require_vector(d["grad_sigma"], "params.grad_sigma", problems)
+    if grad_sigma is None or None in numbers.values():
+        return None
     f_extra = {k: v for k, v in fd.items() if k not in ("family", "f0", "f1")}
     g_extra = {k: v for k, v in gd.items() if k not in ("family", "g1")}
-    gs = d.get("grad_sigma", [0.0, -1.0])
-    if not (isinstance(gs, (list, tuple)) and len(gs) == 2):
-        problems.append(("params.grad_sigma", f"expected a 2-vector, got {gs!r}"))
-        gs = (0.0, 0.0)
     return ModelParams(
-        alpha=d.get("alpha", 1.0),
-        beta=d.get("beta", 1.0),
-        xi=d.get("xi", 1.0),
-        b=d.get("b", 1.0),
-        grad_sigma=tuple(float(v) for v in gs),
-        f0=fd.get("f0", 0.1),
-        f1=fd.get("f1", 1.0),
-        g1=gd.get("g1", 0.5),
+        grad_sigma=grad_sigma,
         f_spec=ResponseSpec(fd.get("family", "saturating"), f_extra),
         g_spec=ResponseSpec(gd.get("family", "saturating"), g_extra),
+        **numbers,
     )
 
 
@@ -273,7 +286,18 @@ def apply_overrides(raw: dict, assignments) -> dict:
     return out
 
 
-def build_scalar_field(spec: dict, mesh, base_dir=Path(".")) -> np.ndarray:
+def _file_values(spec: dict, base_dir, key: str, size: int) -> np.ndarray:
+    """The ``size`` numbers of a ``file`` preset; a file holding anything else is a problem at ``key``."""
+    try:
+        vals = np.loadtxt(Path(base_dir) / spec["path"])
+    except ValueError as exc:
+        raise ConfigError([(key, f"field file {spec['path']} does not hold numbers: {exc}")]) from exc
+    if vals.shape != (size,):
+        raise ConfigError([(key, f"field file has {vals.shape} values, need {size}")])
+    return vals
+
+
+def build_scalar_field(spec: dict, mesh, base_dir, key: str) -> np.ndarray:
     x, y = mesh.vertices.T
     preset = spec["preset"]
     if preset == "zero":
@@ -286,14 +310,11 @@ def build_scalar_field(spec: dict, mesh, base_dir=Path(".")) -> np.ndarray:
         w2 = float(spec.get("width_sq", 0.25))
         return amp * np.exp(-(((x - cx) ** 2 + (y - cy) ** 2) / w2))
     if preset == "file":
-        vals = np.loadtxt(Path(base_dir) / spec["path"])
-        if vals.shape != (mesh.n_vertices,):
-            raise ConfigError([("initial", f"field file has {vals.shape} values, mesh needs {mesh.n_vertices}")])
-        return vals
-    raise ConfigError([("initial", f"unknown scalar preset {preset!r}")])
+        return _file_values(spec, base_dir, key, mesh.n_vertices)
+    raise ConfigError([(key, f"unknown scalar preset {preset!r}")])
 
 
-def build_velocity_field(spec: dict, ops, params, n0: np.ndarray, base_dir=Path(".")) -> np.ndarray:
+def build_velocity_field(spec: dict, ops, params, n0: np.ndarray, base_dir) -> np.ndarray:
     preset = spec["preset"]
     if preset == "zero":
         return np.zeros(ops.vspace.n_velocity)
@@ -312,10 +333,7 @@ def build_velocity_field(spec: dict, ops, params, n0: np.ndarray, base_dir=Path(
 
         return ops.vspace.interpolate(vel)
     if preset == "file":
-        vals = np.loadtxt(Path(base_dir) / spec["path"])
-        if vals.shape != (ops.vspace.n_velocity,):
-            raise ConfigError([("initial.u", f"velocity file has {vals.shape} values, need {ops.vspace.n_velocity}")])
-        return vals
+        return _file_values(spec, base_dir, "initial.u", ops.vspace.n_velocity)
     raise ConfigError([("initial.u", f"unknown velocity preset {preset!r}")])
 
 
@@ -323,7 +341,7 @@ def build_initial_state(cfg: RunConfig, ops):
     """Evaluate the configured initial fields on the mesh."""
     from .timestepping import initial_state
 
-    c0 = build_scalar_field(cfg.initial["c"], ops.mesh, cfg.base_dir)
-    n0 = build_scalar_field(cfg.initial["n"], ops.mesh, cfg.base_dir)
+    c0 = build_scalar_field(cfg.initial["c"], ops.mesh, cfg.base_dir, "initial.c")
+    n0 = build_scalar_field(cfg.initial["n"], ops.mesh, cfg.base_dir, "initial.n")
     u0 = build_velocity_field(cfg.initial["u"], ops, cfg.params, n0, cfg.base_dir)
     return initial_state(ops, c0, n0, u0)

@@ -9,8 +9,9 @@ convecting velocity, which leaves the sparse block system
 over interior velocity dofs, where A = M + k xi K + k C(u_hat) has a positive
 definite symmetric part, B is the discrete divergence, and s scales the
 pressure gradient (the step size k for a time step, 1 for a plain
-projection).  The velocity vanishes on the boundary, so the divergence rows
-are linearly dependent and the pressure is fixed only up to a constant: the
+projection).  The step solver builds ``A`` and ``r``; this module owns the
+solve.  The velocity vanishes on the boundary, so the divergence rows are
+linearly dependent and the pressure is fixed only up to a constant: the
 solve pins pressure dof 0 (drops its row and column) and afterwards shifts
 the pressure to zero mean against the P1 basis integrals.
 
@@ -31,31 +32,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import OperatorSet, assemble_convection_velocity
+from .assembly import OperatorSet
 
 
 class LinearSolveError(Exception):
     """A sparse factorisation failed or a solve left too large a residual."""
-
-
-def build_saddle_system(
-    ops: OperatorSet,
-    u_hat: np.ndarray,
-    n: np.ndarray,
-    u_prev: np.ndarray,
-    k: float,
-    params,
-):
-    """Velocity operator and load of the implicit step.
-
-    Returns ``(A, rhs)`` with ``A = M + k xi K + k C(u_hat)`` and
-    ``rhs = k (n grad_sigma, .) + M u_prev``, both on the full dof set; the
-    pressure gradient enters the solve with scale k.
-    """
-    C = assemble_convection_velocity(ops, u_hat)
-    A = ops._work.p2_pair.matrix(ops.M_u.data + k * params.xi * ops.K_u.data + k * C.data)
-    force = ops.buoyancy_load(n, np.asarray(params.grad_sigma, dtype=float))
-    return A, k * force + ops.M_u @ u_prev
 
 
 def factorise(matrix, what: str):

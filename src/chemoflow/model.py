@@ -47,9 +47,10 @@ def make_consumption(spec: ResponseSpec, f0: float, f1: float):
 def make_sensitivity(spec: ResponseSpec, g1: float):
     """Vectorised sensitivity (n, c) -> g(n, c) with |g| <= g1."""
     if spec.family == "constant":
-        theta = float(spec.params.get("theta", 1.0))
-        if abs(theta) > 1.0:
-            raise ValueError("sensitivity 'constant' needs |theta| <= 1")
+        theta = spec.params.get("theta", 1.0)
+        if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not abs(theta) <= 1.0:
+            raise ValueError(f"sensitivity 'constant' needs a number theta with |theta| <= 1, got {theta!r}")
+        theta = float(theta)
 
         def g_const(n, c):
             n = np.asarray(n, dtype=float)

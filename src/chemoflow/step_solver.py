@@ -19,11 +19,12 @@ The oxygen equation carries the dynamic boundary condition: its mass and
 stiffness include the boundary operators scaled by alpha/b, so the boundary
 trace evolves with its own surface diffusion driven by the bulk flux.
 
-Each solve corrects around its block's held factor from the iterate it
-replaces; step matrices add fixed-pattern data in the order of the sparse sums.
-Factors live one step attempt, except the never-changed factor of the
-convection-free saddle ``M + k xi K``, one per step size: the step saddles
-differ from it by the skew convection block alone.
+The step matrices of one frozen velocity are one ``StepSystem``, built from
+one convection assembly; the inner loop, the fluid solve and the residual
+check read it.  Each solve corrects around its block's held factor from the
+iterate it replaces.  Factors live one step attempt, except the never-changed
+factor of the convection-free saddle ``M + k xi K``, one per step size: the
+step saddles differ from it by the skew convection block alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import OperatorSet, assemble_chemotaxis_rhs, assemble_convection
-from .fluid import KeptFactor, build_saddle_system, solve_saddle, stokes_factor
+from .fluid import KeptFactor, solve_saddle, stokes_factor
 
 
 @dataclass(frozen=True)
@@ -102,19 +103,32 @@ class SolverOptions:
             raise ValueError("iteration limits must be >= 1")
 
 
-def c_system_matrix(ops: OperatorSet, params, k: float, convection: sp.csr_matrix) -> sp.csr_matrix:
-    """Left side of the oxygen step, boundary evolution included."""
+@dataclass(frozen=True)
+class StepSystem:
+    """The step matrices of the oxygen, cell and fluid blocks at one frozen velocity ``u``."""
+
+    u: np.ndarray
+    oxygen: sp.csr_matrix  # boundary evolution included
+    cells: sp.csr_matrix
+    fluid: sp.csr_matrix  # M + k xi K + k C(u) on the full velocity dof set
+
+
+def step_system(ops: OperatorSet, params, k: float, u: np.ndarray) -> StepSystem:
+    """Step matrices of step size ``k`` at ``u``, each summing pattern data in its sparse sum's order."""
+    work = ops._work
+    C, C_u = assemble_convection(ops, u)
     a_ob = params.alpha / params.b
     data = ops.M_vol.data.copy()
-    data[ops._work.loop_slot] += a_ob * ops.M_bnd_global.data
+    data[work.loop_slot] += a_ob * ops.M_bnd_global.data
     data += k * params.alpha * ops.K_vol.data
-    data[ops._work.loop_slot] += k * a_ob * ops.K_bnd_global.data
-    data += k * convection.data
-    return ops._work.p1.matrix(data)
-
-
-def n_system_matrix(ops: OperatorSet, params, k: float, convection: sp.csr_matrix) -> sp.csr_matrix:
-    return ops._work.p1.matrix(ops.M_vol.data + k * params.beta * ops.K_vol.data + k * convection.data)
+    data[work.loop_slot] += k * a_ob * ops.K_bnd_global.data
+    data += k * C.data
+    return StepSystem(
+        u=u,
+        oxygen=work.p1.matrix(data),
+        cells=work.p1.matrix(ops.M_vol.data + k * params.beta * ops.K_vol.data + k * C.data),
+        fluid=work.p2_pair.matrix(ops.M_u.data + k * params.xi * ops.K_u.data + k * C_u.data),
+    )
 
 
 def c_step_rhs(ops: OperatorSet, params, inputs: StepInputs, c_hat, n_hat, consumption_fn):
@@ -132,6 +146,12 @@ def n_step_rhs(ops: OperatorSet, inputs: StepInputs, c, n_hat, sensitivity_fn):
     return ops.M_vol @ inputs.n_prev + inputs.dt * assemble_chemotaxis_rhs(ops, n_hat, c, sensitivity_fn)
 
 
+def u_step_rhs(ops: OperatorSet, params, inputs: StepInputs, n):
+    """Load of the fluid step on the full velocity dof set: the buoyancy of ``n`` plus ``M u_prev``."""
+    force = ops.buoyancy_load(n, np.asarray(params.grad_sigma, dtype=float))
+    return inputs.dt * force + ops.M_u @ inputs.u_prev
+
+
 def _pair_update_norm(ops, dc, dn, c, n):
     num = np.sqrt(ops.scalar_norm_sq(dc) + ops.scalar_norm_sq(dn))
     den = np.sqrt(ops.scalar_norm_sq(c) + ops.scalar_norm_sq(n))
@@ -140,7 +160,7 @@ def _pair_update_norm(ops, dc, dn, c, n):
 
 def picard_inner(
     inputs: StepInputs,
-    u_hat: np.ndarray,
+    system: StepSystem,
     params,
     ops: OperatorSet,
     tol: float = 1e-11,
@@ -148,7 +168,7 @@ def picard_inner(
     initial_guess=None,
     factors=None,
 ):
-    """Iterate the frozen-coefficient (c, n) map to its fixed point.
+    """Iterate the (c, n) map of the frozen-velocity ``system`` to its fixed point.
 
     Starts from the previous-step fields unless a warmer guess is supplied,
     and solves through the ``(oxygen, cells)`` factor pair ``factors`` or
@@ -158,11 +178,7 @@ def picard_inner(
     inputs.validate(ops)
     if not tol > 0 or max_iter < 1:
         raise ValueError("need tol > 0, max_iter >= 1")
-    k = inputs.dt
     oxygen, cells = factors or (KeptFactor("oxygen"), KeptFactor("cell-density"))
-    C = assemble_convection(ops, u_hat)
-    A_c = c_system_matrix(ops, params, k, C)
-    A_n = n_system_matrix(ops, params, k, C)
     f = params.consumption()
     g = params.sensitivity()
 
@@ -175,9 +191,9 @@ def picard_inner(
     linear_tol = min(tol, 1e-10)
     for it in range(1, max_iter + 1):
         rhs_c = c_step_rhs(ops, params, inputs, c_hat, n_hat, f)
-        c = oxygen.solve(A_c, rhs_c, linear_tol, c_hat)
+        c = oxygen.solve(system.oxygen, rhs_c, linear_tol, c_hat)
         rhs_n = n_step_rhs(ops, inputs, c, n_hat, g)
-        n = cells.solve(A_n, rhs_n, linear_tol, n_hat)
+        n = cells.solve(system.cells, rhs_n, linear_tol, n_hat)
         num, den = _pair_update_norm(ops, c - c_hat, n - n_hat, c, n)
         diag.inner_iterations = it
         diag.residual_history.append(num / den if den > 0 else num)
@@ -188,24 +204,20 @@ def picard_inner(
     return c_hat, n_hat, diag
 
 
-def step_residual(ops: OperatorSet, params, inputs: StepInputs, c, n, u, p) -> float:
-    """Relative residual of the fully coupled nonlinear step at (c, n, u, p).
+def step_residual(ops: OperatorSet, params, inputs: StepInputs, system: StepSystem, c, n, p) -> float:
+    """Relative residual of the fully coupled nonlinear step at (c, n, u, p), ``u = system.u``.
 
-    Each block is ``matrix @ x - rhs`` from the matrix and load functions the
-    solve uses, with every frozen coefficient evaluated at (c, n, u) itself.
+    Each block is ``matrix @ x - rhs`` from the matrices and loads the solve
+    uses, with every frozen coefficient evaluated at (c, n, u) itself.
     """
     k = inputs.dt
-    C = assemble_convection(ops, u)
-    r_c = c_system_matrix(ops, params, k, C) @ c - c_step_rhs(
-        ops, params, inputs, c, n, params.consumption()
-    )
-    r_n = n_system_matrix(ops, params, k, C) @ n - n_step_rhs(
-        ops, inputs, c, n, params.sensitivity()
-    )
-    A_u, rhs_u = build_saddle_system(ops, u, n, inputs.u_prev, k, params)
+    u = system.u
+    r_c = system.oxygen @ c - c_step_rhs(ops, params, inputs, c, n, params.consumption())
+    r_n = system.cells @ n - n_step_rhs(ops, inputs, c, n, params.sensitivity())
+    rhs_u = u_step_rhs(ops, params, inputs, n)
     idx = ops.vspace.interior_velocity
     M_u_prev = ops.M_u @ inputs.u_prev
-    r_u = (A_u @ u - k * (ops.B.T @ p) - rhs_u)[idx]
+    r_u = (system.fluid @ u - k * (ops.B.T @ p) - rhs_u)[idx]
     r_div = ops.B @ u
     num = np.sqrt(
         np.sum(r_c**2) + np.sum(r_n**2) + np.sum(r_u**2) + np.sum(r_div**2)
@@ -253,15 +265,16 @@ def outer_step(
         stokes[k] = stokes_factor(ops, params.xi, k)
     factors = (KeptFactor("oxygen"), KeptFactor("cell-density"))
     fluid = KeptFactor("saddle", stokes[k])
-    u_hat = np.asarray(inputs.u_prev, dtype=float)
+    # the residual check and the next outer iteration share each new velocity's system
+    system = step_system(ops, params, k, np.asarray(inputs.u_prev, dtype=float))
     guess = None
     diag = FixedPointDiagnostics()
     c = n = None
-    u, p = u_hat, np.zeros(ops.mesh.n_vertices)
+    u, p = system.u, np.zeros(ops.mesh.n_vertices)
     for it in range(1, options.max_outer + 1):
         c, n, inner = picard_inner(
             inputs,
-            u_hat,
+            system,
             params,
             ops,
             tol=options.inner_tol,
@@ -272,19 +285,19 @@ def outer_step(
         guess = (c, n)
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)
-        A, rhs = build_saddle_system(ops, u_hat, n, inputs.u_prev, k, params)
-        u, p = solve_saddle(ops, A, rhs, k, tol=options.linear_tol, factor=fluid, guess=(u_hat, p))
-        num = np.sqrt(ops.velocity_norm_sq(u - u_hat))
+        rhs = u_step_rhs(ops, params, inputs, n)
+        u, p = solve_saddle(ops, system.fluid, rhs, k, tol=options.linear_tol, factor=fluid, guess=(system.u, p))
+        num = np.sqrt(ops.velocity_norm_sq(u - system.u))
         den = np.sqrt(ops.velocity_norm_sq(u))
         diag.outer_iterations = it
         diag.residual_history.append(num / den if den > 0 else num)
-        u_hat = u
+        system = step_system(ops, params, k, u)
         if inner.converged and num <= options.outer_tol * den:
-            residual = step_residual(ops, params, inputs, c, n, u, p)
+            residual = step_residual(ops, params, inputs, system, c, n, p)
             diag.final_residual = residual
             if residual <= max(options.outer_tol, 10 * options.linear_tol):
                 diag.converged = True
                 break
     if not diag.converged and c is not None and np.isnan(diag.final_residual):
-        diag.final_residual = step_residual(ops, params, inputs, c, n, u, p)
+        diag.final_residual = step_residual(ops, params, inputs, system, c, n, p)
     return StepResult(c=c, n=n, u=u, p=p, diagnostics=diag)

@@ -14,7 +14,6 @@ from chemoflow.assembly import (
     assemble_boundary_mass,
     assemble_chemotaxis_rhs,
     assemble_convection,
-    assemble_convection_velocity,
     build_operators,
 )
 from chemoflow.energy import (
@@ -28,7 +27,7 @@ from chemoflow.energy import (
     uniform_bound_scan,
 )
 from chemoflow.geometry import build_disc_mesh
-from chemoflow.step_solver import SolverOptions, StepInputs, outer_step, picard_inner
+from chemoflow.step_solver import SolverOptions, StepInputs, outer_step, picard_inner, step_system
 from chemoflow.timestepping import TimeGrid, initial_state, interpolant_step_gap, run
 
 from conftest import BENCH_PARAMS, bench_initial
@@ -87,7 +86,7 @@ def test_criterion_01_skew_convection_identity(bench_ops):
     for _ in range(100):
         u = bench_ops.vspace.zero_boundary(rng.standard_normal(bench_ops.vspace.n_velocity))
         c = rng.standard_normal(bench_ops.mesh.n_vertices)
-        C = assemble_convection(bench_ops, u)
+        C, _ = assemble_convection(bench_ops, u)
         bound = 1e-12 * (c @ c) * np.max(np.abs(u))
         val = abs(c @ (C @ c))
         worst = max(worst, val / bound)
@@ -196,7 +195,9 @@ def test_criterion_08_step_size_regime(bench_ops, bench_state0):
             dt=k,
         )
 
-    c, n, small = picard_inner(inputs_for(0.01), bench_state0.u, BENCH_PARAMS, bench_ops, tol=1e-11)
+    c, n, small = picard_inner(
+        inputs_for(0.01), step_system(bench_ops, BENCH_PARAMS, 0.01, bench_state0.u), BENCH_PARAMS, bench_ops, tol=1e-11
+    )
     result = outer_step(inputs_for(0.01), BENCH_PARAMS, bench_ops, SolverOptions())
     ok_small = (
         small.converged
@@ -205,7 +206,12 @@ def test_criterion_08_step_size_regime(bench_ops, bench_state0):
         and result.diagnostics.outer_iterations <= BASELINE_OUTER_ITERS
     )
     _, _, big = picard_inner(
-        inputs_for(10.0), bench_state0.u, BENCH_PARAMS, bench_ops, tol=1e-11, max_iter=200
+        inputs_for(10.0),
+        step_system(bench_ops, BENCH_PARAMS, 10.0, bench_state0.u),
+        BENCH_PARAMS,
+        bench_ops,
+        tol=1e-11,
+        max_iter=200,
     )
     ok_big = (not big.converged) or big.inner_iterations >= 5 * small.inner_iterations
     report(
@@ -278,8 +284,7 @@ def dense_newton_step(ops, params, inputs, tol=1e-12, max_iter=40):
         u[idx] = z[2 * nv : 2 * nv + n_u]
         p = z[2 * nv + n_u : 3 * nv + n_u]
         lam = z[-1]
-        Cs = assemble_convection(ops, u)
-        Cu = assemble_convection_velocity(ops, u)
+        Cs, Cu = assemble_convection(ops, u)
         r_c = (
             ops.M_vol @ c
             + a_ob * (ops.M_bnd_global @ c)

@@ -12,7 +12,6 @@ from chemoflow.assembly import (
     assemble_boundary_mass,
     assemble_chemotaxis_rhs,
     assemble_convection,
-    assemble_convection_velocity,
     build_operators,
 )
 from chemoflow.geometry import MeshError, build_disc_mesh, mesh_from_arrays
@@ -140,7 +139,7 @@ def test_laplace_beltrami_spectrum():
 
 def test_convection_zero_velocity(coarse_ops):
     u = np.zeros(coarse_ops.vspace.n_velocity)
-    C = assemble_convection(coarse_ops, u)
+    C, _ = assemble_convection(coarse_ops, u)
     assert C.nnz == 0 or np.max(np.abs(C.data)) == 0.0
 
 
@@ -150,9 +149,8 @@ def test_convection_skew_identity(coarse_ops):
     for _ in range(10):
         u = coarse_ops.vspace.zero_boundary(rng.standard_normal(2 * ns))
         c = rng.standard_normal(coarse_ops.mesh.n_vertices)
-        C = assemble_convection(coarse_ops, u)
+        C, Cu = assemble_convection(coarse_ops, u)
         assert abs(c @ (C @ c)) <= 1e-12 * (c @ c) * np.max(np.abs(u))
-        Cu = assemble_convection_velocity(coarse_ops, u)
         x = rng.standard_normal(2 * ns)
         assert abs(x @ (Cu @ x)) <= 1e-12 * (x @ x) * max(np.max(np.abs(u)), 1)
 
@@ -166,7 +164,7 @@ def test_convection_constant_field(coarse_ops):
     mesh = coarse_ops.mesh
     vs = coarse_ops.vspace
     u = vs.zero_boundary(vs.interpolate(lambda x, y: (-y, x)))
-    C = assemble_convection(coarse_ops, u)
+    C, _ = assemble_convection(coarse_ops, u)
     const = np.full(mesh.n_vertices, 3.7)
     r = C @ const
     on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
@@ -246,8 +244,8 @@ def test_assembly_deterministic():
         assert np.array_equal(x.toarray(), y.toarray())
     rng = np.random.default_rng(4)
     u = a.vspace.zero_boundary(rng.standard_normal(a.vspace.n_velocity))
-    c1 = assemble_convection(a, u)
-    c2 = assemble_convection(a, u)
+    c1, _ = assemble_convection(a, u)
+    c2, _ = assemble_convection(a, u)
     assert np.array_equal(c1.toarray(), c2.toarray())
 
 
@@ -328,7 +326,7 @@ def test_convection_skew_is_exact(coarse_ops):
     rng = np.random.default_rng(21)
     for _ in range(3):
         u = rng.standard_normal(coarse_ops.vspace.n_velocity)
-        for C in (assemble_convection(coarse_ops, u), assemble_convection_velocity(coarse_ops, u)):
+        for C in assemble_convection(coarse_ops, u):
             S = (C + C.T).toarray()
             assert np.array_equal(S, np.zeros_like(S))
             assert np.max(np.abs(C.data)) > 0
@@ -338,8 +336,7 @@ def test_convection_matches_dense_reference(coarse_ops):
     rng = np.random.default_rng(22)
     u = rng.standard_normal(coarse_ops.vspace.n_velocity)
     ref1, ref2 = dense_convection_reference(coarse_ops, u)
-    for C, ref in ((assemble_convection(coarse_ops, u), ref1),
-                   (assemble_convection_velocity(coarse_ops, u), ref2)):
+    for C, ref in zip(assemble_convection(coarse_ops, u), (ref1, ref2)):
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(C.toarray() - ref)) <= 1e-14 * scale
 

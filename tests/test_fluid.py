@@ -4,19 +4,24 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from chemoflow import fluid
-from chemoflow.assembly import assemble_convection, assemble_convection_velocity, build_operators
+from chemoflow.assembly import assemble_convection, build_operators
 from chemoflow.fluid import (
     KeptFactor,
-    build_saddle_system,
     project_divergence_free,
     solve_saddle,
 )
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams
-from chemoflow.step_solver import StepInputs, c_system_matrix, n_system_matrix, outer_step, picard_inner
+from chemoflow.step_solver import StepInputs, outer_step, picard_inner, step_system, u_step_rhs
 
 
 PARAMS = ModelParams()
+
+
+def saddle_system(ops, u_hat, n, u_prev, k, params):
+    """The fluid step's velocity matrix at ``u_hat`` and its load from ``n`` and ``u_prev``."""
+    inputs = StepInputs(c_prev=n, n_prev=n, u_prev=u_prev, dt=k)
+    return step_system(ops, params, k, u_hat).fluid, u_step_rhs(ops, params, inputs, n)
 
 
 def fluid_step(ops, n, q, k, params):
@@ -30,7 +35,7 @@ def fluid_step(ops, n, q, k, params):
 def test_zero_rhs_gives_zero(coarse_ops):
     u0 = np.zeros(coarse_ops.vspace.n_velocity)
     n0 = np.zeros(coarse_ops.mesh.n_vertices)
-    A, rhs = build_saddle_system(coarse_ops, u0, n0, u0, 0.01, PARAMS)
+    A, rhs = saddle_system(coarse_ops, u0, n0, u0, 0.01, PARAMS)
     u, p = solve_saddle(coarse_ops, A, rhs, 0.01)
     assert np.max(np.abs(u)) == 0.0
     assert np.max(np.abs(p)) == 0.0
@@ -43,7 +48,7 @@ def test_constant_buoyancy_is_hydrostatic(coarse_ops):
     n = np.full(ops.mesh.n_vertices, 2.0)
     u0 = np.zeros(ops.vspace.n_velocity)
     k = 0.05
-    A, rhs = build_saddle_system(ops, u0, n, u0, k, PARAMS)
+    A, rhs = saddle_system(ops, u0, n, u0, k, PARAMS)
     u, p = solve_saddle(ops, A, rhs, k)
     assert np.sqrt(ops.velocity_norm_sq(u)) < 1e-10
     # pressure equals -2*y up to the mean-zero shift
@@ -63,7 +68,7 @@ def test_dense_saddle_oracle(coarse_ops):
     )
     k = 0.02
     u_hat = q
-    A_full, rhs_full = build_saddle_system(ops, u_hat, n, q, k, PARAMS)
+    A_full, rhs_full = saddle_system(ops, u_hat, n, q, k, PARAMS)
     u, p = solve_saddle(ops, A_full, rhs_full, k)
 
     idx = ops.vspace.interior_velocity
@@ -114,7 +119,7 @@ def random_step_system(ops, params, k, amplitude, seed, q_scale=1.0):
     q = project_divergence_free(
         ops.vspace.zero_boundary(amplitude * rng.standard_normal(ops.vspace.n_velocity)), ops
     )
-    return build_saddle_system(ops, q_scale * q, n, q, k, params)
+    return saddle_system(ops, q_scale * q, n, q, k, params)
 
 
 def test_saddle_cache_matches_direct_solve(coarse_ops, monkeypatch):
@@ -231,7 +236,7 @@ def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
     base, stalled = made
     held = (KeptFactor("oxygen"), KeptFactor("cell-density"))
     other = StepInputs(c_prev=2 * c, n_prev=n, u_prev=u_prev, dt=k)
-    picard_inner(other, u_prev, params, ops, factors=held)
+    picard_inner(other, step_system(ops, params, other.dt, u_prev), params, ops, factors=held)
     assert held[0].lu is not None and held[1].lu is not None
     base_solves = base.solves
     result = outer_step(inputs, params, ops, stokes=stokes)
@@ -255,7 +260,7 @@ def test_kinetic_energy_identity(coarse_ops):
             ops.vspace.zero_boundary(rng.standard_normal(ops.vspace.n_velocity)), ops
         )
         k = 0.03
-        A, load = build_saddle_system(ops, u_hat, n, q, k, PARAMS)
+        A, load = saddle_system(ops, u_hat, n, q, k, PARAMS)
         u, p = solve_saddle(ops, A, load, k)
         force = ops.buoyancy_load(n, np.asarray(PARAMS.grad_sigma))
         lhs = (
@@ -331,7 +336,7 @@ def test_skew_convection_annihilates_constants_for_divfree_velocity(coarse_ops):
     u = project_divergence_free(
         ops.vspace.zero_boundary(ops.vspace.interpolate(lambda x, y: (-y, x))), ops
     )
-    C = assemble_convection(ops, u)
+    C, _ = assemble_convection(ops, u)
     const = np.full(ops.mesh.n_vertices, 3.7)
     assert np.max(np.abs(C @ const)) < 1e-10
     ones = np.ones(ops.mesh.n_vertices)
@@ -356,14 +361,15 @@ def test_step_matrices_equal_the_sparse_sums():
     params = ModelParams(alpha=0.3, beta=0.7, xi=0.5, b=2.0)
     k = 0.015625
     u = ops.vspace.zero_boundary(ops.vspace.interpolate(lambda x, y: (-y + 0.3 * x * x, x - 0.2 * y)))
-    C = assemble_convection(ops, u)
+    C, C_u = assemble_convection(ops, u)
+    system = step_system(ops, params, k, u)
     a_ob = params.alpha / params.b
     expected_c = ops.M_vol + a_ob * ops.M_bnd_global + k * params.alpha * ops.K_vol + k * a_ob * ops.K_bnd_global + k * C
-    assert_dense_equal(c_system_matrix(ops, params, k, C), expected_c)
-    assert_dense_equal(n_system_matrix(ops, params, k, C), ops.M_vol + k * params.beta * ops.K_vol + k * C)
+    assert_dense_equal(system.oxygen, expected_c)
+    assert_dense_equal(system.cells, ops.M_vol + k * params.beta * ops.K_vol + k * C)
 
-    A, _ = build_saddle_system(ops, u, np.ones(mesh.n_vertices), u, k, params)
-    expected_A = ops.M_u + k * params.xi * ops.K_u + k * assemble_convection_velocity(ops, u)
+    A = system.fluid
+    expected_A = ops.M_u + k * params.xi * ops.K_u + k * C_u
     assert_dense_equal(A, expected_A)
     idx = ops.vspace.interior_velocity
     B = ops.B[:, idx].tocsr()

@@ -47,7 +47,7 @@ def test_config_zero_steps_rejected(tmp_path):
     path = write_config(tmp_path, {"time": {"N": 0}})
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert any(k == "N" for k, _ in exc.value.problems)
+    assert any(k == "time.N" for k, _ in exc.value.problems)
 
 
 def test_config_collects_all_errors(tmp_path):
@@ -173,6 +173,43 @@ def test_cli_bad_response_family_exits_config(tmp_path, capsys, response):
     assert "response-family" in capsys.readouterr().out
     assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
     assert "response-family" in capsys.readouterr().err
+
+
+# an override and the key path its problem names; validation finds every one
+# but the file preset's contents, which only the run reads
+BAD_INPUTS = [
+    ("params.alpha=abc", "params.alpha"),
+    ("params.f.f0=abc", "params.f.f0"),
+    ("params.g.g1=null", "params.g.g1"),
+    ("params.xi=true", "params.xi"),
+    ("params.b=1e999", "params.b"),
+    ('params.g={"family": "constant", "theta": null}', "params (response-family)"),
+    ("params.f=[1]", "params.f"),
+    ("params.grad_sigma=[0, true]", "params.grad_sigma[1]"),
+    ("mesh.radius=abc", "mesh.radius"),
+    ("time.N=0", "time.N"),
+    ("initial.c.value=abc", "initial.c.value"),
+    ("initial.n.amplitude=abc", "initial.n.amplitude"),
+    ("initial.n.width_sq=0", "initial.n.width_sq"),
+    ('initial.n.center=[0, "abc"]', "initial.n.center[1]"),
+    ('initial.u={"preset": "swirl", "radius": "abc"}', "initial.u.radius"),
+    ('initial.c={"preset": "file", "path": "bad.txt"}', "initial.c"),
+]
+
+
+@pytest.mark.parametrize("override, key", BAD_INPUTS)
+def test_cli_bad_input_is_a_config_error(tmp_path, capsys, override, key):
+    (tmp_path / "bad.txt").write_text("abc\n")
+    path = write_config(tmp_path, json.loads(BENCHMARK_CONFIG.read_text()))
+    args = ["--config", str(path), "--set", "mesh.target_h=0.5", "--set", override]
+    code = main(["validate", *args])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if key != "initial.c":
+        assert code == 1 and f"ERROR   {key}: " in out
+    assert main(["run", *args, "--output", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert f"ERROR   {key}: " in err and "Traceback" not in out + err
 
 
 def test_cli_mesh_info(capsys):

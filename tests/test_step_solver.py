@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from chemoflow import fluid
+from chemoflow import fluid, step_solver
 from chemoflow.assembly import build_operators
 from chemoflow.config import apply_overrides, build_initial_state, config_from_dict, load_config
 from chemoflow.fluid import project_divergence_free
@@ -17,6 +17,7 @@ from chemoflow.step_solver import (
     outer_step,
     picard_inner,
     step_residual,
+    step_system,
 )
 from chemoflow.timestepping import TimeGrid, run
 
@@ -38,7 +39,7 @@ def test_constant_oxygen_is_steady(coarse_ops):
     ops = coarse_ops
     cbar = 2.5 * np.ones(ops.mesh.n_vertices)
     inputs = make_inputs(ops, c=cbar, dt=0.1)
-    c, _, _ = picard_inner(inputs, inputs.u_prev, NO_TAXIS, ops)
+    c, _, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
     assert np.max(np.abs(c - 2.5)) < 1e-12
 
 
@@ -52,7 +53,7 @@ def test_oxygen_eigenmode_decay(coarse_ops):
     lam, v = eigvals[3], eigvecs[:, 3]
     k = 0.05
     inputs = make_inputs(ops, c=v, dt=k)
-    c, _, _ = picard_inner(inputs, inputs.u_prev, NO_TAXIS, ops)
+    c, _, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
     expected = v / (1.0 + k * NO_TAXIS.alpha * lam)
     assert np.max(np.abs(c - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -65,7 +66,7 @@ def test_oxygen_consistency_order(coarse_ops):
     ks = [1e-2, 1e-3, 1e-4]
     for k in ks:
         inputs = make_inputs(ops, c=h, dt=k)
-        c, _, _ = picard_inner(inputs, inputs.u_prev, NO_TAXIS, ops)
+        c, _, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
         errs.append(np.sqrt(ops.scalar_norm_sq(c - h)))
     slope = np.polyfit(np.log(ks), np.log(errs), 1)[0]
     assert 0.9 <= slope <= 1.1
@@ -76,7 +77,7 @@ def test_cells_constant_steady(coarse_ops):
     nbar = 1.3 * np.ones(ops.mesh.n_vertices)
     cconst = 2.0 * np.ones(ops.mesh.n_vertices)
     inputs = make_inputs(ops, c=cconst, n=nbar, dt=0.1)
-    _, n, _ = picard_inner(inputs, inputs.u_prev, NO_TAXIS, ops)
+    _, n, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
     assert np.max(np.abs(n - 1.3)) < 1e-12
 
 
@@ -86,7 +87,7 @@ def test_cells_heat_eigenmode(coarse_ops):
     lam, v = eigvals[2], eigvecs[:, 2]
     k = 0.05
     inputs = make_inputs(ops, n=v, dt=k)
-    _, n, _ = picard_inner(inputs, inputs.u_prev, NO_TAXIS, ops)
+    _, n, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
     expected = v / (1.0 + k * NO_TAXIS.beta * lam)
     assert np.max(np.abs(n - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -104,7 +105,8 @@ def test_cell_mass_conserved(coarse_ops):
         )
         inputs = make_inputs(ops, c=c, n=l, dt=0.05)
         # sensitivity left on: the chemotaxis flux must be mass-neutral too
-        _, n, _ = picard_inner(inputs, u, PARAMS, ops, initial_guess=(c, n_hat))
+        system = step_system(ops, PARAMS, inputs.dt, u)
+        _, n, _ = picard_inner(inputs, system, PARAMS, ops, initial_guess=(c, n_hat))
         m_new = ones @ (ops.M_vol @ n)
         m_old = ones @ (ops.M_vol @ l)
         assert abs(m_new - m_old) <= 1e-10 * abs(m_old) + 1e-14
@@ -113,7 +115,7 @@ def test_cell_mass_conserved(coarse_ops):
 def test_picard_zero_data(coarse_ops):
     ops = coarse_ops
     inputs = make_inputs(ops, dt=0.01)
-    c, n, diag = picard_inner(inputs, inputs.u_prev, PARAMS, ops)
+    c, n, diag = picard_inner(inputs, step_system(ops, PARAMS, inputs.dt, inputs.u_prev), PARAMS, ops)
     assert diag.converged and diag.inner_iterations == 1
     assert np.max(np.abs(c)) == 0.0 and np.max(np.abs(n)) == 0.0
 
@@ -130,7 +132,7 @@ def test_picard_linear_regime_fixed_point_after_two_passes(coarse_ops):
     rng = np.random.default_rng(13)
     inputs = make_inputs(ops, c=1 + rng.random(ops.mesh.n_vertices),
                          n=rng.random(ops.mesh.n_vertices), dt=0.01)
-    c, n, diag = picard_inner(inputs, inputs.u_prev, params, ops, tol=1e-12)
+    c, n, diag = picard_inner(inputs, step_system(ops, params, inputs.dt, inputs.u_prev), params, ops, tol=1e-12)
     assert diag.converged
     assert diag.inner_iterations <= 3
     assert diag.residual_history[-1] <= 1e-13
@@ -142,10 +144,11 @@ def test_picard_large_step_struggles(coarse_ops):
     c0 = 1 + rng.random(ops.mesh.n_vertices)
     n0 = 2 * rng.random(ops.mesh.n_vertices)
     small = make_inputs(ops, c=c0, n=n0, dt=0.01)
-    _, _, diag_small = picard_inner(small, small.u_prev, PARAMS, ops, tol=1e-11)
+    _, _, diag_small = picard_inner(small, step_system(ops, PARAMS, small.dt, small.u_prev), PARAMS, ops, tol=1e-11)
     assert diag_small.converged
     big = make_inputs(ops, c=c0, n=n0, dt=10.0)
-    _, _, diag_big = picard_inner(big, big.u_prev, PARAMS, ops, tol=1e-11, max_iter=200)
+    system = step_system(ops, PARAMS, big.dt, big.u_prev)
+    _, _, diag_big = picard_inner(big, system, PARAMS, ops, tol=1e-11, max_iter=200)
     assert (not diag_big.converged) or (
         diag_big.inner_iterations >= 5 * diag_small.inner_iterations
     )
@@ -156,7 +159,7 @@ def test_picard_monotone_residuals_when_converged(coarse_ops):
     rng = np.random.default_rng(15)
     inputs = make_inputs(ops, c=1 + 0.2 * rng.random(ops.mesh.n_vertices),
                          n=rng.random(ops.mesh.n_vertices), dt=0.01)
-    _, _, diag = picard_inner(inputs, inputs.u_prev, PARAMS, ops)
+    _, _, diag = picard_inner(inputs, step_system(ops, PARAMS, inputs.dt, inputs.u_prev), PARAMS, ops)
     assert diag.converged
     hist = diag.residual_history
     assert all(hist[i + 1] <= hist[i] * (1 + 1e-9) for i in range(1, len(hist) - 1))
@@ -172,7 +175,7 @@ def test_outer_step_zero_forcing_reduces_to_inner(coarse_ops):
     assert result.diagnostics.converged
     assert result.diagnostics.outer_iterations == 1
     assert np.max(np.abs(result.u)) == 0.0
-    c_ref, n_ref, _ = picard_inner(inputs, inputs.u_prev, params, ops)
+    c_ref, n_ref, _ = picard_inner(inputs, step_system(ops, params, inputs.dt, inputs.u_prev), params, ops)
     assert np.array_equal(result.c, c_ref) and np.array_equal(result.n, n_ref)
 
 
@@ -198,7 +201,8 @@ def test_outer_step_converges_and_residual_small(coarse_ops):
     assert d.converged
     assert d.outer_iterations <= 10  # regression baseline
     assert d.final_residual <= 1e-9
-    assert step_residual(ops, PARAMS, inputs, result.c, result.n, result.u, result.p) <= 1e-9
+    system = step_system(ops, PARAMS, inputs.dt, result.u)
+    assert step_residual(ops, PARAMS, inputs, system, result.c, result.n, result.p) <= 1e-9
 
 
 def test_outer_step_deterministic(coarse_ops):
@@ -225,7 +229,7 @@ def test_bad_tolerances_rejected(coarse_ops):
     ops = coarse_ops
     inputs = make_inputs(ops)
     with pytest.raises(ValueError):
-        picard_inner(inputs, inputs.u_prev, PARAMS, ops, tol=-1.0)
+        picard_inner(inputs, step_system(ops, PARAMS, inputs.dt, inputs.u_prev), PARAMS, ops, tol=-1.0)
 
 
 # inner iterations of plain Picard on the benchmark data, from k = 1e-3 to 30;
@@ -244,7 +248,8 @@ def test_step_regime_scan_counts():
     counts = []
     for k in np.geomspace(1e-3, 30.0, 12):
         inputs = make_inputs(ops, c=state0.c, n=state0.n, u=state0.u, dt=k)
-        _, _, diag = picard_inner(inputs, state0.u, cfg.params, ops, tol=cfg.solver["inner_tol"], max_iter=200)
+        system = step_system(ops, cfg.params, k, state0.u)
+        _, _, diag = picard_inner(inputs, system, cfg.params, ops, tol=cfg.solver["inner_tol"], max_iter=200)
         counts.append(diag.inner_iterations if diag.converged else None)
         assert diag.converged or diag.inner_iterations == 200
     assert tuple(counts) == REGIME_INNER
@@ -267,6 +272,26 @@ def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
     assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
     scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
     assert len(scalar) == 2 and len(made) == 3  # oxygen, cells, the fluid base
+
+
+def test_one_convection_assembly_per_frozen_velocity(coarse_ops, monkeypatch):
+    # the previous velocity, then each outer iterate's: the residual check
+    # and the next outer iteration share the system built at a new velocity
+    ops = coarse_ops
+    x, y = ops.mesh.vertices.T
+    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125), dt=0.05)
+    velocities = []
+    assemble = step_solver.assemble_convection
+
+    def counted(ops, u):
+        velocities.append(u)
+        return assemble(ops, u)
+
+    monkeypatch.setattr(step_solver, "assemble_convection", counted)
+    result = outer_step(inputs, PARAMS, ops)
+    assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
+    assert len(velocities) == result.diagnostics.outer_iterations + 1
+    assert np.array_equal(velocities[0], inputs.u_prev) and velocities[-1] is result.u
 
 
 def solves_by_block(monkeypatch):
