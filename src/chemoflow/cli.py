@@ -27,7 +27,7 @@ from .energy import (
 )
 from .fields_io import FieldsIOError, export_fields, snapshot_name
 from .fluid import LinearSolveError
-from .geometry import build_disc_mesh, save_mesh
+from .geometry import MeshError, build_disc_mesh, save_mesh
 from .model import validate_params
 from .step_solver import SolverOptions
 from .timestepping import StepFailure, TimeGrid, interpolant_step_gap, load_trajectory, run as run_time_loop
@@ -44,21 +44,14 @@ def _load(args) -> "RunConfig":
 
 
 def _setup(cfg):
-    mesh = build_disc_mesh(
-        cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"])
-    )
+    """The configured mesh and its operators; a mesh that cannot be built is a config error."""
+    try:
+        mesh = build_disc_mesh(
+            cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"])
+        )
+    except MeshError as exc:
+        raise ConfigError([("mesh", str(exc))]) from exc
     return mesh, build_operators(mesh)
-
-
-def _solver_options(cfg) -> SolverOptions:
-    s = cfg.solver
-    return SolverOptions(
-        inner_tol=s["inner_tol"],
-        outer_tol=s["outer_tol"],
-        linear_tol=s["linear_tol"],
-        max_inner=s["max_inner"],
-        max_outer=s["max_outer"],
-    )
 
 
 def _out_dir(cfg, override, subdir=None) -> Path:
@@ -69,8 +62,7 @@ def _out_dir(cfg, override, subdir=None) -> Path:
     return base
 
 
-def _run_one(cfg, ops, grid, out_dir: Path, write_outputs=True):
-    state0 = build_initial_state(cfg, ops)
+def _run_one(cfg, ops, state0, grid, out_dir: Path, write_outputs=True):
     stride = cfg.output["snapshot_stride"]
     diag_rows = ["step,level,iteration,residual"]
 
@@ -86,8 +78,7 @@ def _run_one(cfg, ops, grid, out_dir: Path, write_outputs=True):
         cfg.params,
         grid,
         state0,
-        options=_solver_options(cfg),
-        retry_depth=cfg.solver["retry_depth"],
+        options=SolverOptions(**cfg.solver),
         checkpoint_dir=checkpoint_dir,
         step_callback=on_step,
     )
@@ -105,7 +96,7 @@ def cmd_run(args) -> int:
     out_dir = _out_dir(cfg, args.output)
     (out_dir / "config_used.json").write_text(cfg.to_json())
     save_mesh(mesh, out_dir / "mesh.txt")
-    traj = _run_one(cfg, ops, grid, out_dir)
+    traj = _run_one(cfg, ops, build_initial_state(cfg, ops), grid, out_dir)
     ledger = build_ledger(traj, ops, cfg.params)
     export_ledger(ledger, out_dir / "ledger.csv")
     converged_steps = sum(
@@ -126,11 +117,12 @@ def cmd_converge(args) -> int:
     base_n = cfg.time["N"]
     T = cfg.time["T"]
     levels = [base_n * 2**j for j in range(args.levels)]
+    state0 = build_initial_state(cfg, ops)
 
     trajectories = []
     ledgers = []
     for N in levels:
-        traj = _run_one(cfg, ops, TimeGrid(T=T, N=N), out_dir, write_outputs=False)
+        traj = _run_one(cfg, ops, state0, TimeGrid(T=T, N=N), out_dir, write_outputs=False)
         trajectories.append(traj)
         led = build_ledger(traj, ops, cfg.params)
         ledgers.append(led)

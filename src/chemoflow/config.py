@@ -11,12 +11,15 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .fluid import steady_stokes_velocity
 from .model import ModelParams, ResponseSpec, validate_params
+from .step_solver import SolverOptions
+from .timestepping import initial_state
 
 
 class ConfigError(Exception):
@@ -44,14 +47,7 @@ DEFAULTS = {
         "n": {"preset": "zero"},
         "u": {"preset": "zero"},
     },
-    "solver": {
-        "inner_tol": 1e-11,
-        "outer_tol": 1e-10,
-        "linear_tol": 1e-10,
-        "max_inner": 60,
-        "max_outer": 60,
-        "retry_depth": 3,
-    },
+    "solver": asdict(SolverOptions()),
     "output": {"directory": "out", "snapshot_stride": 0, "checkpoints": True},
 }
 
@@ -207,13 +203,10 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
     solver = merged["solver"]
     for key in ("inner_tol", "outer_tol", "linear_tol"):
         _require_number(solver[key], f"solver.{key}", problems, positive=True)
-    for key in ("max_inner", "max_outer"):
-        v = _require_number(solver[key], f"solver.{key}", problems, integer=True, minimum=1)
+    for key, minimum in (("max_inner", 1), ("max_outer", 1), ("retry_depth", 0)):
+        v = _require_number(solver[key], f"solver.{key}", problems, integer=True, minimum=minimum)
         if v is not None:
             solver[key] = int(v)
-    rd = _require_number(solver["retry_depth"], "solver.retry_depth", problems, integer=True, minimum=0)
-    if rd is not None:
-        solver["retry_depth"] = int(rd)
 
     out = merged["output"]
     stride = _require_number(out["snapshot_stride"], "output.snapshot_stride", problems, integer=True, minimum=0)
@@ -244,11 +237,12 @@ def _params_from_dict(d: dict, problems: list):
     for key in ("f", "g"):
         if not isinstance(d[key], dict):
             problems.append((f"params.{key}", "response spec must be an object"))
-    fd, gd = (d[key] if isinstance(d[key], dict) else {} for key in ("f", "g"))
+    # the user's response objects over their defaults, merged only here so config_used.json keeps them as written
+    fd, gd = ({**DEFAULTS["params"][key], **(d[key] if isinstance(d[key], dict) else {})} for key in ("f", "g"))
     numbers = {key: _require_number(d[key], f"params.{key}", problems) for key in ("alpha", "beta", "xi", "b")}
-    for key, default in (("f0", 0.1), ("f1", 1.0)):
-        numbers[key] = _require_number(fd.get(key, default), f"params.f.{key}", problems)
-    numbers["g1"] = _require_number(gd.get("g1", 0.5), "params.g.g1", problems)
+    for key in ("f0", "f1"):
+        numbers[key] = _require_number(fd[key], f"params.f.{key}", problems)
+    numbers["g1"] = _require_number(gd["g1"], "params.g.g1", problems)
     grad_sigma = _require_vector(d["grad_sigma"], "params.grad_sigma", problems)
     if grad_sigma is None or None in numbers.values():
         return None
@@ -256,8 +250,8 @@ def _params_from_dict(d: dict, problems: list):
     g_extra = {k: v for k, v in gd.items() if k not in ("family", "g1")}
     return ModelParams(
         grad_sigma=grad_sigma,
-        f_spec=ResponseSpec(fd.get("family", "saturating"), f_extra),
-        g_spec=ResponseSpec(gd.get("family", "saturating"), g_extra),
+        f_spec=ResponseSpec(fd["family"], f_extra),
+        g_spec=ResponseSpec(gd["family"], g_extra),
         **numbers,
     )
 
@@ -319,8 +313,6 @@ def build_velocity_field(spec: dict, ops, params, n0: np.ndarray, base_dir) -> n
     if preset == "zero":
         return np.zeros(ops.vspace.n_velocity)
     if preset == "stokes":
-        from .fluid import steady_stokes_velocity
-
         return steady_stokes_velocity(ops, params, n0)
     if preset == "swirl":
         amp = float(spec.get("amplitude", 1.0))
@@ -339,8 +331,6 @@ def build_velocity_field(spec: dict, ops, params, n0: np.ndarray, base_dir) -> n
 
 def build_initial_state(cfg: RunConfig, ops):
     """Evaluate the configured initial fields on the mesh."""
-    from .timestepping import initial_state
-
     c0 = build_scalar_field(cfg.initial["c"], ops.mesh, cfg.base_dir, "initial.c")
     n0 = build_scalar_field(cfg.initial["n"], ops.mesh, cfg.base_dir, "initial.n")
     u0 = build_velocity_field(cfg.initial["u"], ops, cfg.params, n0, cfg.base_dir)

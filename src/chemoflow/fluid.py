@@ -22,8 +22,9 @@ the solve replaces, and factorises (and keeps) the true matrix only when
 the correction stalls.  ``factorise`` makes every factor, with one
 symmetric-mode, fill-reducing ordering.  ``solve_saddle`` is the one saddle
 entry point: a time step passes a factor started from the ``stokes_factor``
-of its step size, and the one-off set-up systems pass none.  Velocity
-operators are P2 pattern data.
+of its step size, and the one-off set-up systems pass none and keep the
+default tolerance 1e-10.  Both build the one ``_PinnedSaddle`` layout from
+P2 pair-pattern data.
 """
 
 from __future__ import annotations
@@ -103,13 +104,17 @@ class KeptFactor:
 class _PinnedSaddle:
     """``[[A, -s Bp'], [Bp, 0]]``, applied by blocks and assembled only to factorise.
 
-    The divergence rows are linearly dependent for boundary-free velocities,
-    so pinning pressure dof 0 (``Bp`` drops its row) loses nothing and avoids
-    the LU fill a dense mean-zero multiplier row would cause.
+    ``A`` is the interior block of the P2 pair-pattern ``data`` and ``s`` is
+    ``scale``.  The divergence rows are linearly dependent for boundary-free
+    velocities, so pinning pressure dof 0 (``Bp`` drops its row) loses
+    nothing and avoids the LU fill a dense mean-zero multiplier row would
+    cause.
     """
 
-    def __init__(self, A, Bp, BpT, scale):
-        self.A, self.Bp, self.BpT, self.scale = A, Bp, BpT, scale
+    def __init__(self, ops: OperatorSet, data: np.ndarray, scale: float):
+        self.A = ops._work.interior(data)
+        _, _, self.Bp, self.BpT = ops._work.interior_div
+        self.scale = scale
 
     def __matmul__(self, x):
         n = self.A.shape[0]
@@ -131,19 +136,19 @@ def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, scale: float, tol: float 
     if factor is None:
         factor = KeptFactor("saddle")
     idx = ops.vspace.interior_velocity
-    B, BT, Bp, BpT = ops._work.interior_div
-    A = ops._work.interior(A.data)
+    B, BT = ops._work.interior_div[:2]
+    saddle = _PinnedSaddle(ops, A.data, scale)
     b = rhs[idx]
     if guess is not None:  # the pinned layout
         guess = np.concatenate([guess[0][idx], guess[1][1:] - guess[1][0]])
-    sol = factor.solve(_PinnedSaddle(A, Bp, BpT, scale), np.concatenate([b, np.zeros(Bp.shape[0])]), tol, guess)
+    sol = factor.solve(saddle, np.concatenate([b, np.zeros(saddle.Bp.shape[0])]), tol, guess)
     u_int = sol[: idx.size]
     u = np.zeros(ops.vspace.n_velocity)
     u[idx] = u_int
     p = np.concatenate([[0.0], sol[idx.size :]])
     w = ops.pressure_weights
     p -= (w @ p) / w.sum()
-    r_mom = A @ u_int - scale * (BT @ p) - b
+    r_mom = saddle.A @ u_int - scale * (BT @ p) - b
     mom_scale = max(np.linalg.norm(b), 1e-300)
     # near-zero velocities (hydrostatic balance) make a pure ||B u|| / ||u||
     # ratio meaningless, so fall back to the load scale
@@ -159,8 +164,7 @@ def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, scale: float, tol: float 
 
 def stokes_factor(ops, xi, k):
     """Factor of the convection-free pinned saddle ``M + k xi K`` of step size ``k``."""
-    saddle = _PinnedSaddle(ops._work.interior(ops.M_u.data + k * xi * ops.K_u.data), *ops._work.interior_div[2:], k)
-    return factorise(saddle, "saddle")
+    return factorise(_PinnedSaddle(ops, ops.M_u.data + k * xi * ops.K_u.data, k), "saddle")
 
 
 def steady_stokes_velocity(ops: OperatorSet, params, n: np.ndarray) -> np.ndarray:

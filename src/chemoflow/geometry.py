@@ -196,29 +196,17 @@ def build_disc_mesh(radius: float, target_h: float, first_ring: int = 6) -> Mesh
         tris.extend(_zip_rings(ring_ids[i], ring_ids[i + 1]))
     triangles = np.asarray(tris, dtype=np.int64)
 
-    boundary_loop = ring_ids[-1].astype(np.int64)
-    mesh = _finalize_mesh(vertices, triangles, boundary_loop)
-    mesh.validate()
+    mesh = mesh_from_arrays(vertices, triangles, ring_ids[-1])
     if mesh.h_max > 1.5 * target_h:
         raise MeshError(f"h_max {mesh.h_max:.3g} exceeds 1.5 * target_h {1.5 * target_h:.3g}")
     return mesh
 
 
 def mesh_from_arrays(vertices, triangles, boundary_loop) -> Mesh:
-    """Build a validated Mesh from raw arrays (CCW triangles, CCW loop)."""
-    mesh = _finalize_mesh(
-        np.asarray(vertices, dtype=np.float64),
-        np.asarray(triangles, dtype=np.int64),
-        np.asarray(boundary_loop, dtype=np.int64),
-    )
-    mesh.validate()
-    return mesh
-
-
-def _finalize_mesh(vertices: np.ndarray, triangles: np.ndarray, loop: np.ndarray) -> Mesh:
+    """Build a validated Mesh from raw arrays (CCW triangles, CCW loop), as float64 and int64."""
     vertices = np.asarray(vertices, dtype=np.float64)
     triangles = np.asarray(triangles, dtype=np.int64)
-    loop = np.asarray(loop, dtype=np.int64)
+    loop = np.asarray(boundary_loop, dtype=np.int64)
 
     p = vertices[triangles]
     side = np.stack(
@@ -226,12 +214,14 @@ def _finalize_mesh(vertices: np.ndarray, triangles: np.ndarray, loop: np.ndarray
     )
     h_max = float(np.linalg.norm(side, axis=2).max())
 
-    return Mesh(
+    mesh = Mesh(
         vertices=_readonly(vertices),
         triangles=_readonly(triangles),
         boundary_loop=_readonly(loop),
         h_max=h_max,
     )
+    mesh.validate()
+    return mesh
 
 
 # Plain-text mesh format: three sections, one record per line.
@@ -275,7 +265,4 @@ def load_mesh(path) -> Mesh:
     pos += 3 * nt
     nb = expect("boundary")
     loop = np.array(tokens[pos : pos + nb], dtype=np.int64)
-
-    mesh = _finalize_mesh(vertices, triangles, loop)
-    mesh.validate()
-    return mesh
+    return mesh_from_arrays(vertices, triangles, loop)

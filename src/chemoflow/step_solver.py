@@ -89,11 +89,14 @@ class FixedPointDiagnostics:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The solver settings, with their defaults; the config's ``solver`` section has the same keys."""
+
     inner_tol: float = 1e-11
     outer_tol: float = 1e-10
     linear_tol: float = 1e-10
     max_inner: int = 60
     max_outer: int = 60
+    retry_depth: int = 3
 
     def validate(self) -> None:
         for name in ("inner_tol", "outer_tol", "linear_tol"):
@@ -101,6 +104,8 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive")
         if self.max_inner < 1 or self.max_outer < 1:
             raise ValueError("iteration limits must be >= 1")
+        if self.retry_depth < 0:
+            raise ValueError("retry_depth must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,21 +168,21 @@ def picard_inner(
     system: StepSystem,
     params,
     ops: OperatorSet,
-    tol: float = 1e-11,
-    max_iter: int = 60,
+    options: SolverOptions = SolverOptions(),
     initial_guess=None,
     factors=None,
 ):
     """Iterate the (c, n) map of the frozen-velocity ``system`` to its fixed point.
 
-    Starts from the previous-step fields unless a warmer guess is supplied,
-    and solves through the ``(oxygen, cells)`` factor pair ``factors`` or
-    fresh ones.  Non-convergence is reported through the diagnostics, not
-    raised; the caller owns the retry policy.
+    Stops once the relative pair update is at most ``options.inner_tol`` or
+    after ``options.max_inner`` passes.  Starts from the previous-step fields
+    unless a warmer guess is supplied, and solves through the ``(oxygen,
+    cells)`` factor pair ``factors`` or fresh ones.  Non-convergence is
+    reported through the diagnostics, not raised; the caller owns the retry
+    policy.
     """
     inputs.validate(ops)
-    if not tol > 0 or max_iter < 1:
-        raise ValueError("need tol > 0, max_iter >= 1")
+    options.validate()
     oxygen, cells = factors or (KeptFactor("oxygen"), KeptFactor("cell-density"))
     f = params.consumption()
     g = params.sensitivity()
@@ -188,8 +193,8 @@ def picard_inner(
         c_hat, n_hat = initial_guess
 
     diag = FixedPointDiagnostics()
-    linear_tol = min(tol, 1e-10)
-    for it in range(1, max_iter + 1):
+    linear_tol = min(options.inner_tol, 1e-10)
+    for it in range(1, options.max_inner + 1):
         rhs_c = c_step_rhs(ops, params, inputs, c_hat, n_hat, f)
         c = oxygen.solve(system.oxygen, rhs_c, linear_tol, c_hat)
         rhs_n = n_step_rhs(ops, inputs, c, n_hat, g)
@@ -198,7 +203,7 @@ def picard_inner(
         diag.inner_iterations = it
         diag.residual_history.append(num / den if den > 0 else num)
         c_hat, n_hat = c, n
-        if num <= tol * den:
+        if num <= options.inner_tol * den:
             diag.converged = True
             break
     return c_hat, n_hat, diag
@@ -272,16 +277,7 @@ def outer_step(
     c = n = None
     u, p = system.u, np.zeros(ops.mesh.n_vertices)
     for it in range(1, options.max_outer + 1):
-        c, n, inner = picard_inner(
-            inputs,
-            system,
-            params,
-            ops,
-            tol=options.inner_tol,
-            max_iter=options.max_inner,
-            initial_guess=guess,
-            factors=factors,
-        )
+        c, n, inner = picard_inner(inputs, system, params, ops, options, initial_guess=guess, factors=factors)
         guess = (c, n)
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)

@@ -31,7 +31,8 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"CFCK"
 CHECKPOINT_VERSION = 1
-CHECKPOINT_HEADER_BYTES = 120  # magic, version, mesh hash, N, m, T, t, nv, n_velocity
+# magic, u32 version, 64-byte mesh hash, u64 N, u64 m, f64 T, f64 t, u64 nv, u64 n_velocity
+CHECKPOINT_HEADER = struct.Struct("<4sI64sQQddQQ")
 
 
 class StepFailure(Exception):
@@ -80,9 +81,6 @@ class State:
     u: np.ndarray
     p: np.ndarray
     t: float
-
-    def finite(self) -> bool:
-        return all(np.all(np.isfinite(f)) for f in (self.c, self.n, self.u, self.p))
 
     def first_nonfinite_field(self):
         for name in ("c", "n", "u", "p"):
@@ -186,20 +184,19 @@ def run(
     grid: TimeGrid,
     state0: State,
     options: SolverOptions = SolverOptions(),
-    retry_depth: int = 3,
     checkpoint_dir=None,
     resume: bool = False,
     step_callback=None,
 ) -> Trajectory:
     """March the coupled system over the uniform grid.
 
-    Optionally writes one checkpoint file per step and resumes from the last
-    complete checkpoint found in ``checkpoint_dir``.
+    A failed step is retried with halved steps down to ``options.retry_depth``
+    levels.  Optionally writes one checkpoint file per step and resumes from
+    the last complete checkpoint found in ``checkpoint_dir``.
     """
-    if not state0.finite():
-        raise StepFailure(
-            f"non-finite values in initial field '{state0.first_nonfinite_field()}'", step=0
-        )
+    bad = state0.first_nonfinite_field()
+    if bad is not None:
+        raise StepFailure(f"non-finite values in initial field '{bad}'", step=0)
     data_hash = trajectory_data_hash(ops, params, state0, grid.T)
     mesh_hash = ops.mesh.data_hash()
 
@@ -222,7 +219,7 @@ def run(
     stokes: dict = {}
     for m in range(start + 1, grid.N + 1):
         t_next = grid.time(m)
-        state, diags = _advance(ops, params, state, grid.k, t_next, options, retry_depth, m, stokes)
+        state, diags = _advance(ops, params, state, grid.k, t_next, options, options.retry_depth, m, stokes)
         states.append(state)
         diagnostics.append(tuple(diags))
         if checkpoint_dir is not None:
@@ -287,23 +284,18 @@ def checkpoint_name(m: int) -> str:
 
 
 def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State) -> None:
-    """Binary checkpoint: versioned header, mesh hash, then raw field arrays.
+    """Binary checkpoint: the ``CHECKPOINT_HEADER``, then c, n, u, p as little-endian f64.
 
-    Layout: magic, u32 version, 64-byte mesh hash, u64 N, u64 m, f64 T,
-    f64 t, u64 nv, u64 n_velocity, then c, n, u, p as little-endian f64.
     The file is written as ``<name>.tmp`` beside ``path`` and renamed onto
     it, so an interrupted write never leaves a checkpoint that a resume or
     ``load_trajectory`` would read.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    nv = state.c.shape[0]
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(mesh_hash.encode())
-            f.write(struct.pack("<QQddQQ", grid.N, m, grid.T, state.t, nv, state.u.shape[0]))
+            f.write(CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, mesh_hash.encode(),
+                                           grid.N, m, grid.T, state.t, state.c.size, state.u.size))
             for arr in (state.c, state.n, state.u, state.p):
                 f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         os.replace(tmp, path)
@@ -315,28 +307,22 @@ def read_checkpoint(path, mesh_hash: str, grid: TimeGrid):
     """Read one checkpoint, refusing version, mesh, grid or length mismatches."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        if size < CHECKPOINT_HEADER_BYTES:
+        if size < CHECKPOINT_HEADER.size:
             raise StepFailure(f"{path}: checkpoint is {size} bytes, shorter than its header")
-        magic = f.read(4)
+        magic, version, stored_hash, N, m, T, t, nv, nvel = CHECKPOINT_HEADER.unpack(f.read(CHECKPOINT_HEADER.size))
         if magic != CHECKPOINT_MAGIC:
             raise StepFailure(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
         if version != CHECKPOINT_VERSION:
             raise StepFailure(f"{path}: checkpoint version {version} not supported")
-        stored_hash = f.read(64).decode()
-        if stored_hash != mesh_hash:
+        if stored_hash != mesh_hash.encode():
             raise StepFailure(f"{path}: checkpoint belongs to a different mesh")
-        N, m, T, t, nv, nvel = struct.unpack("<QQddQQ", f.read(48))
-        expected = CHECKPOINT_HEADER_BYTES + 8 * (3 * nv + nvel)
+        expected = CHECKPOINT_HEADER.size + 8 * (3 * nv + nvel)
         if size != expected:
             raise StepFailure(f"{path}: checkpoint is {size} bytes, its header implies {expected}")
         if N != grid.N or T != grid.T:
             raise StepFailure(f"{path}: checkpoint grid (T={T}, N={N}) does not match")
-        c = np.frombuffer(f.read(8 * nv), dtype="<f8").copy()
-        n = np.frombuffer(f.read(8 * nv), dtype="<f8").copy()
-        u = np.frombuffer(f.read(8 * nvel), dtype="<f8").copy()
-        p = np.frombuffer(f.read(8 * nv), dtype="<f8").copy()
-    return m, State(c=c, n=n, u=u, p=p, t=t)
+        fields = [np.frombuffer(f.read(8 * count), dtype="<f8").copy() for count in (nv, nv, nvel, nv)]
+    return m, State(*fields, t=t)
 
 
 def _read_states(checkpoint_dir: Path, mesh_hash: str, grid: TimeGrid, last: int) -> list:

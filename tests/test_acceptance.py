@@ -196,7 +196,11 @@ def test_criterion_08_step_size_regime(bench_ops, bench_state0):
         )
 
     c, n, small = picard_inner(
-        inputs_for(0.01), step_system(bench_ops, BENCH_PARAMS, 0.01, bench_state0.u), BENCH_PARAMS, bench_ops, tol=1e-11
+        inputs_for(0.01),
+        step_system(bench_ops, BENCH_PARAMS, 0.01, bench_state0.u),
+        BENCH_PARAMS,
+        bench_ops,
+        SolverOptions(inner_tol=1e-11),
     )
     result = outer_step(inputs_for(0.01), BENCH_PARAMS, bench_ops, SolverOptions())
     ok_small = (
@@ -210,8 +214,7 @@ def test_criterion_08_step_size_regime(bench_ops, bench_state0):
         step_system(bench_ops, BENCH_PARAMS, 10.0, bench_state0.u),
         BENCH_PARAMS,
         bench_ops,
-        tol=1e-11,
-        max_iter=200,
+        SolverOptions(inner_tol=1e-11, max_inner=200),
     )
     ok_big = (not big.converged) or big.inner_iterations >= 5 * small.inner_iterations
     report(

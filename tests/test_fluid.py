@@ -373,7 +373,7 @@ def test_step_matrices_equal_the_sparse_sums():
     assert_dense_equal(A, expected_A)
     idx = ops.vspace.interior_velocity
     B = ops.B[:, idx].tocsr()
-    saddle = fluid._PinnedSaddle(ops._work.interior(A.data), *ops._work.interior_div[2:], k)
+    saddle = fluid._PinnedSaddle(ops, A.data, k)
     expected_saddle = sp.bmat([[expected_A[idx][:, idx], -k * B[1:, :].T], [B[1:, :], None]])
     assert_dense_equal(saddle.tocsc(), expected_saddle)
 
@@ -413,14 +413,13 @@ def test_held_factors_keep_fill_low(medium_ops):
     # 0.60 and 0.47 M, and a diagonal pivot threshold of 0.1 (projection,
     # 4.3 M) or 1.0 (xi=0.01 base, 4.9 M) undoes the ordering
     ops = medium_ops
-    _, _, Bp, BpT = ops._work.interior_div
     k = 1 / 16
     systems = {
-        "xi=0.01 base": fluid._PinnedSaddle(ops._work.interior(ops.M_u.data + k * 0.01 * ops.K_u.data), Bp, BpT, k),
-        "projection": fluid._PinnedSaddle(ops._work.interior(ops.M_u.data), Bp, BpT, 1.0),
-        "stokes": fluid._PinnedSaddle(ops._work.interior(PARAMS.xi * ops.K_u.data), Bp, BpT, 1.0),
+        "xi=0.01 base": fluid._PinnedSaddle(ops, ops.M_u.data + k * 0.01 * ops.K_u.data, k),
+        "projection": fluid._PinnedSaddle(ops, ops.M_u.data, 1.0),
+        "stokes": fluid._PinnedSaddle(ops, PARAMS.xi * ops.K_u.data, 1.0),
     }
-    rhs = np.random.default_rng(3).standard_normal(Bp.shape[1] + Bp.shape[0])
+    rhs = np.random.default_rng(3).standard_normal(sum(systems["stokes"].Bp.shape))
     for name, saddle in systems.items():
         factor = KeptFactor(name)
         x = factor.solve(saddle, rhs, 1e-12)

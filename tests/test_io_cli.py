@@ -194,6 +194,7 @@ BAD_INPUTS = [
     ('initial.n.center=[0, "abc"]', "initial.n.center[1]"),
     ('initial.u={"preset": "swirl", "radius": "abc"}', "initial.u.radius"),
     ('initial.c={"preset": "file", "path": "bad.txt"}', "initial.c"),
+    ("mesh.first_ring=3", "mesh"),
 ]
 
 
@@ -205,7 +206,8 @@ def test_cli_bad_input_is_a_config_error(tmp_path, capsys, override, key):
     code = main(["validate", *args])
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
-    if key != "initial.c":
+    # validate reads no field file and builds no mesh
+    if key not in ("initial.c", "mesh"):
         assert code == 1 and f"ERROR   {key}: " in out
     assert main(["run", *args, "--output", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
@@ -434,7 +436,17 @@ def truncated_checkpoint(tmp_path):
     return directory, "checkpoint is 300 bytes, its header implies "
 
 
-@pytest.mark.parametrize("checkpoints", [missing_checkpoints, truncated_checkpoint])
+def foreign_hash_checkpoint(tmp_path):
+    assert main(["run", *SMALL_STEADY, "--output", str(tmp_path / "run"), "--set", "output.checkpoints=true"]) == 0
+    directory = tmp_path / "run" / "checkpoints"
+    path = directory / "step_000001.ckpt"
+    data = bytearray(path.read_bytes())
+    data[8] = 0xFF  # the first mesh-hash byte, not ascii
+    path.write_bytes(bytes(data))
+    return directory, "checkpoint belongs to a different mesh"
+
+
+@pytest.mark.parametrize("checkpoints", [missing_checkpoints, truncated_checkpoint, foreign_hash_checkpoint])
 def test_cli_energy_refused_checkpoint_exits_solver(tmp_path, capsys, checkpoints):
     # a checkpoint the reader refuses is a StepFailure, exit 3; exit 4 is an
     # OSError while opening a file

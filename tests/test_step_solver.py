@@ -13,6 +13,7 @@ from chemoflow.fluid import project_divergence_free
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams, ResponseSpec
 from chemoflow.step_solver import (
+    SolverOptions,
     StepInputs,
     outer_step,
     picard_inner,
@@ -132,7 +133,8 @@ def test_picard_linear_regime_fixed_point_after_two_passes(coarse_ops):
     rng = np.random.default_rng(13)
     inputs = make_inputs(ops, c=1 + rng.random(ops.mesh.n_vertices),
                          n=rng.random(ops.mesh.n_vertices), dt=0.01)
-    c, n, diag = picard_inner(inputs, step_system(ops, params, inputs.dt, inputs.u_prev), params, ops, tol=1e-12)
+    system = step_system(ops, params, inputs.dt, inputs.u_prev)
+    c, n, diag = picard_inner(inputs, system, params, ops, SolverOptions(inner_tol=1e-12))
     assert diag.converged
     assert diag.inner_iterations <= 3
     assert diag.residual_history[-1] <= 1e-13
@@ -144,11 +146,12 @@ def test_picard_large_step_struggles(coarse_ops):
     c0 = 1 + rng.random(ops.mesh.n_vertices)
     n0 = 2 * rng.random(ops.mesh.n_vertices)
     small = make_inputs(ops, c=c0, n=n0, dt=0.01)
-    _, _, diag_small = picard_inner(small, step_system(ops, PARAMS, small.dt, small.u_prev), PARAMS, ops, tol=1e-11)
+    system = step_system(ops, PARAMS, small.dt, small.u_prev)
+    _, _, diag_small = picard_inner(small, system, PARAMS, ops, SolverOptions(inner_tol=1e-11))
     assert diag_small.converged
     big = make_inputs(ops, c=c0, n=n0, dt=10.0)
     system = step_system(ops, PARAMS, big.dt, big.u_prev)
-    _, _, diag_big = picard_inner(big, system, PARAMS, ops, tol=1e-11, max_iter=200)
+    _, _, diag_big = picard_inner(big, system, PARAMS, ops, SolverOptions(inner_tol=1e-11, max_inner=200))
     assert (not diag_big.converged) or (
         diag_big.inner_iterations >= 5 * diag_small.inner_iterations
     )
@@ -229,7 +232,8 @@ def test_bad_tolerances_rejected(coarse_ops):
     ops = coarse_ops
     inputs = make_inputs(ops)
     with pytest.raises(ValueError):
-        picard_inner(inputs, step_system(ops, PARAMS, inputs.dt, inputs.u_prev), PARAMS, ops, tol=-1.0)
+        system = step_system(ops, PARAMS, inputs.dt, inputs.u_prev)
+        picard_inner(inputs, system, PARAMS, ops, SolverOptions(inner_tol=-1.0))
 
 
 # inner iterations of plain Picard on the benchmark data, from k = 1e-3 to 30;
@@ -249,7 +253,8 @@ def test_step_regime_scan_counts():
     for k in np.geomspace(1e-3, 30.0, 12):
         inputs = make_inputs(ops, c=state0.c, n=state0.n, u=state0.u, dt=k)
         system = step_system(ops, cfg.params, k, state0.u)
-        _, _, diag = picard_inner(inputs, system, cfg.params, ops, tol=cfg.solver["inner_tol"], max_iter=200)
+        options = SolverOptions(inner_tol=cfg.solver["inner_tol"], max_inner=200)
+        _, _, diag = picard_inner(inputs, system, cfg.params, ops, options)
         counts.append(diag.inner_iterations if diag.converged else None)
         assert diag.converged or diag.inner_iterations == 200
     assert tuple(counts) == REGIME_INNER

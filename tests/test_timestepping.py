@@ -181,7 +181,7 @@ def test_nan_initial_data_aborts(coarse_ops):
 
 def test_failure_after_retries_names_step(coarse_ops):
     # one inner iteration cannot converge; retry depth 1 then abort
-    opts = SolverOptions(max_inner=1, max_outer=1)
+    opts = SolverOptions(max_inner=1, max_outer=1, retry_depth=1)
     with pytest.raises(StepFailure) as exc:
         run(
             coarse_ops,
@@ -189,7 +189,6 @@ def test_failure_after_retries_names_step(coarse_ops):
             TimeGrid(T=1.0, N=2),
             bump_initial(coarse_ops),
             options=opts,
-            retry_depth=1,
         )
     assert exc.value.step == 1
 
@@ -208,7 +207,7 @@ def failing_factorisation(monkeypatch):
 def test_linear_solve_failure_is_retried_then_names_step(coarse_ops, monkeypatch):
     attempts = failing_factorisation(monkeypatch)
     with pytest.raises(StepFailure, match="saddle factorisation failed") as exc:
-        run(coarse_ops, PARAMS, TimeGrid(T=1.0, N=2), steady_initial(coarse_ops), retry_depth=2)
+        run(coarse_ops, PARAMS, TimeGrid(T=1.0, N=2), steady_initial(coarse_ops), SolverOptions(retry_depth=2))
     # k = 0.5 fails, then its first half, then the first quarter, which ends at 0.125
     assert exc.value.step == 1 and exc.value.time == 0.125
     assert len(attempts) == 3
@@ -221,7 +220,7 @@ def test_retry_rescues_with_halved_step(coarse_ops, caplog, monkeypatch):
     ops = coarse_ops
     grid = TimeGrid(T=4.0, N=1)
     params = ModelParams(grad_sigma=(0.0, 0.0))  # one outer pass per attempt
-    opts = SolverOptions(max_inner=8, max_outer=1, inner_tol=1e-10, outer_tol=1e-9)
+    opts = SolverOptions(max_inner=8, max_outer=1, inner_tol=1e-10, outer_tol=1e-9, retry_depth=2)
     made = []
 
     def counted(matrix, **kw):
@@ -230,7 +229,7 @@ def test_retry_rescues_with_halved_step(coarse_ops, caplog, monkeypatch):
 
     monkeypatch.setattr(fluid, "splu", counted)
     with caplog.at_level(logging.WARNING):
-        traj = run(ops, params, grid, bump_initial(ops), options=opts, retry_depth=2)
+        traj = run(ops, params, grid, bump_initial(ops), options=opts)
     assert any("retrying with k/2" in r.message for r in caplog.records)
     assert len(traj.states) == grid.N + 1
     assert traj.states[1].t == grid.time(1)  # merged back onto the uniform grid
