@@ -8,10 +8,12 @@ are one-dimensional periodic P1 operators in arclength on the boundary loop.
 
 Every operator is assembled the same way: element matrices are summed into
 a CSR pattern fixed once per mesh (``_Pattern``), one ``np.bincount`` per
-matrix.  Convection matrices are skew-symmetrised per element, half the
-difference of each element matrix and its transpose, so ``C' = -C`` exactly
-and the discrete advection energy ``x' C(u) x`` vanishes identically for
-every velocity, not just pointwise divergence-free ones.
+matrix.  The forms assembled on every iteration, convection and the
+chemotaxis load, take no quadrature per call: each is a fixed reference tensor
+contracted with per-mesh geometry (Kirby & Logg, ACM TOMS 32(3), 2006).
+Convection is skewed on the strict-upper local pairs, each mirrored pair
+getting the exact negation, so ``C' = -C`` bitwise and the discrete advection
+energy ``x' C(u) x`` vanishes for every velocity, not just divergence-free ones.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ QUAD_BARY = np.array(
         [1 - 2 * _A2, _A2, _A2],
     ]
 )
+# strict-upper local (row, column) pairs of the P1 and P2 element matrices
+_UP1, _UP2 = np.triu_indices(3, 1), np.triu_indices(6, 1)
 
 
 def _p2_values(bary: np.ndarray) -> np.ndarray:
@@ -163,6 +167,12 @@ class _Pattern:
         return self.matrix(self.data(local))
 
 
+def _row_blocks(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix with a row per entry of the leading axes, holding ``vals`` at ``cols`` along the last."""
+    indptr = np.arange(0, cols.size + 1, cols.shape[-1], dtype=np.int32)
+    return sp.csr_matrix((vals.ravel(), cols.ravel().astype(np.int32), indptr), shape=(len(indptr) - 1, n_cols))
+
+
 class _Workspace:
     """Per-mesh precomputation shared by the element assemblies."""
 
@@ -187,11 +197,6 @@ class _Workspace:
         self.w = QUAD_WEIGHTS
         self.lam_q = QUAD_BARY  # (nq, 3): P1 values at quad points
         self.p2_q = _p2_values(QUAD_BARY)  # (nq, 6)
-        coeff = _p2_grad_coeffs(QUAD_BARY)  # (nq, 6, 3)
-        self.p2_grad = np.einsum("qai,tid->tqad", coeff, self.dlam)  # (nt, nq, 6, 2)
-        # quadrature-weighted test values, transposed: (3, nq) and (6, nq)
-        self.w_lam_t = (self.w[:, None] * self.lam_q).T
-        self.w_p2_t = (self.w[:, None] * self.p2_q).T
 
         self.tri_p1 = mesh.triangles
         self.tri_p2 = np.hstack([mesh.triangles, vspace.n_vertices + vspace.tri_edges])
@@ -208,6 +213,22 @@ class _Workspace:
         # divergence columns: x component, then y component
         self.div = _Pattern(self.tri_p1, np.hstack([self.tri_p2, self.tri_p2 + ns]), (nv, 2 * ns))
         self.mix = _Pattern(self.tri_p2, self.tri_p1, (ns, nv))
+
+        # the per-iteration forms as reference tensors: convection is linear in
+        # V[t, a, i] = |T| u_a . grad lambda_i, and v_map takes u to V
+        v_cols = self.tri_p2[:, :, None, None] + ns * np.arange(2)  # (nt, 6, 1, 2)
+        v_vals = self.areas[:, None, None, None] * self.dlam[:, None]  # (nt, 1, 3, 2)
+        self.v_map = _row_blocks(*np.broadcast_arrays(v_cols, v_vals), 2 * ns)
+        # N2[b, c] = R2[b, c, a, i] V[a, i] and N1[i, j] = R1[i, a] V[a, j], skewed on
+        # the strict-upper local pairs: V @ conv_ref holds the P2 pairs, then the P1 pairs
+        r2 = np.einsum("q,qb,qa,qci->bcai", self.w, self.p2_q, self.p2_q, _p2_grad_coeffs(QUAD_BARY))
+        r1 = np.einsum("ia,jk->ijak", (self.w[:, None] * self.lam_q).T @ self.p2_q, np.eye(3))
+        skew = [0.5 * (r[up] - r[up[::-1]]).reshape(len(up[0]), 18) for r, up in ((r2, _UP2), (r1, _UP1))]
+        self.conv_ref = np.vstack(skew).T  # (18, 15 + 3)
+        # the chemotaxis load: grad_map takes c to grad lambda_j . grad c per element
+        gg = np.einsum("tid,tjd->tij", self.dlam, self.dlam)
+        self.grad_map = _row_blocks(*np.broadcast_arrays(self.tri_p1[:, None, :], gg), nv)
+        self.lam_weights = self.lam_q.T @ self.w  # integral of each lambda_i over T, per |T|
 
     def scatter_pair(self, local: np.ndarray) -> sp.csr_matrix:
         """Block-diagonal ``[[S, 0], [0, S]]`` of one P2 scalar element matrix set."""
@@ -292,8 +313,12 @@ def assemble_boundary_laplace_beltrami(mesh: Mesh) -> sp.csr_matrix:
     return _periodic_loop_matrix(mesh, _laplace_beltrami_entries)
 
 
-def _skew(local: np.ndarray) -> np.ndarray:
-    return 0.5 * (local - local.transpose(0, 2, 1))
+def _skew_local(x: np.ndarray, up, size: int) -> np.ndarray:
+    """Element matrices with ``x`` on the strict-upper local pairs ``up``, ``-x`` mirrored, zero diagonal."""
+    local = np.zeros((len(x), size, size))
+    local[:, up[0], up[1]] = x
+    local[:, up[1], up[0]] = -x
+    return local
 
 
 def assemble_convection(ops: OperatorSet, u: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -301,21 +326,14 @@ def assemble_convection(ops: OperatorSet, u: np.ndarray) -> tuple[sp.csr_matrix,
 
     ``C`` is the P1 operator ``(N - N') / 2`` with ``N_ij = integral
     (u . grad phi_j) phi_i``, and ``C_u`` the P2 block of the same form,
-    applied per velocity component.  Both are skew-symmetrised per element,
-    so ``C' = -C`` bitwise and ``x' C x = 0`` for every x and every u, and
-    both use one evaluation of u at the quadrature points.
+    applied per velocity component.  One sparse product gives ``V`` of every
+    element and one matrix product the skew entries of its strict-upper local
+    pairs; each mirrored pair gets their negation, so ``C' = -C`` bitwise and
+    ``x' C x = 0`` for every x and every u.
     """
     work = ops._work
-    ns = ops.vspace.n_scalar
-    u_local = np.stack([u[:ns], u[ns:]], axis=-1)[work.tri_p2]  # (nt, 6, 2)
-    uq = work.p2_q @ u_local  # (nt, nq, 2)
-    # integral of phi_i u over each triangle, then dotted with grad phi_j
-    test_u = (work.w_lam_t @ uq) * work.areas[:, None, None]  # (nt, 3, 2)
-    C = work.p1.scatter(_skew(test_u @ work.dlam.transpose(0, 2, 1)))
-    # u . grad N_b at the quadrature points, then the weighted test values
-    u_grad = (work.p2_grad @ uq[..., None])[..., 0]  # (nt, nq, 6)
-    local = (work.w_p2_t @ u_grad) * work.areas[:, None, None]
-    return C, work.scatter_pair(_skew(local))
+    x = (work.v_map @ u).reshape(-1, 18) @ work.conv_ref  # 15 P2 pairs, then 3 P1 pairs
+    return work.p1.scatter(_skew_local(x[:, 15:], _UP1, 3)), work.scatter_pair(_skew_local(x[:, :15], _UP2, 6))
 
 
 def assemble_chemotaxis_rhs(ops: OperatorSet, n: np.ndarray, c: np.ndarray, g) -> np.ndarray:
@@ -328,10 +346,8 @@ def assemble_chemotaxis_rhs(ops: OperatorSet, n: np.ndarray, c: np.ndarray, g) -
     gn = np.asarray(g(n, c), dtype=float)
     if gn.shape != n.shape:
         gn = np.broadcast_to(gn, n.shape).astype(float)
-    g_q = np.einsum("ti,qi->tq", gn[work.tri_p1], work.lam_q)  # (nt, nq)
-    grad_c = np.einsum("ti,tid->td", c[work.tri_p1], work.dlam)  # constant per tri
-    coeff = (g_q @ work.w) * work.areas  # integral of g over each triangle
-    local = coeff[:, None] * np.einsum("td,tjd->tj", grad_c, work.dlam)
+    coeff = work.areas * (gn[work.tri_p1] @ work.lam_weights)  # integral of g over each triangle
+    local = coeff[:, None] * (work.grad_map @ c).reshape(-1, 3)
     return np.bincount(work.tri_p1.ravel(), weights=local.ravel(), minlength=ops.mesh.n_vertices)
 
 
@@ -354,13 +370,14 @@ def build_operators(mesh: Mesh) -> OperatorSet:
     # P2 scalar mass and stiffness, shared by both velocity components
     ref_mass = np.einsum("q,qa,qb->ab", work.w, work.p2_q, work.p2_q)
     M_u = work.scatter_pair(area * ref_mass[None, :, :])
-    K_u = work.scatter_pair(area * np.einsum("q,tqad,tqbd->tab", work.w, work.p2_grad, work.p2_grad))
+    p2_grad = np.einsum("qai,tid->tqad", _p2_grad_coeffs(QUAD_BARY), work.dlam)  # (nt, nq, 6, 2)
+    K_u = work.scatter_pair(area * np.einsum("q,tqad,tqbd->tab", work.w, p2_grad, p2_grad))
 
     mix_local = area * np.einsum("q,qa,qp->ap", work.w, work.p2_q, work.lam_q)
     M_mix = work.mix.scatter(mix_local)
 
     # divergence B: P2 velocity -> P1 pressure test space
-    div_local = np.einsum("q,qp,tqad->tpda", work.w, work.lam_q, work.p2_grad)
+    div_local = np.einsum("q,qp,tqad->tpda", work.w, work.lam_q, p2_grad)
     B = work.div.scatter(area * div_local.reshape(-1, 3, 12))
     # on the interior velocity dofs, with its rows but pressure dof 0's, and their transposes
     B_int = B[:, vspace.interior_velocity].tocsr()

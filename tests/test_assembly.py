@@ -380,15 +380,12 @@ def test_volume_operators_match_coo_reference(coarse_ops):
         assert err <= 1e-15, (name, err)
 
 
-def test_chemotaxis_rhs_matches_add_at_reference(coarse_ops):
-    ops = coarse_ops
-    rng = np.random.default_rng(23)
-    n = rng.random(ops.mesh.n_vertices)
-    c = rng.random(ops.mesh.n_vertices)
+def sensitivity(n_, c_):
+    return n_ / (1 + c_)
 
-    def g(n_, c_):
-        return n_ / (1 + c_)
 
+def chemotaxis_add_at_reference(ops, n, c, g):
+    """The chemotaxis load one triangle and point at a time, summed by ``np.add.at``."""
     areas, dlam = element_geometry(ops)
     tris = ops.mesh.triangles
     gn = g(n, c)
@@ -399,5 +396,47 @@ def test_chemotaxis_rhs_matches_add_at_reference(coarse_ops):
         local[t] = g_int * (dlam[t] @ grad_c)
     ref = np.zeros(ops.mesh.n_vertices)
     np.add.at(ref, tris.ravel(), local.ravel())
-    G = assemble_chemotaxis_rhs(ops, n, c, g)
+    return ref
+
+
+def test_chemotaxis_rhs_matches_add_at_reference(coarse_ops):
+    ops = coarse_ops
+    rng = np.random.default_rng(23)
+    n = rng.random(ops.mesh.n_vertices)
+    c = rng.random(ops.mesh.n_vertices)
+    ref = chemotaxis_add_at_reference(ops, n, c, sensitivity)
+    G = assemble_chemotaxis_rhs(ops, n, c, sensitivity)
+    assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def renumbered_disc_mesh(seed):
+    """The coarse disc with shuffled vertex numbers, triangles and local vertex order."""
+    mesh = build_disc_mesh(1.0, 0.35)
+    rng = np.random.default_rng(seed)
+    new = rng.permutation(mesh.n_vertices)  # new number of each vertex
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new] = mesh.vertices
+    # a cyclic rotation keeps each triangle counter-clockwise
+    rotation = (np.arange(3) + rng.integers(0, 3, (mesh.triangles.shape[0], 1))) % 3
+    triangles = np.take_along_axis(new[mesh.triangles], rotation, axis=1)
+    return mesh_from_arrays(vertices, triangles[rng.permutation(len(triangles))], new[mesh.boundary_loop])
+
+
+def test_per_iteration_forms_on_a_renumbered_mesh():
+    ops = build_operators(renumbered_disc_mesh(24))
+    # local upper pairs land in global lower slots, and in upper ones
+    for dofs in (ops.mesh.triangles, p2_dofs(ops)):
+        row, col = np.triu_indices(dofs.shape[1], 1)
+        lower = dofs[:, row] > dofs[:, col]
+        assert lower.any() and not lower.all()
+    rng = np.random.default_rng(25)
+    u = rng.standard_normal(ops.vspace.n_velocity)
+    for C, ref in zip(assemble_convection(ops, u), dense_convection_reference(ops, u)):
+        assert np.max(np.abs(C.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+        S = (C + C.T).toarray()
+        assert np.array_equal(S, np.zeros_like(S))
+    n = rng.random(ops.mesh.n_vertices)
+    c = rng.random(ops.mesh.n_vertices)
+    ref = chemotaxis_add_at_reference(ops, n, c, sensitivity)
+    G = assemble_chemotaxis_rhs(ops, n, c, sensitivity)
     assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -375,6 +378,41 @@ def test_cli_releases_heap_after_error_exit(tmp_path, monkeypatch, capsys):
 def test_release_heap_skips_a_missing_malloc_trim(monkeypatch):
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
     cli._release_heap()
+
+
+# Runs one command through main, then prints the thread count of each OpenBLAS
+# copy in the process: numpy's and scipy's.
+THREAD_PROBE = """
+import ctypes, json, sys
+from chemoflow.cli import main
+assert main(["validate", "--config", sys.argv[1]]) == 0
+counts = {}
+with open("/proc/self/maps") as maps:
+    paths = sorted({line.split()[-1] for line in maps if "libscipy_openblas" in line})
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+        if hasattr(lib, name):
+            counts[name] = getattr(lib, name)()
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.parametrize("threads_set, expected", [(None, 1), ("2", 2)])
+def test_cli_pins_blas_threads_unless_set(threads_set, expected):
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs Linux and two CPUs: OpenBLAS runs one thread on one CPU whatever is asked")
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    if threads_set is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads_set
+    out = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE, str(STEADY_CONFIG)], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    counts = json.loads(out.splitlines()[-1])
+    if "scipy_openblas_get_num_threads" not in counts:
+        pytest.skip("scipy's OpenBLAS has no thread-count symbol here")
+    assert counts and all(n == expected for n in counts.values()), counts
 
 
 def test_cli_run_linear_solve_failure_exits_solver(tmp_path, monkeypatch, capsys):
