@@ -36,26 +36,30 @@ def export_fields(state: State, path) -> None:
 
 
 def load_fields(path) -> State:
+    """Read a fields file; an unreadable, short or malformed one raises ``FieldsIOError``."""
     try:
         with open(path) as f:
             tokens = f.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FieldsIOError(f"cannot read fields from {path}: {exc}") from exc
-    if tokens[:2] != ["fields", "v1"]:
-        raise FieldsIOError(f"{path}: not a fields file")
-    pos = 2
-    if tokens[pos] != "t":
-        raise FieldsIOError(f"{path}: missing time stamp")
-    t = float(tokens[pos + 1])
-    pos += 2
+    if tokens[:3] != ["fields", "v1", "t"] or len(tokens) < 4:
+        raise FieldsIOError(f"{path}: not a fields file with a time stamp")
+    pos = 4
     arrays = {}
     for name in ("c", "n", "u", "p"):
-        if tokens[pos] != name:
-            raise FieldsIOError(f"{path}: expected section '{name}'")
-        count = int(tokens[pos + 1])
-        pos += 2
-        arrays[name] = np.array(tokens[pos : pos + count], dtype=np.float64)
-        pos += count
+        head = tokens[pos : pos + 2]
+        if len(head) < 2 or head[0] != name or not head[1].isdecimal():
+            raise FieldsIOError(f"{path}: expected section '{name} <count>'")
+        end = pos + 2 + int(head[1])
+        if end > len(tokens):
+            raise FieldsIOError(f"{path}: section '{name}' holds fewer than {head[1]} values")
+        arrays[name] = tokens[pos + 2 : end]
+        pos = end
+    try:
+        t = float(tokens[3])
+        arrays = {name: np.array(values, dtype=np.float64) for name, values in arrays.items()}
+    except ValueError as exc:
+        raise FieldsIOError(f"{path}: {exc}") from exc
     return State(c=arrays["c"], n=arrays["n"], u=arrays["u"], p=arrays["p"], t=t)
 
 

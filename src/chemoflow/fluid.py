@@ -19,12 +19,13 @@ Desk-scale systems are solved by sparse LU through ``KeptFactor``, the one
 linear layer of the oxygen, cell and fluid blocks: it holds a factor, solves
 each new system by defect correction around it, started from the iterate
 the solve replaces, and factorises (and keeps) the true matrix only when
-the correction stalls.  ``factorise`` makes every factor, with one
+the correction stalls or, around a factor it was handed, once its budget of
+corrections is spent.  ``factorise`` makes every factor, with one
 symmetric-mode, fill-reducing ordering.  ``solve_saddle`` is the one saddle
-entry point: a time step passes a factor started from the ``stokes_factor``
-of its step size, and the one-off set-up systems pass none and keep the
-default tolerance 1e-10.  Both build the one ``_PinnedSaddle`` layout from
-P2 pair-pattern data.
+entry point: a time step passes a factor started from the convection-free
+saddle of its step size, and the one-off set-up systems pass none and keep
+the default tolerance 1e-10.  Both build the one ``_PinnedSaddle`` layout
+from P2 pair-pattern data.
 """
 
 from __future__ import annotations
@@ -61,11 +62,13 @@ class KeptFactor:
     """Sparse LU held across the nearby systems of one block.
 
     ``solve`` corrects the defect around the held factor ``lu``, from
-    ``guess`` or zero, until it is below ``0.01 tol ||rhs||``.  Once the last
-    contraction, continued to ``max_corrections``, cannot get there, or when
-    nothing is held, it factorises the true matrix, solves with it, checks
-    the residual against ``tol`` and keeps that factor.  ``matrix`` needs
-    ``@`` and ``tocsc()``.
+    ``guess`` or zero, until it is below ``0.01 tol ||rhs||``.  A handed-in
+    ``lu`` has ``max_corrections`` corrections to spend over the object's
+    life (``spare`` left).  Once the last contraction, continued to
+    ``max_corrections`` or ``spare``, cannot get there, or when nothing is
+    held, it factorises the true matrix, solves with it, checks the residual
+    against ``tol`` and keeps that factor.  ``matrix`` needs ``@`` and
+    ``tocsc()``.
     """
 
     max_corrections = 30
@@ -73,6 +76,7 @@ class KeptFactor:
     def __init__(self, what: str, lu=None):
         self.what = what
         self.lu = lu
+        self.spare = np.inf if lu is None else self.max_corrections
 
     def solve(self, matrix, rhs: np.ndarray, tol: float, guess=None) -> np.ndarray:
         scale = max(np.linalg.norm(rhs), 1e-300)
@@ -87,11 +91,13 @@ class KeptFactor:
                     return x
                 # a defect that did not fall never reaches the target
                 rate = min(defect / previous, 1.0)
-                if defect * rate ** (self.max_corrections - 1 - it) > target:
+                if defect * rate ** min(self.max_corrections - 1 - it, self.spare) > target:
                     break
                 previous = defect
+                self.spare -= 1
                 x += self.lu.solve(r)
         self.lu = factorise(matrix, self.what)
+        self.spare = np.inf
         x = self.lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise LinearSolveError(f"{self.what} solve produced non-finite values")
@@ -160,11 +166,6 @@ def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, scale: float, tol: float 
             f"saddle solve residual too large: momentum {res_mom:.3e}, divergence {res_div:.3e}"
         )
     return u, p
-
-
-def stokes_factor(ops, xi, k):
-    """Factor of the convection-free pinned saddle ``M + k xi K`` of step size ``k``."""
-    return factorise(_PinnedSaddle(ops, ops.M_u.data + k * xi * ops.K_u.data, k), "saddle")
 
 
 def steady_stokes_velocity(ops: OperatorSet, params, n: np.ndarray) -> np.ndarray:

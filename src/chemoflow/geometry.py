@@ -245,24 +245,33 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
-    with open(path) as f:
-        tokens = f.read().split()
+    """Read a mesh in the format above; an unreadable, short or malformed file raises ``MeshError``."""
+    try:
+        with open(path) as f:
+            tokens = f.read().split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshError(f"cannot read mesh from {path}: {exc}") from exc
     pos = 0
 
-    def expect(keyword: str) -> int:
+    def section(keyword: str, width: int, dtype, bound=None) -> np.ndarray:
+        """The next section's records; ``bound`` makes them vertex indices, all below it."""
         nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != keyword:
-            raise MeshError(f"malformed mesh file: expected '{keyword}' section")
-        count = int(tokens[pos + 1])
-        pos += 2
-        return count
+        head = tokens[pos : pos + 2]
+        if len(head) < 2 or head[0] != keyword or not head[1].isdecimal():
+            raise MeshError(f"{path}: expected '{keyword} <count>'")
+        count = int(head[1])
+        end = pos + 2 + width * count
+        if end > len(tokens):
+            raise MeshError(f"{path}: '{keyword}' section holds fewer than {count} records")
+        try:
+            values = np.array(tokens[pos + 2 : end], dtype=dtype)
+        except ValueError as exc:
+            raise MeshError(f"{path}: '{keyword}' section: {exc}") from exc
+        if bound is not None and (values.size == 0 or values.min() < 0 or values.max() >= bound):
+            raise MeshError(f"{path}: '{keyword}' section is empty or indexes no vertex")
+        pos = end
+        return values.reshape(count, width)
 
-    nv = expect("vertices")
-    vertices = np.array(tokens[pos : pos + 2 * nv], dtype=np.float64).reshape(nv, 2)
-    pos += 2 * nv
-    nt = expect("triangles")
-    triangles = np.array(tokens[pos : pos + 3 * nt], dtype=np.int64).reshape(nt, 3)
-    pos += 3 * nt
-    nb = expect("boundary")
-    loop = np.array(tokens[pos : pos + nb], dtype=np.int64)
-    return mesh_from_arrays(vertices, triangles, loop)
+    vertices = section("vertices", 2, np.float64)
+    triangles = section("triangles", 3, np.int64, len(vertices))
+    return mesh_from_arrays(vertices, triangles, section("boundary", 1, np.int64, len(vertices))[:, 0])

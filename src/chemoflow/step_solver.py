@@ -19,12 +19,13 @@ The oxygen equation carries the dynamic boundary condition: its mass and
 stiffness include the boundary operators scaled by alpha/b, so the boundary
 trace evolves with its own surface diffusion driven by the bulk flux.
 
-The step matrices of one frozen velocity are one ``StepSystem``, built from
-one convection assembly; the inner loop, the fluid solve and the residual
-check read it.  Each solve corrects around its block's held factor from the
-iterate it replaces.  Factors live one step attempt, except the never-changed
-factor of the convection-free saddle ``M + k xi K``, one per step size: the
-step saddles differ from it by the skew convection block alone.
+The step matrices of one frozen velocity are one ``StepSystem``, the
+convection-free data of its step size plus one convection assembly; the
+inner loop, the fluid solve and the residual check read it.  A run keeps one
+``StepBase`` per step size: that data, the never-changed factors of its
+three matrices, which every attempt's held factors start from, and the last
+system, which the next step starts from.  The step matrices differ from the
+base by the skew convection block alone.
 """
 
 from __future__ import annotations
@@ -34,8 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import fluid
 from .assembly import OperatorSet, assemble_chemotaxis_rhs, assemble_convection
-from .fluid import KeptFactor, solve_saddle, stokes_factor
+from .fluid import KeptFactor, solve_saddle
+
+BLOCKS = ("oxygen", "cell-density", "saddle")  # the block names a failed factorisation or solve reports
 
 
 @dataclass(frozen=True)
@@ -118,22 +122,45 @@ class StepSystem:
     fluid: sp.csr_matrix  # M + k xi K + k C(u) on the full velocity dof set
 
 
-def step_system(ops: OperatorSet, params, k: float, u: np.ndarray) -> StepSystem:
-    """Step matrices of step size ``k`` at ``u``, each summing pattern data in its sparse sum's order."""
+def step_data(ops: OperatorSet, params, k: float) -> tuple:
+    """Convection-free pattern data of the oxygen, cell and fluid step matrices, in their sparse sums' order."""
     work = ops._work
-    C, C_u = assemble_convection(ops, u)
     a_ob = params.alpha / params.b
-    data = ops.M_vol.data.copy()
-    data[work.loop_slot] += a_ob * ops.M_bnd_global.data
-    data += k * params.alpha * ops.K_vol.data
-    data[work.loop_slot] += k * a_ob * ops.K_bnd_global.data
-    data += k * C.data
+    oxygen = ops.M_vol.data.copy()
+    oxygen[work.loop_slot] += a_ob * ops.M_bnd_global.data
+    oxygen += k * params.alpha * ops.K_vol.data
+    oxygen[work.loop_slot] += k * a_ob * ops.K_bnd_global.data
+    return oxygen, ops.M_vol.data + k * params.beta * ops.K_vol.data, ops.M_u.data + k * params.xi * ops.K_u.data
+
+
+def step_system(ops: OperatorSet, params, k: float, u: np.ndarray, data: tuple | None = None) -> StepSystem:
+    """Step matrices of step size ``k`` at ``u``: its ``step_data``, or ``data``, plus ``k C(u)``."""
+    oxygen, cells, velocity = step_data(ops, params, k) if data is None else data
+    C, C_u = assemble_convection(ops, u)
+    work = ops._work
     return StepSystem(
         u=u,
-        oxygen=work.p1.matrix(data),
-        cells=work.p1.matrix(ops.M_vol.data + k * params.beta * ops.K_vol.data + k * C.data),
-        fluid=work.p2_pair.matrix(ops.M_u.data + k * params.xi * ops.K_u.data + k * C_u.data),
+        oxygen=work.p1.matrix(oxygen + k * C.data),
+        cells=work.p1.matrix(cells + k * C.data),
+        fluid=work.p2_pair.matrix(velocity + k * C_u.data),
     )
+
+
+class StepBase:
+    """What every attempt of step size ``k`` in one run shares.
+
+    ``data`` is the ``step_data`` of ``k``, ``factors`` the factors of its
+    oxygen, cell and pinned fluid matrices, and ``last`` the last system built
+    from it.  Each depends only on the mesh, the coefficients, ``k`` and the
+    system's velocity, so a resumed run rebuilds the same bits.
+    """
+
+    def __init__(self, ops: OperatorSet, params, k: float):
+        self.data = oxygen, cells, velocity = step_data(ops, params, k)
+        p1 = ops._work.p1
+        blocks = (p1.matrix(oxygen), p1.matrix(cells), fluid._PinnedSaddle(ops, velocity, k))
+        self.factors = tuple(map(fluid.factorise, blocks, BLOCKS))
+        self.last = None
 
 
 def c_step_rhs(ops: OperatorSet, params, inputs: StepInputs, c_hat, n_hat, consumption_fn):
@@ -251,43 +278,45 @@ def outer_step(
     params,
     ops: OperatorSet,
     options: SolverOptions = SolverOptions(),
-    stokes: dict | None = None,
+    bases: dict | None = None,
 ) -> StepResult:
     """Full coupled step: alternate the (c, n) fixed point with fluid solves.
 
     Convection in the fluid is linearised at the previous outer velocity
     iterate.  Convergence requires the inner loop converged, the velocity
     update below tolerance, and the fully nonlinear residual below tolerance;
-    failure is reported in the diagnostics.  The attempt holds fresh oxygen
-    and cell factors, and a fluid factor started from ``stokes[k]``, the
-    Stokes factor of its step size, which is made and added when missing.
+    failure is reported in the diagnostics.  The attempt starts from the
+    ``StepBase`` of ``k`` in ``bases`` (made when missing): its factors, and
+    its last system when that is at ``u_prev``; it leaves its own last there.
     """
     inputs.validate(ops)
     options.validate()
     k = inputs.dt
-    stokes = {} if stokes is None else stokes
-    if k not in stokes:
-        stokes[k] = stokes_factor(ops, params.xi, k)
-    factors = (KeptFactor("oxygen"), KeptFactor("cell-density"))
-    fluid = KeptFactor("saddle", stokes[k])
+    bases = {} if bases is None else bases
+    if k not in bases:
+        bases[k] = StepBase(ops, params, k)
+    base = bases[k]
+    oxygen, cells, saddle = map(KeptFactor, BLOCKS, base.factors)
     # the residual check and the next outer iteration share each new velocity's system
-    system = step_system(ops, params, k, np.asarray(inputs.u_prev, dtype=float))
+    system = base.last
+    if system is None or not np.array_equal(system.u, inputs.u_prev):
+        system = base.last = step_system(ops, params, k, np.asarray(inputs.u_prev, dtype=float), base.data)
     guess = None
     diag = FixedPointDiagnostics()
     c = n = None
     u, p = system.u, np.zeros(ops.mesh.n_vertices)
     for it in range(1, options.max_outer + 1):
-        c, n, inner = picard_inner(inputs, system, params, ops, options, initial_guess=guess, factors=factors)
+        c, n, inner = picard_inner(inputs, system, params, ops, options, initial_guess=guess, factors=(oxygen, cells))
         guess = (c, n)
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)
         rhs = u_step_rhs(ops, params, inputs, n)
-        u, p = solve_saddle(ops, system.fluid, rhs, k, tol=options.linear_tol, factor=fluid, guess=(system.u, p))
+        u, p = solve_saddle(ops, system.fluid, rhs, k, tol=options.linear_tol, factor=saddle, guess=(system.u, p))
         num = np.sqrt(ops.velocity_norm_sq(u - system.u))
         den = np.sqrt(ops.velocity_norm_sq(u))
         diag.outer_iterations = it
         diag.residual_history.append(num / den if den > 0 else num)
-        system = step_system(ops, params, k, u)
+        system = base.last = step_system(ops, params, k, u, base.data)
         if inner.converged and num <= options.outer_tol * den:
             residual = step_residual(ops, params, inputs, system, c, n, p)
             diag.final_residual = residual

@@ -133,16 +133,17 @@ def trajectory_data_hash(ops: OperatorSet, params, state0: State, T: float) -> s
     return h.hexdigest()
 
 
-def _advance(ops, params, state: State, k: float, t_next: float, options, depth: int, step: int, stokes: dict):
+def _advance(ops, params, state: State, k: float, t_next: float, options, depth: int, step: int, bases: dict):
     """One step of size k ending at t_next, halving on failure up to depth.
 
-    ``stokes`` maps each step size to its Stokes factor, shared by every
-    attempt of that size.  A failed linear solve is a failed attempt, like a
-    stalled fixed point.
+    ``bases`` maps each step size to its ``StepBase`` (convection-free step
+    data, the base factors of the oxygen, cell and fluid blocks, and the last
+    system), shared by every attempt of that size.  A failed linear solve is
+    a failed attempt, like a stalled fixed point.
     """
     inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u, dt=k)
     try:
-        result = outer_step(inputs, params, ops, options, stokes=stokes)
+        result = outer_step(inputs, params, ops, options, bases=bases)
     except LinearSolveError as exc:
         result, residual, reason = None, None, str(exc)
     else:
@@ -164,8 +165,8 @@ def _advance(ops, params, state: State, k: float, t_next: float, options, depth:
             k,
             reason,
         )
-        mid_state, d1 = _advance(ops, params, state, k / 2, t_next - k / 2, options, depth - 1, step, stokes)
-        end_state, d2 = _advance(ops, params, mid_state, k / 2, t_next, options, depth - 1, step, stokes)
+        mid_state, d1 = _advance(ops, params, state, k / 2, t_next - k / 2, options, depth - 1, step, bases)
+        end_state, d2 = _advance(ops, params, mid_state, k / 2, t_next, options, depth - 1, step, bases)
         return end_state, d1 + d2
     new = State(c=result.c, n=result.n, u=result.u, p=result.p, t=t_next)
     bad = new.first_nonfinite_field()
@@ -216,10 +217,10 @@ def run(
         write_checkpoint(checkpoint_dir / checkpoint_name(0), mesh_hash, grid, 0, states[0])
 
     state = states[-1]
-    stokes: dict = {}
+    bases: dict = {}
     for m in range(start + 1, grid.N + 1):
         t_next = grid.time(m)
-        state, diags = _advance(ops, params, state, grid.k, t_next, options, options.retry_depth, m, stokes)
+        state, diags = _advance(ops, params, state, grid.k, t_next, options, options.retry_depth, m, bases)
         states.append(state)
         diagnostics.append(tuple(diags))
         if checkpoint_dir is not None:

@@ -12,7 +12,7 @@ from chemoflow.fluid import (
 )
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams
-from chemoflow.step_solver import StepInputs, outer_step, picard_inner, step_system, u_step_rhs
+from chemoflow.step_solver import StepBase, StepInputs, outer_step, picard_inner, step_system, u_step_rhs
 
 
 PARAMS = ModelParams()
@@ -113,6 +113,11 @@ def counted_factorisations(monkeypatch):
     return made
 
 
+def stokes_base(ops, xi, k):
+    """Factor of the convection-free step saddle ``M + k xi K`` of step size ``k``."""
+    return fluid.factorise(fluid._PinnedSaddle(ops, ops.M_u.data + k * xi * ops.K_u.data, k), "saddle")
+
+
 def random_step_system(ops, params, k, amplitude, seed, q_scale=1.0):
     rng = np.random.default_rng(seed)
     n = rng.random(ops.mesh.n_vertices)
@@ -129,7 +134,7 @@ def test_saddle_cache_matches_direct_solve(coarse_ops, monkeypatch):
     A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
     u_ref, p_ref = solve_saddle(ops, A, rhs, k)
     made = counted_factorisations(monkeypatch)
-    u, p = solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", fluid.stokes_factor(ops, PARAMS.xi, k)))
+    u, p = solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", stokes_base(ops, PARAMS.xi, k)))
     assert len(made) == 1  # the convection-free base, nothing else
     assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
@@ -142,7 +147,7 @@ def test_saddle_cache_falls_back_once_at_low_viscosity(coarse_ops, monkeypatch):
     k = 0.0625
     A, rhs = random_step_system(ops, params, k, 5.0, 12)
     made = counted_factorisations(monkeypatch)
-    u, p = solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", fluid.stokes_factor(ops, params.xi, k)))
+    u, p = solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", stokes_base(ops, params.xi, k)))
     assert len(made) == 2  # the base, then the true matrix
     idx = ops.vspace.interior_velocity
     B = ops.B[:, idx]
@@ -166,7 +171,7 @@ def test_saddle_cache_falls_back_early(coarse_ops, monkeypatch, xi, amplitude):
     k = 0.0625
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
     made = counted_factorisations(monkeypatch)
-    factor = KeptFactor("saddle", fluid.stokes_factor(ops, params.xi, k))
+    factor = KeptFactor("saddle", stokes_base(ops, params.xi, k))
     solve_saddle(ops, A, rhs, k, factor=factor)
     base, *fresh = made
     assert base.solves <= 2
@@ -184,7 +189,7 @@ def test_saddle_cache_nearby_system_after_a_stall_needs_no_factorisation(coarse_
     A, rhs = random_step_system(ops, params, k, amplitude, 12, q_scale=1.01)
     u_ref, p_ref = solve_saddle(ops, A, rhs, k)
     made = counted_factorisations(monkeypatch)
-    factor = KeptFactor("saddle", fluid.stokes_factor(ops, params.xi, k))
+    factor = KeptFactor("saddle", stokes_base(ops, params.xi, k))
     solve_saddle(ops, A_first, rhs_first, k, factor=factor)
     base, kept = made
     base_solves = base.solves
@@ -208,7 +213,7 @@ def test_saddle_cache_converging_correction_does_not_fall_back(coarse_ops, monke
     params = ModelParams(xi=xi)
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
     made = counted_factorisations(monkeypatch)
-    factor = KeptFactor("saddle", fluid.stokes_factor(ops, params.xi, k))
+    factor = KeptFactor("saddle", stokes_base(ops, params.xi, k))
     solve_saddle(ops, A, rhs, k, factor=factor)
     base, *fresh = made
     assert fresh == []
@@ -216,10 +221,10 @@ def test_saddle_cache_converging_correction_does_not_fall_back(coarse_ops, monke
 
 
 def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
-    # a Stokes factor shared with an earlier solve that stalled and kept its
-    # own factor: the step starts from the base alone, and the oxygen and cell
-    # factors held elsewhere play no part, so the step computes the same bits
-    # as with fresh factors
+    # a base shared with an earlier saddle solve that stalled and kept its
+    # own factor, and with an inner loop that spent corrections around its
+    # scalar factors: the step starts from the base factors alone, with a
+    # full correction budget, so it computes the same bits as a fresh store
     ops = coarse_ops
     params = ModelParams(xi=0.01)
     k = 0.0625
@@ -231,16 +236,18 @@ def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
     inputs = StepInputs(c_prev=c, n_prev=n, u_prev=u_prev, dt=k)
     fresh = outer_step(inputs, params, ops)
     made = counted_factorisations(monkeypatch)
-    stokes = {k: fluid.stokes_factor(ops, params.xi, k)}
-    solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", stokes[k]))
-    base, stalled = made
-    held = (KeptFactor("oxygen"), KeptFactor("cell-density"))
+    bases = {k: StepBase(ops, params, k)}
+    oxygen_lu, cells_lu, saddle_lu = bases[k].factors
+    solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", saddle_lu))
+    assert made[:3] == [oxygen_lu, cells_lu, saddle_lu] and len(made) == 4
+    stalled = made[3]
+    held = (KeptFactor("oxygen", oxygen_lu), KeptFactor("cell-density", cells_lu))
     other = StepInputs(c_prev=2 * c, n_prev=n, u_prev=u_prev, dt=k)
     picard_inner(other, step_system(ops, params, other.dt, u_prev), params, ops, factors=held)
-    assert held[0].lu is not None and held[1].lu is not None
-    base_solves = base.solves
-    result = outer_step(inputs, params, ops, stokes=stokes)
-    assert base.solves > base_solves and stalled.solves == 1
+    assert all(f.spare < KeptFactor.max_corrections for f in held)
+    solves = saddle_lu.solves
+    result = outer_step(inputs, params, ops, bases=bases)
+    assert saddle_lu.solves > solves and stalled.solves == 1
     for name in ("c", "n", "u", "p"):
         assert np.array_equal(getattr(result, name), getattr(fresh, name))
     assert result.diagnostics.residual_history == fresh.diagnostics.residual_history
@@ -398,7 +405,7 @@ def test_saddle_guess_maps_to_the_pinned_layout(coarse_ops, monkeypatch):
     k = 0.02
     A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
     made = counted_factorisations(monkeypatch)
-    factor = KeptFactor("saddle", fluid.stokes_factor(ops, PARAMS.xi, k))
+    factor = KeptFactor("saddle", stokes_base(ops, PARAMS.xi, k))
     u, p = solve_saddle(ops, A, rhs, k, factor=factor)
     (base,) = made
     solves = base.solves

@@ -1,6 +1,7 @@
 """Byte-for-byte stability of every documented on-disk format."""
 
 import hashlib
+import re
 import struct
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import pytest
 
 from chemoflow.config import config_from_dict
 from chemoflow.energy import CSV_COLUMNS
-from chemoflow.fields_io import export_fields
-from chemoflow.geometry import build_disc_mesh, load_mesh, save_mesh
+from chemoflow.fields_io import FieldsIOError, export_fields, load_fields
+from chemoflow.geometry import MeshError, build_disc_mesh, load_mesh, save_mesh
 from chemoflow.timestepping import (
     State,
     StepFailure,
@@ -101,3 +102,76 @@ def test_fields_format_golden(tmp_path):
     mesh = build_disc_mesh(1.0, 0.6)
     export_fields(tiny_state(mesh), tmp_path / "f.txt")
     assert (tmp_path / "f.txt").read_bytes() == (GOLDEN / "fields_tiny.txt").read_bytes()
+
+
+def cuts(text):
+    """Every prefix of ``text`` ending at a line end or after a token, and whether it holds every token."""
+    token_ends = [m.end() for m in re.finditer(r"\S+", text)]
+    ends = {0, *token_ends, *(m.end() for m in re.finditer("\n", text))}
+    return [(text[:end], end >= token_ends[-1]) for end in sorted(ends)]
+
+
+def same_mesh(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("vertices", "triangles", "boundary_loop"))
+
+
+def same_state(a, b):
+    return a.t == b.t and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "cnup")
+
+
+def check_cuts(tmp_path, name, load, error, is_golden):
+    # a cut file reads as the golden value only once it holds every token;
+    # any shorter cut raises the reader's typed error, nothing else
+    path = tmp_path / name
+    for prefix, complete in cuts((GOLDEN / name).read_text()):
+        path.write_text(prefix)
+        if complete:
+            assert is_golden(load(path)), repr(prefix[-40:])
+        else:
+            with pytest.raises(error):
+                load(path)
+
+
+def test_mesh_reader_cut_files(tmp_path):
+    golden = build_disc_mesh(1.0, 0.6)
+    check_cuts(tmp_path, "mesh_tiny.txt", load_mesh, MeshError, lambda mesh: same_mesh(mesh, golden))
+
+
+def test_fields_reader_cut_files(tmp_path):
+    golden = tiny_state(build_disc_mesh(1.0, 0.6))
+    check_cuts(tmp_path, "fields_tiny.txt", load_fields, FieldsIOError, lambda state: same_state(state, golden))
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("mesh_tiny.txt", "vertices 19", "vertices 19.0"),
+        ("mesh_tiny.txt", "vertices 19", "vertices -19"),
+        ("mesh_tiny.txt", "\n0.5 0\n", "\n0.5 zero\n"),
+        ("mesh_tiny.txt", "\n0 1 2\n", "\n0 1.5 2\n"),
+        ("mesh_tiny.txt", "\n0 1 2\n", "\n0 1 19\n"),
+        ("mesh_tiny.txt", "boundary 12\n7\n", "boundary 12\n-7\n"),
+        ("fields_tiny.txt", "t 0.25", "t quarter"),
+        ("fields_tiny.txt", "c 19", "c nineteen"),
+        ("fields_tiny.txt", "\n0.5\n", "\nhalf\n"),
+        ("fields_tiny.txt", "p 19", "q 19"),
+    ],
+)
+def test_readers_refuse_malformed_tokens(tmp_path, name, old, new):
+    text = (GOLDEN / name).read_text()
+    assert text.count(old) == 1
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    load, error = (load_mesh, MeshError) if name.startswith("mesh") else (load_fields, FieldsIOError)
+    with pytest.raises(error):
+        load(path)
+
+
+def test_readers_map_unreadable_files(tmp_path):
+    # a missing file, and one that is not text
+    (tmp_path / "binary.txt").write_bytes(b"vertices \xff\xfe")
+    for name in ("missing.txt", "binary.txt"):
+        with pytest.raises(MeshError, match="cannot read mesh"):
+            load_mesh(tmp_path / name)
+        with pytest.raises(FieldsIOError, match="cannot read fields"):
+            load_fields(tmp_path / name)

@@ -6,14 +6,15 @@ import pytest
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from chemoflow import fluid, step_solver
+from chemoflow import fluid, step_solver, timestepping
 from chemoflow.assembly import build_operators
 from chemoflow.config import apply_overrides, build_initial_state, config_from_dict, load_config
-from chemoflow.fluid import project_divergence_free
+from chemoflow.fluid import KeptFactor, project_divergence_free
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams, ResponseSpec
 from chemoflow.step_solver import (
     SolverOptions,
+    StepBase,
     StepInputs,
     outer_step,
     picard_inner,
@@ -178,7 +179,11 @@ def test_outer_step_zero_forcing_reduces_to_inner(coarse_ops):
     assert result.diagnostics.converged
     assert result.diagnostics.outer_iterations == 1
     assert np.max(np.abs(result.u)) == 0.0
-    c_ref, n_ref, _ = picard_inner(inputs, step_system(ops, params, inputs.dt, inputs.u_prev), params, ops)
+    # the inner loop alone, its factors started from the same base
+    base = StepBase(ops, params, inputs.dt)
+    factors = (KeptFactor("oxygen", base.factors[0]), KeptFactor("cell-density", base.factors[1]))
+    system = step_system(ops, params, inputs.dt, inputs.u_prev)
+    c_ref, n_ref, _ = picard_inner(inputs, system, params, ops, factors=factors)
     assert np.array_equal(result.c, c_ref) and np.array_equal(result.n, n_ref)
 
 
@@ -276,15 +281,11 @@ def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
     result = outer_step(inputs, PARAMS, ops)
     assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
     scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
-    assert len(scalar) == 2 and len(made) == 3  # oxygen, cells, the fluid base
+    assert len(scalar) == 2 and len(made) == 3  # the oxygen, cell and fluid bases
 
 
-def test_one_convection_assembly_per_frozen_velocity(coarse_ops, monkeypatch):
-    # the previous velocity, then each outer iterate's: the residual check
-    # and the next outer iteration share the system built at a new velocity
-    ops = coarse_ops
-    x, y = ops.mesh.vertices.T
-    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125), dt=0.05)
+def counted_convection(monkeypatch):
+    """The velocity of every convection assembly from now on, in order."""
     velocities = []
     assemble = step_solver.assemble_convection
 
@@ -293,19 +294,51 @@ def test_one_convection_assembly_per_frozen_velocity(coarse_ops, monkeypatch):
         return assemble(ops, u)
 
     monkeypatch.setattr(step_solver, "assemble_convection", counted)
+    return velocities
+
+
+def test_one_convection_assembly_per_frozen_velocity(coarse_ops, monkeypatch):
+    # the previous velocity, then each outer iterate's: the residual check
+    # and the next outer iteration share the system built at a new velocity
+    ops = coarse_ops
+    x, y = ops.mesh.vertices.T
+    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125), dt=0.05)
+    velocities = counted_convection(monkeypatch)
     result = outer_step(inputs, PARAMS, ops)
     assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
     assert len(velocities) == result.diagnostics.outer_iterations + 1
     assert np.array_equal(velocities[0], inputs.u_prev) and velocities[-1] is result.u
 
 
+def test_next_step_starts_from_the_system_the_last_one_ended_on(coarse_ops, monkeypatch):
+    # a step that shares the store of the step before it starts from that
+    # step's last system: one convection assembly fewer than with a fresh
+    # store, and the same bits
+    ops = coarse_ops
+    x, y = ops.mesh.vertices.T
+    first = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125), dt=0.05)
+    bases = {}
+    previous = outer_step(first, PARAMS, ops, bases=bases)
+    assert bases[first.dt].last.u is previous.u
+    second = make_inputs(ops, c=previous.c, n=previous.n, u=previous.u.copy(), dt=first.dt)
+    velocities = counted_convection(monkeypatch)
+    shared = outer_step(second, PARAMS, ops, bases=bases)
+    assembled = len(velocities)
+    fresh = outer_step(second, PARAMS, ops)
+    assert shared.diagnostics.converged and shared.diagnostics.outer_iterations > 1
+    assert assembled == len(velocities) - assembled - 1
+    for name in ("c", "n", "u", "p"):
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name))
+    assert shared.diagnostics.residual_history == fresh.diagnostics.residual_history
+
+
 def solves_by_block(monkeypatch):
-    """Triangular solves of every factor made from now on, by block.
+    """Triangular solves and factorisations of every factor made from now on, by block.
 
     Wraps each factor ``fluid.factorise`` makes (the one caller of
     ``fluid.splu``), labelled with the block name it is given.
     """
-    solves = Counter()
+    solves, made = Counter(), Counter()
     factorise = fluid.factorise
 
     class Counted:
@@ -316,23 +349,80 @@ def solves_by_block(monkeypatch):
             solves[self.what] += 1
             return self.lu.solve(rhs)
 
-    monkeypatch.setattr(fluid, "factorise", lambda matrix, what: Counted(factorise(matrix, what), what))
-    return solves
+    def counted(matrix, what):
+        made[what] += 1
+        return Counted(factorise(matrix, what), what)
+
+    monkeypatch.setattr(fluid, "factorise", counted)
+    return solves, made
 
 
 def test_warm_started_run_triangular_solves(monkeypatch):
     # every held-factor solve corrects from the iterate it replaces, so the
     # later outer iterations of a step need fewer corrections; bounds are the
-    # counts of the warm-started solver (cold starts took 192, 529 and 529)
+    # counts of the warm-started solver around the base factors of the step
+    # size (cold starts took 192, 667 and 885 solves, and 17 oxygen and 17
+    # cell factorisations)
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     raw = apply_overrides(load_config(config).raw, ["mesh.target_h=0.1", "time.N=16"])
     cfg = config_from_dict(raw, base_dir=config.parent)
     mesh = build_disc_mesh(cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"]))
     ops = build_operators(mesh)
     state0 = build_initial_state(cfg, ops)
-    solves = solves_by_block(monkeypatch)
+    solves, made = solves_by_block(monkeypatch)
     traj = run(ops, cfg.params, TimeGrid(T=cfg.time["T"], N=cfg.time["N"]), state0)
     assert all(d.converged for ds in traj.diagnostics[1:] for d in ds)
     assert solves["saddle"] <= 109
-    assert solves["oxygen"] <= 280
-    assert solves["cell-density"] <= 230
+    assert solves["oxygen"] <= 491
+    assert solves["cell-density"] <= 390
+    assert made["oxygen"] <= 11 and made["cell-density"] == 1 and made["saddle"] == 1
+
+
+def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
+    # the low_xi data (xi=0.01, h=0.1, k=1/16), first four steps: the oxygen
+    # and cell corrections around their base factors stall or spend their
+    # budget in every attempt, and then each block factorises its own matrix
+    # once and keeps it for the rest of the attempt
+    config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
+    raw = apply_overrides(load_config(config).raw, ["params.xi=0.01", "mesh.target_h=0.1", "time.N=16"])
+    cfg = config_from_dict(raw, base_dir=config.parent)
+    mesh = build_disc_mesh(cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"]))
+    ops = build_operators(mesh)
+    state0 = build_initial_state(cfg, ops)
+    solves, made = solves_by_block(monkeypatch)
+    base_solves = Counter()
+    step_base = step_solver.StepBase
+
+    def counting(solve, what):
+        def counted(rhs):
+            base_solves[what] += 1
+            return solve(rhs)
+
+        return counted
+
+    def counted_base(ops, params, k):
+        base = step_base(ops, params, k)
+        for lu in base.factors:
+            lu.solve = counting(lu.solve, lu.what)
+        return base
+
+    attempts = []
+    outer = timestepping.outer_step
+
+    def attempt(inputs, params, ops, options, bases):
+        new = inputs.dt not in bases
+        before, before_base = made.copy(), base_solves.copy()
+        result = outer(inputs, params, ops, options, bases=bases)
+        attempts.append((new, made - before, base_solves - before_base))
+        return result
+
+    monkeypatch.setattr(step_solver, "StepBase", counted_base)
+    monkeypatch.setattr(timestepping, "outer_step", attempt)
+    grid = TimeGrid(T=cfg.time["T"] / 4, N=4)
+    assert grid.k == cfg.time["T"] / cfg.time["N"]
+    traj = run(ops, cfg.params, grid, state0)
+    assert all(d.converged for ds in traj.diagnostics[1:] for d in ds) and len(attempts) == 4
+    for new, factorisations, corrections in attempts:
+        for block in ("oxygen", "cell-density"):
+            assert factorisations[block] == new + 1
+            assert 0 < corrections[block] <= KeptFactor.max_corrections

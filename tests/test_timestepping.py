@@ -206,7 +206,8 @@ def failing_factorisation(monkeypatch):
 
 def test_linear_solve_failure_is_retried_then_names_step(coarse_ops, monkeypatch):
     attempts = failing_factorisation(monkeypatch)
-    with pytest.raises(StepFailure, match="saddle factorisation failed") as exc:
+    # the oxygen base factor is the first factorisation of each step size
+    with pytest.raises(StepFailure, match="oxygen factorisation failed") as exc:
         run(coarse_ops, PARAMS, TimeGrid(T=1.0, N=2), steady_initial(coarse_ops), SolverOptions(retry_depth=2))
     # k = 0.5 fails, then its first half, then the first quarter, which ends at 0.125
     assert exc.value.step == 1 and exc.value.time == 0.125
@@ -234,10 +235,10 @@ def test_retry_rescues_with_halved_step(coarse_ops, caplog, monkeypatch):
     assert len(traj.states) == grid.N + 1
     assert traj.states[1].t == grid.time(1)  # merged back onto the uniform grid
     assert len(traj.diagnostics[1]) > 1  # substep diagnostics kept
-    # one Stokes factor per step size, shared by both k=2 halves; fresh
-    # oxygen and cell factors for each of the three attempts
+    # one oxygen, cell and Stokes base factor per step size, shared by both
+    # k=2 halves
     scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
-    assert len(made) - len(scalar) == 2 and len(scalar) == 6
+    assert len(made) - len(scalar) == 2 and len(scalar) == 4
 
 
 def stokes_initial(ops, params):
@@ -338,6 +339,35 @@ def test_checkpoint_resume_with_fluid_fallbacks_within_steps(medium_ops, tmp_pat
     monkeypatch.setattr(fluid, "splu", counted)
     check_roundtrip_and_resume(ops, params, state0, tmp_path / "a")
     assert len(saddle_factorisations) > 2  # the base and fallbacks, in both runs
+
+
+def test_resume_around_a_halved_retry_is_bit_identical(coarse_ops, tmp_path, monkeypatch):
+    # the full-size attempt of step 2 is made to fail, so two k/2 halves
+    # rescue it and step 3 starts where neither step size's last system is
+    # at its velocity; runs interrupted before and after step 2 and resumed
+    # reproduce the uninterrupted run bit for bit
+    ops, grid = coarse_ops, TimeGrid(T=0.2, N=4)
+    state0 = bump_initial(ops)
+    after_step1 = run(ops, PARAMS, TimeGrid(T=grid.k, N=1), state0).states[1]
+    outer = timestepping.outer_step
+
+    def failing_step2(inputs, params, ops, options, bases):
+        result = outer(inputs, params, ops, options, bases=bases)
+        if inputs.dt == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
+            result.diagnostics.converged = False
+        return result
+
+    monkeypatch.setattr(timestepping, "outer_step", failing_step2)
+    directory = tmp_path / "a"
+    full = run(ops, PARAMS, grid, state0, checkpoint_dir=directory)
+    assert [len(d) for d in full.diagnostics[1:]] == [1, 2, 1, 1]
+    for last in (1, 2):
+        for m in range(last + 1, grid.N + 1):
+            (directory / f"step_{m:06d}.ckpt").unlink()
+        resumed = run(ops, PARAMS, grid, state0, checkpoint_dir=directory, resume=True)
+        for sa, sb in zip(full.states, resumed.states):
+            for name in ("c", "n", "u", "p"):
+                assert np.array_equal(getattr(sa, name), getattr(sb, name)), (last, sa.t, name)
 
 
 def test_held_factors_are_freed_with_the_run(coarse_ops):
