@@ -22,6 +22,7 @@ from .energy import (
     check_oxygen_solve_bound,
     check_step_inequality,
     export_ledger,
+    interpolant_step_gap,
     kinetic_identity_residual,
     time_translate_decay,
     uniform_bound_scan,
@@ -31,7 +32,7 @@ from .fluid import LinearSolveError
 from .geometry import MeshError, build_disc_mesh, save_mesh
 from .model import validate_params
 from .step_solver import SolverOptions
-from .timestepping import StepFailure, TimeGrid, interpolant_step_gap, load_trajectory, run as run_time_loop
+from .timestepping import StepFailure, TimeGrid, load_trajectory, run as run_time_loop
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -55,10 +56,8 @@ def _setup(cfg):
     return mesh, build_operators(mesh)
 
 
-def _out_dir(cfg, override, subdir=None) -> Path:
+def _out_dir(cfg, override) -> Path:
     base = Path(override) if override else Path(cfg.output["directory"])
-    if subdir:
-        base = base / subdir
     base.mkdir(parents=True, exist_ok=True)
     return base
 
@@ -136,13 +135,9 @@ def cmd_converge(args) -> int:
     lines.append("")
     lines.append("interpolant-vs-step gap (exact L2-in-time):")
     ks = np.array([T / N for N in levels])
-    gaps = {f: [] for f in ("c", "n", "u")}
-    for traj in trajectories:
-        g = interpolant_step_gap(traj, ops)
-        for f in gaps:
-            gaps[f].append(g[f])
-    for f, vals in gaps.items():
-        vals = np.asarray(vals)
+    gaps = [interpolant_step_gap(led) for led in ledgers]
+    for f in ("c", "n", "u"):
+        vals = np.array([g[f] for g in gaps])
         slope = float(np.polyfit(np.log(ks), np.log(vals), 1)[0]) if np.all(vals > 0) else float("nan")
         lines.append(f"  {f}: gaps {' '.join(f'{v:.6g}' for v in vals)}  slope {slope:.4f}")
 
@@ -177,20 +172,16 @@ def cmd_energy(args) -> int:
     export_ledger(ledger, out_dir / "ledger.csv")
 
     params = cfg.params
-    delta = 0.5 * params.beta / params.g1
-    worst = {"combined": np.inf, "oxygen": np.inf, "cell": np.inf}
-    kin = 0.0
-    for m in range(1, ledger.N + 1):
-        worst["combined"] = min(worst["combined"], check_step_inequality(ledger, m, params, delta).slack)
-        worst["oxygen"] = min(worst["oxygen"], check_oxygen_solve_bound(ledger, m, params).slack)
-        worst["cell"] = min(worst["cell"], check_cell_solve_bound(ledger, m, params).slack)
-        kin = max(kin, kinetic_identity_residual(ledger, m, params))
+    combined = check_step_inequality(ledger, params, 0.5 * params.beta / params.g1)
+    oxygen = check_oxygen_solve_bound(ledger, params)
+    cell = check_cell_solve_bound(ledger, params)
+    kin = kinetic_identity_residual(ledger, params)
     lines = [
         f"energy analysis of {args.checkpoints} (N={ledger.N}, k={ledger.k:g})",
-        f"  worst combined-step slack: {worst['combined']:.6g}",
-        f"  worst oxygen-solve slack:  {worst['oxygen']:.6g}",
-        f"  worst cell-solve slack:    {worst['cell']:.6g}",
-        f"  max kinetic identity residual: {kin:.3e}",
+        f"  worst combined-step slack: {combined.slack.min():.6g}",
+        f"  worst oxygen-solve slack:  {oxygen.slack.min():.6g}",
+        f"  worst cell-solve slack:    {cell.slack.min():.6g}",
+        f"  max kinetic identity residual: {kin.max():.3e}",
         f"  cell mass drift: {np.max(np.abs(ledger['mass_n'] - ledger['mass_n'][0])):.3e}",
         f"  min cell density over run: {ledger['min_n'].min():.6g}",
     ]

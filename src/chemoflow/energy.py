@@ -6,10 +6,11 @@ per step.  Checks come in three kinds:
 
 * per-step inequalities (the damped combined estimate with a Young constant
   delta < beta/g1, the single-solve bounds for each field, and the kinetic
-  identity), which hold up to solver tolerance for every converged step;
+  identity), each evaluated at once on whole ledger columns, which hold up
+  to solver tolerance for every converged step;
 * uniform-in-k boundedness of eight aggregate quantities across a ladder of
   refinements of the same data, reported as the growth of the empirical
-  constant relative to the coarsest grid;
+  constant relative to the coarsest grid, and the interpolant-vs-step gap;
 * compactness-style diagnostics: the discrete Gronwall bound and the decay of
   time-translate L2 differences of the piecewise-linear reconstruction.
 
@@ -40,6 +41,12 @@ CSV_COLUMNS = (
 )
 
 
+def _step_diff(ledger: EnergyLedger, field: str) -> np.ndarray:
+    """|a|^2 - |b|^2 + |a - b|^2 per step, a the new and b the old value."""
+    sq = ledger[f"{field}_sq"]
+    return sq[1:] - sq[:-1] + ledger[f"d{field}_sq"][1:]
+
+
 @dataclass(frozen=True)
 class EnergyLedger:
     """Norm table over a trajectory; one row per time level.
@@ -61,7 +68,7 @@ class EnergyLedger:
         """Max relative defect of 2(a, a-b) = |a|^2 - |b|^2 + |a-b|^2."""
         lhs = self[f"inner2_{field}"][1:]
         sq = self[f"{field}_sq"]
-        rhs = sq[1:] - sq[:-1] + self[f"d{field}_sq"][1:]
+        rhs = _step_diff(self, field)
         scale = np.maximum(np.abs(lhs) + np.abs(sq[1:]) + np.abs(sq[:-1]), 1e-300)
         return float(np.max(np.abs(lhs - rhs) / scale)) if len(lhs) else 0.0
 
@@ -76,7 +83,11 @@ def export_ledger(ledger: EnergyLedger, path) -> None:
 
 
 def build_ledger(traj: Trajectory, ops: OperatorSet, params) -> EnergyLedger:
-    """Compute the full norm table; all norms are mass-matrix weighted."""
+    """Compute the full norm table; all norms are mass-matrix weighted.
+
+    ``M v``, ``K v`` and ``M d`` are formed once per field and state, and the
+    mass columns reuse ``M v``.
+    """
     N = traj.grid.N
     f = params.consumption()
     grad_sigma = np.asarray(params.grad_sigma, dtype=float)
@@ -93,15 +104,18 @@ def build_ledger(traj: Trajectory, ops: OperatorSet, params) -> EnergyLedger:
         ct = s.c[loop]
         fields = {"c": (s.c, ops.M_vol, ops.K_vol), "ctau": (ct, M_bnd, K_bnd),
                   "n": (s.n, ops.M_vol, ops.K_vol), "u": (s.u, ops.M_u, ops.K_u)}
+        Mv = {}
         for name, (vec, M, K) in fields.items():
-            col[f"{name}_sq"][m] = vec @ (M @ vec)
+            Mv[name] = M @ vec
+            col[f"{name}_sq"][m] = vec @ Mv[name]
             col[f"grad_{name}_sq"][m] = vec @ (K @ vec)
             if prev is not None:
                 d = vec - prev[name][0]
-                col[f"d{name}_sq"][m] = d @ (M @ d)
-                col[f"inner2_{name}"][m] = 2.0 * (vec @ (M @ d))
-        col["mass_n"][m] = ones_v @ (ops.M_vol @ s.n)
-        col["mass_c_combined"][m] = ones_v @ (ops.M_vol @ s.c) + a_ob * (ones_b @ (M_bnd @ ct))
+                Md = M @ d
+                col[f"d{name}_sq"][m] = d @ Md
+                col[f"inner2_{name}"][m] = 2.0 * (vec @ Md)
+        col["mass_n"][m] = ones_v @ Mv["n"]
+        col["mass_c_combined"][m] = ones_v @ Mv["c"] + a_ob * (ones_b @ Mv["ctau"])
         col["consumption"][m] = ones_v @ (ops.M_vol @ (s.n * f(s.c)))
         col["force_dot_u"][m] = ops.buoyancy_load(s.n, grad_sigma) @ s.u
         col["min_n"][m], col["max_n"][m] = s.n.min(), s.n.max()
@@ -113,23 +127,24 @@ def build_ledger(traj: Trajectory, ops: OperatorSet, params) -> EnergyLedger:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """Both sides of one estimate, as arrays over the steps m = 1..N."""
+
     name: str
-    step: int
-    lhs: float
-    rhs: float
+    lhs: np.ndarray
+    rhs: np.ndarray
     delta: float  # Young constant the check was run with
 
     @property
-    def slack(self) -> float:
+    def slack(self) -> np.ndarray:
         return self.rhs - self.lhs
 
     @property
-    def passed(self) -> bool:
-        return self.slack >= -1e-10 * max(abs(self.rhs), 1.0)
+    def passed(self) -> np.ndarray:
+        return self.slack >= -1e-10 * np.maximum(np.abs(self.rhs), 1.0)
 
 
-def check_step_inequality(ledger: EnergyLedger, m: int, params, delta: float) -> InequalityReport:
-    """Damped combined estimate at step m for a Young constant delta.
+def check_step_inequality(ledger: EnergyLedger, params, delta: float) -> InequalityReport:
+    """Damped combined estimate at every step for a Young constant delta.
 
     LHS collects the telescoping norm differences of c (volume and trace) and
     n plus the weighted gradient terms; RHS is k f1 (|c|^2 + |n|^2).  The
@@ -138,75 +153,70 @@ def check_step_inequality(ledger: EnergyLedger, m: int, params, delta: float) ->
     """
     if not 0 < delta < params.beta / params.g1:
         raise ValueError(f"delta must lie in (0, beta/g1) = (0, {params.beta / params.g1:g})")
-    if not 1 <= m <= ledger.N:
-        raise ValueError(f"step index must lie in [1, {ledger.N}]")
-    k = ledger.k
-    a = params.alpha
-    b = params.b
-    g1 = params.g1
-
-    def diff(field):
-        sq = ledger[f"{field}_sq"]
-        return sq[m] - sq[m - 1] + ledger[f"d{field}_sq"][m]
-
+    k, a, b, g1 = ledger.k, params.alpha, params.b, params.g1
     lhs = (
-        diff("c")
-        + (2 * k * a / b) * ledger["grad_ctau_sq"][m]
-        + (a / b) * diff("ctau")
-        + (4 * delta * a / g1) * diff("n")
-        + (8 * k * delta / g1) * (a * params.beta - g1 * a * delta) * ledger["grad_n_sq"][m]
+        _step_diff(ledger, "c")
+        + (2 * k * a / b) * ledger["grad_ctau_sq"][1:]
+        + (a / b) * _step_diff(ledger, "ctau")
+        + (4 * delta * a / g1) * _step_diff(ledger, "n")
+        + (8 * k * delta / g1) * (a * params.beta - g1 * a * delta) * ledger["grad_n_sq"][1:]
     )
-    rhs = k * params.f1 * (ledger["c_sq"][m] + ledger["n_sq"][m])
-    return InequalityReport("combined-step", m, float(lhs), float(rhs), delta)
+    rhs = k * params.f1 * (ledger["c_sq"][1:] + ledger["n_sq"][1:])
+    return InequalityReport("combined-step", lhs, rhs, delta)
 
 
-def check_oxygen_solve_bound(ledger: EnergyLedger, m: int, params, delta: float | None = None) -> InequalityReport:
-    """Single-solve bound for the oxygen step (data from the previous row)."""
-    if delta is None:
-        delta = params.default_delta()
-    if not 0 < delta < min(1.0, 1.0 / params.b):
-        raise ValueError("delta must lie in (0, min(1, 1/b))")
+def check_oxygen_solve_bound(ledger: EnergyLedger, params) -> InequalityReport:
+    """Single-solve bound for the oxygen step (data from the previous row), delta = min(1, 1/b) / 2."""
+    delta = 0.5 * min(1.0, 1.0 / params.b)
     k, a, b = ledger.k, params.alpha, params.b
     lhs = (
-        (a * k / b) * ledger["grad_ctau_sq"][m]
-        + a * k * ledger["grad_c_sq"][m]
-        + (1 - delta) * ledger["c_sq"][m]
-        + a * (1 / b - delta) * ledger["ctau_sq"][m]
+        (a * k / b) * ledger["grad_ctau_sq"][1:]
+        + a * k * ledger["grad_c_sq"][1:]
+        + (1 - delta) * ledger["c_sq"][1:]
+        + a * (1 / b - delta) * ledger["ctau_sq"][1:]
     )
     rhs = (
-        (1 / (2 * delta)) * ledger["c_sq"][m - 1]
-        + (a / (4 * delta * b * b)) * ledger["ctau_sq"][m - 1]
-        + (k * k * params.f1**2 / (2 * delta)) * ledger["n_sq"][m]
+        (1 / (2 * delta)) * ledger["c_sq"][:-1]
+        + (a / (4 * delta * b * b)) * ledger["ctau_sq"][:-1]
+        + (k * k * params.f1**2 / (2 * delta)) * ledger["n_sq"][1:]
     )
-    return InequalityReport("oxygen-solve", m, float(lhs), float(rhs), delta)
+    return InequalityReport("oxygen-solve", lhs, rhs, delta)
 
 
-def check_cell_solve_bound(ledger: EnergyLedger, m: int, params, delta: float = 0.5) -> InequalityReport:
-    """Single-solve bound for the cell step; meaningful when beta > g1/2."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+def check_cell_solve_bound(ledger: EnergyLedger, params) -> InequalityReport:
+    """Single-solve bound for the cell step with delta = 1/2; meaningful when beta > g1/2."""
+    delta = 0.5
     k, g1 = ledger.k, params.g1
-    lhs = (k * params.beta - k * g1 / 2) * ledger["grad_n_sq"][m] + (1 - delta) * ledger["n_sq"][m]
-    rhs = (1 / (4 * delta)) * ledger["n_sq"][m - 1] + (k * g1 / 2) * ledger["grad_c_sq"][m]
-    return InequalityReport("cell-solve", m, float(lhs), float(rhs), delta)
+    lhs = (k * params.beta - k * g1 / 2) * ledger["grad_n_sq"][1:] + (1 - delta) * ledger["n_sq"][1:]
+    rhs = (1 / (4 * delta)) * ledger["n_sq"][:-1] + (k * g1 / 2) * ledger["grad_c_sq"][1:]
+    return InequalityReport("cell-solve", lhs, rhs, delta)
 
 
-def kinetic_identity_residual(ledger: EnergyLedger, m: int, params) -> float:
-    """Relative defect of the discrete kinetic energy balance at step m.
+def kinetic_identity_residual(ledger: EnergyLedger, params) -> np.ndarray:
+    """Relative defect of the discrete kinetic energy balance at every step.
 
     |u|^2 - |q|^2 + |u - q|^2 + 2 k xi |grad u|^2 = 2 k (force, u) holds to
     round-off because skew convection and the pressure coupling drop exactly.
     """
     k = ledger.k
-    lhs = (
-        ledger["u_sq"][m]
-        - ledger["u_sq"][m - 1]
-        + ledger["du_sq"][m]
-        + 2 * k * params.xi * ledger["grad_u_sq"][m]
-    )
-    rhs = 2 * k * ledger["force_dot_u"][m]
-    scale = max(ledger["u_sq"][m], ledger["u_sq"][m - 1], abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
+    u_sq = ledger["u_sq"]
+    lhs = _step_diff(ledger, "u") + 2 * k * params.xi * ledger["grad_u_sq"][1:]
+    rhs = 2 * k * ledger["force_dot_u"][1:]
+    scale = np.maximum(np.maximum(np.maximum(u_sq[1:], u_sq[:-1]), np.abs(rhs)), 1e-300)
+    return np.abs(lhs - rhs) / scale
+
+
+def interpolant_step_gap(ledger: EnergyLedger) -> dict:
+    """Exact L2(0,T) norms of (linear interpolant - step function) per field.
+
+    On each interval the difference is (t_m - t) times the discrete time
+    derivative, whose squared time integral is k |increment|^2 / 3; the sum
+    over intervals is exact, no quadrature involved.
+    """
+    k = ledger.k
+    # cumsum adds the steps in order, as a pass over the states does;
+    # np.sum's pairwise order can differ in the last bit
+    return {f: float(np.sqrt(k * np.cumsum(ledger[f"d{f}_sq"][1:])[-1] / 3.0)) for f in ("c", "n", "u")}
 
 
 UNIFORM_QUANTITIES = (
@@ -241,14 +251,14 @@ class UniformBoundReport:
         return out
 
 
-def uniform_bound_scan(ledgers, params, factor: float = 1.10) -> UniformBoundReport:
+def uniform_bound_scan(ledgers, params) -> UniformBoundReport:
     """Empirical uniform-boundedness of the eight aggregate quantities.
 
     For each ledger the quantity is divided by the initial-data norm to give
     an empirical constant; the verdict compares each constant with its value
     on the coarsest grid.  Quantities that decay with k (the increment sums)
     pass trivially; quantities converging to a time integral must not grow by
-    more than the configured factor.
+    more than a factor 1.10.
     """
     ledgers = list(ledgers)
     if len(ledgers) < 3:
@@ -290,7 +300,7 @@ def uniform_bound_scan(ledgers, params, factor: float = 1.10) -> UniformBoundRep
             spreads[i] = np.inf
         else:
             spreads[i] = np.max(table[i]) / coarse[i]
-    return UniformBoundReport(ks=tuple(ks), table=table, spreads=spreads, factor=factor)
+    return UniformBoundReport(ks=tuple(ks), table=table, spreads=spreads, factor=1.10)
 
 
 @dataclass(frozen=True)
@@ -343,9 +353,10 @@ class TranslateDecayReport:
 def time_translate_decay(traj: Trajectory, ops: OperatorSet, shifts) -> TranslateDecayReport:
     """Integrals of |g(s + a) - g(s)|^2 over s in [0, T - a] per shift a.
 
-    The piecewise-linear reconstruction makes the integrand piecewise
-    quadratic in s, so Simpson's rule on each subinterval between breakpoints
-    is exact.
+    Between the cut points s in {t_m, t_m - a} the difference g(s + a) - g(s)
+    is linear in s, so its midpoint value is the mean of its end values and
+    the piecewise-quadratic integrand is integrated exactly by Simpson's rule.
+    The difference is evaluated once per cut point.
     """
     T = traj.grid.T
     shifts = tuple(float(s) for s in shifts)
@@ -355,26 +366,25 @@ def time_translate_decay(traj: Trajectory, ops: OperatorSet, shifts) -> Translat
     times = traj.grid.times()
     values = {f: [] for f in ("c", "n", "u")}
 
-    def norms(s):
+    def difference(s, a):
         hi = interpolate_state(traj, s + a)
         lo = interpolate_state(traj, s)
-        return (
-            ops.scalar_norm_sq(hi.c - lo.c),
-            ops.scalar_norm_sq(hi.n - lo.n),
-            ops.velocity_norm_sq(hi.u - lo.u),
-        )
+        return hi.c - lo.c, hi.n - lo.n, hi.u - lo.u
+
+    def norms(c, n, u):
+        return np.array([ops.scalar_norm_sq(c), ops.scalar_norm_sq(n), ops.velocity_norm_sq(u)])
 
     for a in shifts:
-        cuts = np.concatenate([times, times - a])
-        cuts = np.unique(np.clip(cuts, 0.0, T - a))
+        cuts = np.unique(np.clip(np.concatenate([times, times - a]), 0.0, T - a))
         acc = np.zeros(3)
+        d0 = difference(cuts[0], a)
+        f0 = norms(*d0)
         for s0, s1 in zip(cuts[:-1], cuts[1:]):
-            if s1 <= s0:
-                continue
-            f0 = np.array(norms(s0))
-            fm = np.array(norms(0.5 * (s0 + s1)))
-            f1 = np.array(norms(s1))
+            d1 = difference(s1, a)
+            f1 = norms(*d1)
+            fm = norms(*(0.5 * (x0 + x1) for x0, x1 in zip(d0, d1)))
             acc += (s1 - s0) / 6.0 * (f0 + 4.0 * fm + f1)
+            d0, f0 = d1, f1
         for f, v in zip(("c", "n", "u"), acc):
             values[f].append(float(v))
 

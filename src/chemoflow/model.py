@@ -96,11 +96,6 @@ class ModelParams:
         return make_sensitivity(self.g_spec, self.g1)
 
     @property
-    def delta_window(self) -> tuple[float, float]:
-        """Admissible Young constants for the oxygen step: (0, min(1, 1/b))."""
-        return (0.0, min(1.0, 1.0 / self.b)) if self.b > 0 else (0.0, 0.0)
-
-    @property
     def delta_hat_window(self) -> tuple[float, float]:
         """Window for the cell-step constant where the fixed point is covered.
 
@@ -112,10 +107,6 @@ class ModelParams:
         lo = self.g1 / (4.0 * self.alpha)
         hi = min(1.0, self.beta / self.g1)
         return (lo, hi)
-
-    def default_delta(self) -> float:
-        lo, hi = self.delta_window
-        return 0.5 * hi if hi > lo else 0.5
 
 
 @dataclass(frozen=True)

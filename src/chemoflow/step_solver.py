@@ -102,7 +102,7 @@ class SolverOptions:
     max_outer: int = 60
     retry_depth: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("inner_tol", "outer_tol", "linear_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -209,7 +209,6 @@ def picard_inner(
     policy.
     """
     inputs.validate(ops)
-    options.validate()
     oxygen, cells = factors or (KeptFactor("oxygen"), KeptFactor("cell-density"))
     f = params.consumption()
     g = params.sensitivity()
@@ -290,7 +289,6 @@ def outer_step(
     its last system when that is at ``u_prev``; it leaves its own last there.
     """
     inputs.validate(ops)
-    options.validate()
     k = inputs.dt
     bases = {} if bases is None else bases
     if k not in bases:

@@ -5,7 +5,7 @@ uniform grid, together with two reconstructions: the piecewise-linear
 interpolant (continuous in time) and the right-continuous piecewise-constant
 step function.  Both agree with the states at grid nodes; the exact L2-in-time
 gap between them shrinks linearly with the step size, which the refinement
-study verifies.
+study verifies from the ledger's increment norms (``energy.interpolant_step_gap``).
 
 A step that fails to converge is retried with the step halved, recursively up
 to a configured depth; the substeps are merged back so the stored grid stays
@@ -262,22 +262,6 @@ def sample_state(traj: Trajectory, t: float) -> State:
     initial state, on (t_{m-1}, t_m] it is states[m]."""
     idx, _ = _locate(traj.grid, t)
     return traj.states[idx]
-
-
-def interpolant_step_gap(traj: Trajectory, ops: OperatorSet) -> dict:
-    """Exact L2(0,T) norms of (linear interpolant - step function) per field.
-
-    On each interval the difference is (t_m - t) times the discrete time
-    derivative, whose squared time integral is k |increment|^2 / 3; the sum
-    over intervals is exact, no quadrature involved.
-    """
-    k = traj.grid.k
-    acc = {"c": 0.0, "n": 0.0, "u": 0.0}
-    for prev, cur in zip(traj.states[:-1], traj.states[1:]):
-        acc["c"] += ops.scalar_norm_sq(cur.c - prev.c)
-        acc["n"] += ops.scalar_norm_sq(cur.n - prev.n)
-        acc["u"] += ops.velocity_norm_sq(cur.u - prev.u)
-    return {name: float(np.sqrt(k * v / 3.0)) for name, v in acc.items()}
 
 
 def checkpoint_name(m: int) -> str:

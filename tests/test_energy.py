@@ -13,6 +13,7 @@ from chemoflow.energy import (
     check_step_inequality,
     discrete_gronwall,
     export_ledger,
+    interpolant_step_gap,
     kinetic_identity_residual,
     time_translate_decay,
     uniform_bound_scan,
@@ -110,31 +111,88 @@ def test_ledger_mass_rows(bump_ledger):
 
 def test_step_inequality_on_benchmark_run(bump_ledger):
     led, _ = bump_ledger
+    rep = check_step_inequality(led, PARAMS, 0.5 * PARAMS.beta / PARAMS.g1)
+    assert rep.lhs.shape == (led.N,)
+    assert np.all(rep.passed), f"slack {rep.slack}"
+    assert np.all(check_oxygen_solve_bound(led, PARAMS).passed)
+    assert np.all(check_cell_solve_bound(led, PARAMS).passed)
+    assert np.all(kinetic_identity_residual(led, PARAMS) < 1e-10)
+
+
+def step_reference(led, m, params, delta):
+    """Each estimate at the one step m, restated row by row from the ledger."""
+    k, a, b, g1, beta, f1 = led.k, params.alpha, params.b, params.g1, params.beta, params.f1
+
+    def diff(field):
+        return led[f"{field}_sq"][m] - led[f"{field}_sq"][m - 1] + led[f"d{field}_sq"][m]
+
+    combined = (
+        diff("c")
+        + (2 * k * a / b) * led["grad_ctau_sq"][m]
+        + (a / b) * diff("ctau")
+        + (4 * delta * a / g1) * diff("n")
+        + (8 * k * delta / g1) * (a * beta - g1 * a * delta) * led["grad_n_sq"][m],
+        k * f1 * (led["c_sq"][m] + led["n_sq"][m]),
+    )
+    dox = 0.5 * min(1.0, 1.0 / b)
+    oxygen = (
+        (a * k / b) * led["grad_ctau_sq"][m]
+        + a * k * led["grad_c_sq"][m]
+        + (1 - dox) * led["c_sq"][m]
+        + a * (1 / b - dox) * led["ctau_sq"][m],
+        (1 / (2 * dox)) * led["c_sq"][m - 1]
+        + (a / (4 * dox * b * b)) * led["ctau_sq"][m - 1]
+        + (k * k * f1**2 / (2 * dox)) * led["n_sq"][m],
+    )
+    cell = (
+        (k * beta - k * g1 / 2) * led["grad_n_sq"][m] + (1 - 0.5) * led["n_sq"][m],
+        (1 / (4 * 0.5)) * led["n_sq"][m - 1] + (k * g1 / 2) * led["grad_c_sq"][m],
+    )
+    lhs = diff("u") + 2 * k * params.xi * led["grad_u_sq"][m]
+    rhs = 2 * k * led["force_dot_u"][m]
+    kinetic = abs(lhs - rhs) / max(led["u_sq"][m], led["u_sq"][m - 1], abs(rhs), 1e-300)
+    return combined, oxygen, cell, kinetic
+
+
+def test_column_checks_equal_per_step_reference(bump_ledger):
+    led, _ = bump_ledger
     delta = 0.5 * PARAMS.beta / PARAMS.g1
+    reports = (
+        check_step_inequality(led, PARAMS, delta),
+        check_oxygen_solve_bound(led, PARAMS),
+        check_cell_solve_bound(led, PARAMS),
+    )
+    kinetic = kinetic_identity_residual(led, PARAMS)
     for m in range(1, led.N + 1):
-        rep = check_step_inequality(led, m, PARAMS, delta)
-        assert rep.passed, f"step {m}: slack {rep.slack}"
-        ox = check_oxygen_solve_bound(led, m, PARAMS)
-        assert ox.passed
-        cell = check_cell_solve_bound(led, m, PARAMS)
-        assert cell.passed
-        assert kinetic_identity_residual(led, m, PARAMS) < 1e-10
+        *sides, kin = step_reference(led, m, PARAMS, delta)
+        for rep, (lhs, rhs) in zip(reports, sides, strict=True):
+            assert rep.lhs[m - 1] == lhs and rep.rhs[m - 1] == rhs, (rep.name, m)
+        assert kinetic[m - 1] == kin, m
+
+
+def test_ledger_gap_equals_pass_over_states(coarse_ops, bump_ledger):
+    led, traj = bump_ledger
+    acc = {"c": 0.0, "n": 0.0, "u": 0.0}
+    for prev, cur in zip(traj.states[:-1], traj.states[1:]):
+        acc["c"] += coarse_ops.scalar_norm_sq(cur.c - prev.c)
+        acc["n"] += coarse_ops.scalar_norm_sq(cur.n - prev.n)
+        acc["u"] += coarse_ops.velocity_norm_sq(cur.u - prev.u)
+    direct = {f: float(np.sqrt(traj.grid.k * v / 3.0)) for f, v in acc.items()}
+    assert interpolant_step_gap(led) == direct
 
 
 def test_step_inequality_trivial_steady(coarse_ops):
     traj = run(coarse_ops, PARAMS, TimeGrid(T=0.2, N=4), steady_initial(coarse_ops))
     led = build_ledger(traj, coarse_ops, PARAMS)
-    rep = check_step_inequality(led, 1, PARAMS, delta=0.5)
-    assert abs(rep.lhs) < 1e-12 * rep.rhs  # zero up to solve round-off
-    assert rep.rhs > 0 and rep.passed
+    rep = check_step_inequality(led, PARAMS, delta=0.5)
+    assert np.all(np.abs(rep.lhs) < 1e-12 * rep.rhs)  # zero up to solve round-off
+    assert np.all(rep.rhs > 0) and np.all(rep.passed)
 
 
 def test_step_inequality_rejects_bad_delta(bump_ledger):
     led, _ = bump_ledger
     with pytest.raises(ValueError):
-        check_step_inequality(led, 1, PARAMS, delta=PARAMS.beta / PARAMS.g1)
-    with pytest.raises(ValueError):
-        check_step_inequality(led, 0, PARAMS, delta=0.5)
+        check_step_inequality(led, PARAMS, delta=PARAMS.beta / PARAMS.g1)
 
 
 def test_gronwall_closed_form():

@@ -6,6 +6,7 @@ from scipy.sparse.linalg import splu
 
 from chemoflow import fluid, timestepping
 from chemoflow.fluid import project_divergence_free, steady_stokes_velocity
+from chemoflow.energy import build_ledger, interpolant_step_gap
 from chemoflow.model import ModelParams
 from chemoflow.step_solver import SolverOptions
 from chemoflow.timestepping import (
@@ -13,7 +14,6 @@ from chemoflow.timestepping import (
     TimeGrid,
     Trajectory,
     initial_state,
-    interpolant_step_gap,
     interpolate_state,
     load_trajectory,
     run,
@@ -145,7 +145,7 @@ def test_constant_trajectory_interpolation(coarse_ops):
     traj = run(coarse_ops, PARAMS, grid, steady_initial(coarse_ops))
     s = interpolate_state(traj, 0.33 * grid.T)
     assert np.allclose(s.c, 1.0, atol=1e-12)
-    gaps = interpolant_step_gap(traj, coarse_ops)
+    gaps = interpolant_step_gap(build_ledger(traj, coarse_ops, PARAMS))
     assert all(abs(v) < 1e-12 for v in gaps.values())
 
 
@@ -153,7 +153,7 @@ def test_single_step_gap_closed_form(coarse_ops):
     ops = coarse_ops
     grid = TimeGrid(T=0.05, N=1)
     traj = run(ops, PARAMS, grid, bump_initial(ops))
-    gaps = interpolant_step_gap(traj, ops)
+    gaps = interpolant_step_gap(build_ledger(traj, ops, PARAMS))
     d2 = ops.scalar_norm_sq(traj.states[1].c - traj.states[0].c)
     expected = np.sqrt(grid.k * d2 / 3.0)
     assert abs(gaps["c"] - expected) <= 1e-12 * expected
