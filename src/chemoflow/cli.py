@@ -129,7 +129,7 @@ def cmd_converge(args) -> int:
         export_ledger(led, out_dir / f"ledger_N{N}.csv")
 
     lines = []
-    report = uniform_bound_scan(ledgers, cfg.params)
+    report = uniform_bound_scan(ledgers)
     lines.extend(report.lines())
 
     lines.append("")

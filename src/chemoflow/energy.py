@@ -251,7 +251,7 @@ class UniformBoundReport:
         return out
 
 
-def uniform_bound_scan(ledgers, params) -> UniformBoundReport:
+def uniform_bound_scan(ledgers) -> UniformBoundReport:
     """Empirical uniform-boundedness of the eight aggregate quantities.
 
     For each ledger the quantity is divided by the initial-data norm to give

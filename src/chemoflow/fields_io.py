@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import read_sections, write_sections
 from .timestepping import State
 
 
@@ -24,43 +25,22 @@ class FieldsIOError(Exception):
 def export_fields(state: State, path) -> None:
     try:
         with open(path, "w") as f:
-            f.write("fields v1\n")
-            f.write(f"t {state.t:.17g}\n")
-            for name in ("c", "n", "u", "p"):
-                arr = getattr(state, name)
-                f.write(f"{name} {arr.shape[0]}\n")
-                for v in arr:
-                    f.write(f"{v:.17g}\n")
+            f.write(f"fields v1\nt {state.t:.17g}\n")
+            write_sections(f, [(name, getattr(state, name)) for name in "cnup"])
     except OSError as exc:
         raise FieldsIOError(f"cannot write fields to {path}: {exc}") from exc
 
 
 def load_fields(path) -> State:
     """Read a fields file; an unreadable, short or malformed one raises ``FieldsIOError``."""
-    try:
-        with open(path) as f:
-            tokens = f.read().split()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FieldsIOError(f"cannot read fields from {path}: {exc}") from exc
-    if tokens[:3] != ["fields", "v1", "t"] or len(tokens) < 4:
+    preamble, sections = read_sections(path, FieldsIOError, "fields", [(name, 1, np.float64) for name in "cnup"], skip=4)
+    if preamble[:3] != ["fields", "v1", "t"]:
         raise FieldsIOError(f"{path}: not a fields file with a time stamp")
-    pos = 4
-    arrays = {}
-    for name in ("c", "n", "u", "p"):
-        head = tokens[pos : pos + 2]
-        if len(head) < 2 or head[0] != name or not head[1].isdecimal():
-            raise FieldsIOError(f"{path}: expected section '{name} <count>'")
-        end = pos + 2 + int(head[1])
-        if end > len(tokens):
-            raise FieldsIOError(f"{path}: section '{name}' holds fewer than {head[1]} values")
-        arrays[name] = tokens[pos + 2 : end]
-        pos = end
     try:
-        t = float(tokens[3])
-        arrays = {name: np.array(values, dtype=np.float64) for name, values in arrays.items()}
+        t = float(preamble[3])
     except ValueError as exc:
         raise FieldsIOError(f"{path}: {exc}") from exc
-    return State(c=arrays["c"], n=arrays["n"], u=arrays["u"], p=arrays["p"], t=t)
+    return State(*(values[:, 0] for values in sections), t=t)
 
 
 def snapshot_name(m: int) -> str:

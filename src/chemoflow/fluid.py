@@ -9,11 +9,11 @@ convecting velocity, which leaves the sparse block system
 over interior velocity dofs, where A = M + k xi K + k C(u_hat) has a positive
 definite symmetric part, B is the discrete divergence, and s scales the
 pressure gradient (the step size k for a time step, 1 for a plain
-projection).  The step solver builds ``A`` and ``r``; this module owns the
-solve.  The velocity vanishes on the boundary, so the divergence rows are
-linearly dependent and the pressure is fixed only up to a constant: the
-solve pins pressure dof 0 (drops its row and column) and afterwards shifts
-the pressure to zero mean against the P1 basis integrals.
+projection).  The velocity vanishes on the boundary, so the divergence rows
+are linearly dependent and the pressure is fixed only up to a constant: the
+block is held as a ``PinnedSaddle``, with pressure dof 0 pinned (its row and
+column dropped), and the solve afterwards shifts the pressure to zero mean
+against the P1 basis integrals.
 
 Desk-scale systems are solved by sparse LU through ``KeptFactor``, the one
 linear layer of the oxygen, cell and fluid blocks: it holds a factor, solves
@@ -22,10 +22,9 @@ the solve replaces, and factorises (and keeps) the true matrix only when
 the correction stalls or, around a factor it was handed, once its budget of
 corrections is spent.  ``factorise`` makes every factor, with one
 symmetric-mode, fill-reducing ordering.  ``solve_saddle`` is the one saddle
-entry point: a time step passes a factor started from the convection-free
-saddle of its step size, and the one-off set-up systems pass none and keep
-the default tolerance 1e-10.  Both build the one ``_PinnedSaddle`` layout
-from P2 pair-pattern data.
+entry point: a time step passes the ``PinnedSaddle`` of its frozen velocity
+and a factor started from the convection-free saddle of its step size, and
+the one-off set-up systems pass none and keep the default tolerance 1e-10.
 """
 
 from __future__ import annotations
@@ -107,19 +106,19 @@ class KeptFactor:
         return x
 
 
-class _PinnedSaddle:
-    """``[[A, -s Bp'], [Bp, 0]]``, applied by blocks and assembled only to factorise.
+class PinnedSaddle:
+    """The fluid block ``[[A, -s Bp'], [Bp, 0]]``, applied by blocks and assembled only to factorise.
 
     ``A`` is the interior block of the P2 pair-pattern ``data`` and ``s`` is
     ``scale``.  The divergence rows are linearly dependent for boundary-free
     velocities, so pinning pressure dof 0 (``Bp`` drops its row) loses
     nothing and avoids the LU fill a dense mean-zero multiplier row would
-    cause.
+    cause.  ``B`` keeps every row.
     """
 
     def __init__(self, ops: OperatorSet, data: np.ndarray, scale: float):
         self.A = ops._work.interior(data)
-        _, _, self.Bp, self.BpT = ops._work.interior_div
+        self.B, self.BT, self.Bp, self.BpT = ops._work.interior_div
         self.scale = scale
 
     def __matmul__(self, x):
@@ -129,21 +128,22 @@ class _PinnedSaddle:
     def tocsc(self):
         return sp.bmat([[self.A, -self.scale * self.BpT], [self.Bp, None]], format="csc")
 
+    def momentum_residual(self, u_int: np.ndarray, p: np.ndarray, load: np.ndarray) -> np.ndarray:
+        """``A u - s B' p - load`` for interior velocity values ``u_int`` and every pressure dof."""
+        return self.A @ u_int - self.scale * (self.BT @ p) - load
 
-def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, scale: float, tol: float = 1e-10, factor=None, guess=None):
-    """Velocity and mean-zero pressure of the mixed system ``(A, rhs)``, pressure scale ``scale``.
 
-    ``A`` (on the P2 pair pattern) and ``rhs`` live on the full velocity dof
-    set, as does ``u`` of a ``guess`` ``(u, p)``; the Dirichlet dofs are
-    eliminated here, so ``u`` has exact zeros on the boundary.  Solves
-    through the ``KeptFactor`` ``factor``, or a fresh one, and checks the
-    residuals of both blocks against ``tol`` before returning.
+def solve_saddle(ops: OperatorSet, saddle: PinnedSaddle, rhs: np.ndarray, *, tol: float = 1e-10, factor=None, guess=None):
+    """Velocity and mean-zero pressure of the fluid block ``saddle`` under the load ``rhs``.
+
+    ``rhs`` and ``u`` of a ``guess`` ``(u, p)`` live on the full velocity dof
+    set; ``u`` comes back with exact zeros on the boundary.  Solves through
+    the ``KeptFactor`` ``factor``, or a fresh one, and checks the residuals
+    of both blocks against ``tol`` before returning.
     """
     if factor is None:
         factor = KeptFactor("saddle")
     idx = ops.vspace.interior_velocity
-    B, BT = ops._work.interior_div[:2]
-    saddle = _PinnedSaddle(ops, A.data, scale)
     b = rhs[idx]
     if guess is not None:  # the pinned layout
         guess = np.concatenate([guess[0][idx], guess[1][1:] - guess[1][0]])
@@ -154,13 +154,13 @@ def solve_saddle(ops: OperatorSet, A, rhs: np.ndarray, scale: float, tol: float 
     p = np.concatenate([[0.0], sol[idx.size :]])
     w = ops.pressure_weights
     p -= (w @ p) / w.sum()
-    r_mom = saddle.A @ u_int - scale * (BT @ p) - b
+    r_mom = saddle.momentum_residual(u_int, p, b)
     mom_scale = max(np.linalg.norm(b), 1e-300)
     # near-zero velocities (hydrostatic balance) make a pure ||B u|| / ||u||
     # ratio meaningless, so fall back to the load scale
     div_scale = max(np.linalg.norm(u_int), mom_scale)
     res_mom = np.linalg.norm(r_mom) / mom_scale
-    res_div = np.linalg.norm(B @ u_int) / div_scale
+    res_div = np.linalg.norm(saddle.B @ u_int) / div_scale
     if res_mom > tol or res_div > tol:
         raise LinearSolveError(
             f"saddle solve residual too large: momentum {res_mom:.3e}, divergence {res_div:.3e}"
@@ -175,12 +175,12 @@ def steady_stokes_velocity(ops: OperatorSet, params, n: np.ndarray) -> np.ndarra
     useful as an initial velocity in quasi-static balance with the data.
     """
     load = ops.buoyancy_load(np.asarray(n, dtype=float), np.asarray(params.grad_sigma, dtype=float))
-    u, _ = solve_saddle(ops, (params.xi * ops.K_u).tocsr(), load, 1.0)
+    u, _ = solve_saddle(ops, PinnedSaddle(ops, params.xi * ops.K_u.data, 1.0), load)
     return u
 
 
 def project_divergence_free(u: np.ndarray, ops: OperatorSet) -> np.ndarray:
     """Mass-orthogonal projection onto {v: B v = 0, v = 0 on the boundary}."""
     rhs = ops.M_u @ ops.vspace.zero_boundary(np.asarray(u, dtype=float))
-    v, _ = solve_saddle(ops, ops.M_u.tocsr(), rhs, 1.0)
+    v, _ = solve_saddle(ops, PinnedSaddle(ops, ops.M_u.data, 1.0), rhs)
     return v

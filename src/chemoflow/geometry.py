@@ -10,6 +10,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -224,54 +225,59 @@ def mesh_from_arrays(vertices, triangles, boundary_loop) -> Mesh:
     return mesh
 
 
-# Plain-text mesh format: three sections, one record per line.
-#   "vertices <nv>"  then nv lines "x y"
-#   "triangles <nt>" then nt lines "i j k"
-#   "boundary <nb>"  then nb lines "v"
-# Floats use %.17g so the round trip is bit-exact.
+# Plain-text sections, shared by the mesh and fields files: "<keyword> <count>",
+# then <count> records of the section's width, one a line; floats use %.17g so
+# the round trip is bit-exact.  A mesh file holds "vertices <nv>" ("x y"
+# records), "triangles <nt>" ("i j k", counter-clockwise) and "boundary <nb>" ("v").
 
 
-def save_mesh(mesh: Mesh, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"vertices {mesh.n_vertices}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
-        f.write(f"triangles {mesh.n_triangles}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"{a} {b} {c}\n")
-        f.write(f"boundary {mesh.n_boundary}\n")
-        for v in mesh.boundary_loop:
-            f.write(f"{v}\n")
+def write_sections(f, sections) -> None:
+    """Write each ``(keyword, records)`` pair to the text file ``f``; a 1-D ``records`` holds one value a record."""
+    for keyword, records in sections:
+        spec = ".17g" if records.dtype.kind == "f" else "d"
+        ends = itertools.cycle([" "] * (records[:1].size - 1) + ["\n"])
+        f.write(f"{keyword} {len(records)}\n" + "".join([f"{v:{spec}}{e}" for v, e in zip(records.ravel().tolist(), ends)]))
 
 
-def load_mesh(path) -> Mesh:
-    """Read a mesh in the format above; an unreadable, short or malformed file raises ``MeshError``."""
+def read_sections(path, error, what: str, layout, skip: int = 0) -> tuple:
+    """The first ``skip`` tokens of the ``what`` file ``path``, then the ``(count, width)``
+    records of each ``(keyword, width, dtype)`` section of ``layout``, in file order.
+
+    An unreadable, short or malformed file raises ``error`` naming ``path``.
+    """
     try:
         with open(path) as f:
             tokens = f.read().split()
     except (OSError, UnicodeDecodeError) as exc:
-        raise MeshError(f"cannot read mesh from {path}: {exc}") from exc
-    pos = 0
-
-    def section(keyword: str, width: int, dtype, bound=None) -> np.ndarray:
-        """The next section's records; ``bound`` makes them vertex indices, all below it."""
-        nonlocal pos
+        raise error(f"cannot read {what} from {path}: {exc}") from exc
+    pos = skip
+    sections = []
+    for keyword, width, dtype in layout:
         head = tokens[pos : pos + 2]
         if len(head) < 2 or head[0] != keyword or not head[1].isdecimal():
-            raise MeshError(f"{path}: expected '{keyword} <count>'")
+            raise error(f"{path}: expected section '{keyword} <count>'")
         count = int(head[1])
         end = pos + 2 + width * count
         if end > len(tokens):
-            raise MeshError(f"{path}: '{keyword}' section holds fewer than {count} records")
+            raise error(f"{path}: section '{keyword}' holds fewer than {count} records")
         try:
-            values = np.array(tokens[pos + 2 : end], dtype=dtype)
-        except ValueError as exc:
-            raise MeshError(f"{path}: '{keyword}' section: {exc}") from exc
-        if bound is not None and (values.size == 0 or values.min() < 0 or values.max() >= bound):
-            raise MeshError(f"{path}: '{keyword}' section is empty or indexes no vertex")
+            sections.append(np.array(tokens[pos + 2 : end], dtype=dtype).reshape(count, width))
+        except (ValueError, OverflowError) as exc:
+            raise error(f"{path}: section '{keyword}': {exc}") from exc
         pos = end
-        return values.reshape(count, width)
+    return tokens[:skip], sections
 
-    vertices = section("vertices", 2, np.float64)
-    triangles = section("triangles", 3, np.int64, len(vertices))
-    return mesh_from_arrays(vertices, triangles, section("boundary", 1, np.int64, len(vertices))[:, 0])
+
+def save_mesh(mesh: Mesh, path) -> None:
+    with open(path, "w") as f:
+        write_sections(f, [("vertices", mesh.vertices), ("triangles", mesh.triangles), ("boundary", mesh.boundary_loop)])
+
+
+def load_mesh(path) -> Mesh:
+    """Read a mesh in the format above; an unreadable, short or malformed file raises ``MeshError``."""
+    layout = [("vertices", 2, np.float64), ("triangles", 3, np.int64), ("boundary", 1, np.int64)]
+    _, (vertices, triangles, boundary) = read_sections(path, MeshError, "mesh", layout)
+    for keyword, indices in (("triangles", triangles), ("boundary", boundary)):
+        if indices.size == 0 or indices.min() < 0 or indices.max() >= len(vertices):
+            raise MeshError(f"{path}: section '{keyword}' is empty or indexes no vertex")
+    return mesh_from_arrays(vertices, triangles, boundary[:, 0])

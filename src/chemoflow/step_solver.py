@@ -21,11 +21,12 @@ trace evolves with its own surface diffusion driven by the bulk flux.
 
 The step matrices of one frozen velocity are one ``StepSystem``, the
 convection-free data of its step size plus one convection assembly; the
-inner loop, the fluid solve and the residual check read it.  A run keeps one
-``StepBase`` per step size: that data, the never-changed factors of its
-three matrices, which every attempt's held factors start from, and the last
-system, which the next step starts from.  The step matrices differ from the
-base by the skew convection block alone.
+inner loop, the fluid solve and the residual check read it, the fluid block
+in the solve's pinned layout.  A run keeps one ``StepBase`` per step size:
+that data, the never-changed factors of its three blocks, which every
+attempt's held factors start from, and the last system, which the next step
+starts from.  The step matrices differ from the base by the skew convection
+block alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import scipy.sparse as sp
 
 from . import fluid
 from .assembly import OperatorSet, assemble_chemotaxis_rhs, assemble_convection
-from .fluid import KeptFactor, solve_saddle
+from .fluid import KeptFactor, PinnedSaddle, solve_saddle
 
 BLOCKS = ("oxygen", "cell-density", "saddle")  # the block names a failed factorisation or solve reports
 
@@ -119,7 +120,7 @@ class StepSystem:
     u: np.ndarray
     oxygen: sp.csr_matrix  # boundary evolution included
     cells: sp.csr_matrix
-    fluid: sp.csr_matrix  # M + k xi K + k C(u) on the full velocity dof set
+    fluid: PinnedSaddle  # M + k xi K + k C(u) on the interior velocity dofs, pressure scale k
 
 
 def step_data(ops: OperatorSet, params, k: float) -> tuple:
@@ -142,7 +143,7 @@ def step_system(ops: OperatorSet, params, k: float, u: np.ndarray, data: tuple |
         u=u,
         oxygen=work.p1.matrix(oxygen + k * C.data),
         cells=work.p1.matrix(cells + k * C.data),
-        fluid=work.p2_pair.matrix(velocity + k * C_u.data),
+        fluid=PinnedSaddle(ops, velocity + k * C_u.data, k),
     )
 
 
@@ -158,7 +159,7 @@ class StepBase:
     def __init__(self, ops: OperatorSet, params, k: float):
         self.data = oxygen, cells, velocity = step_data(ops, params, k)
         p1 = ops._work.p1
-        blocks = (p1.matrix(oxygen), p1.matrix(cells), fluid._PinnedSaddle(ops, velocity, k))
+        blocks = (p1.matrix(oxygen), p1.matrix(cells), PinnedSaddle(ops, velocity, k))
         self.factors = tuple(map(fluid.factorise, blocks, BLOCKS))
         self.last = None
 
@@ -241,14 +242,14 @@ def step_residual(ops: OperatorSet, params, inputs: StepInputs, system: StepSyst
     Each block is ``matrix @ x - rhs`` from the matrices and loads the solve
     uses, with every frozen coefficient evaluated at (c, n, u) itself.
     """
-    k = inputs.dt
     u = system.u
     r_c = system.oxygen @ c - c_step_rhs(ops, params, inputs, c, n, params.consumption())
     r_n = system.cells @ n - n_step_rhs(ops, inputs, c, n, params.sensitivity())
     rhs_u = u_step_rhs(ops, params, inputs, n)
     idx = ops.vspace.interior_velocity
     M_u_prev = ops.M_u @ inputs.u_prev
-    r_u = (system.fluid @ u - k * (ops.B.T @ p) - rhs_u)[idx]
+    # u is zero on the boundary, so the interior columns carry every product
+    r_u = system.fluid.momentum_residual(u[idx], p, rhs_u[idx])
     r_div = ops.B @ u
     num = np.sqrt(
         np.sum(r_c**2) + np.sum(r_n**2) + np.sum(r_u**2) + np.sum(r_div**2)
@@ -309,7 +310,7 @@ def outer_step(
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)
         rhs = u_step_rhs(ops, params, inputs, n)
-        u, p = solve_saddle(ops, system.fluid, rhs, k, tol=options.linear_tol, factor=saddle, guess=(system.u, p))
+        u, p = solve_saddle(ops, system.fluid, rhs, tol=options.linear_tol, factor=saddle, guess=(system.u, p))
         num = np.sqrt(ops.velocity_norm_sq(u - system.u))
         den = np.sqrt(ops.velocity_norm_sq(u))
         diag.outer_iterations = it

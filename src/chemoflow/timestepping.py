@@ -311,13 +311,16 @@ def read_checkpoint(path, mesh_hash: str, grid: TimeGrid):
 
 
 def _read_states(checkpoint_dir: Path, mesh_hash: str, grid: TimeGrid, last: int) -> list:
-    """The states of steps ``0..last`` from their checkpoints; a missing one is a ``StepFailure``."""
+    """The states of steps ``0..last``; a checkpoint missing or stored under another step or time is a ``StepFailure``."""
     states = []
     for m in range(last + 1):
         path = checkpoint_dir / checkpoint_name(m)
         if not path.exists():
             raise StepFailure(f"missing checkpoint for step {m} in {checkpoint_dir}", step=m)
-        states.append(read_checkpoint(path, mesh_hash, grid)[1])
+        stored, state = read_checkpoint(path, mesh_hash, grid)
+        if stored != m or state.t != grid.time(m):
+            raise StepFailure(f"{path}: checkpoint holds step {stored} at t={state.t:.17g}, not step {m}", step=m)
+        states.append(state)
     return states
 
 

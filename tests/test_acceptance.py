@@ -142,7 +142,7 @@ def test_criterion_04_per_step_energy_inequalities(bench_ledger):
 
 
 def test_criterion_05_uniform_in_k_bounds(ladder_ledgers):
-    rep = uniform_bound_scan(ladder_ledgers, BENCH_PARAMS)
+    rep = uniform_bound_scan(ladder_ledgers)
     report(
         "criterion-5 uniform-in-k bounds",
         rep.uniform,

@@ -250,7 +250,7 @@ def make_ladder(ops, Ns, T=1.0):
 def test_uniform_scan_needs_three(coarse_ops):
     ledgers = make_ladder(coarse_ops, [4, 8])
     with pytest.raises(ValueError):
-        uniform_bound_scan(ledgers, PARAMS)
+        uniform_bound_scan(ledgers)
 
 
 def test_uniform_scan_rejects_mismatched_data(coarse_ops):
@@ -258,7 +258,7 @@ def test_uniform_scan_rejects_mismatched_data(coarse_ops):
     other = run(coarse_ops, BENCH_PARAMS, TimeGrid(T=1.0, N=16), steady_initial(coarse_ops))
     ledgers[-1] = build_ledger(other, coarse_ops, BENCH_PARAMS)
     with pytest.raises(ValueError):
-        uniform_bound_scan(ledgers, PARAMS)
+        uniform_bound_scan(ledgers)
 
 
 def test_uniform_scan_zero_data_trivial(coarse_ops):
@@ -268,13 +268,13 @@ def test_uniform_scan_zero_data_trivial(coarse_ops):
     for N in (2, 4, 8):
         traj = run(coarse_ops, PARAMS, TimeGrid(T=0.25, N=N), zero)
         ledgers.append(build_ledger(traj, coarse_ops, PARAMS))
-    report = uniform_bound_scan(ledgers, PARAMS)
+    report = uniform_bound_scan(ledgers)
     assert report.uniform
     assert np.all(report.spreads == 1.0)
 
 
 def test_uniform_scan_on_short_ladder(coarse_ops):
-    report = uniform_bound_scan(make_ladder(coarse_ops, [16, 32, 64]), BENCH_PARAMS)
+    report = uniform_bound_scan(make_ladder(coarse_ops, [16, 32, 64]))
     assert report.uniform, "\n".join(report.lines())
 
 

@@ -19,7 +19,7 @@ PARAMS = ModelParams()
 
 
 def saddle_system(ops, u_hat, n, u_prev, k, params):
-    """The fluid step's velocity matrix at ``u_hat`` and its load from ``n`` and ``u_prev``."""
+    """The fluid step's saddle at ``u_hat`` and its load from ``n`` and ``u_prev``."""
     inputs = StepInputs(c_prev=n, n_prev=n, u_prev=u_prev, dt=k)
     return step_system(ops, params, k, u_hat).fluid, u_step_rhs(ops, params, inputs, n)
 
@@ -36,7 +36,7 @@ def test_zero_rhs_gives_zero(coarse_ops):
     u0 = np.zeros(coarse_ops.vspace.n_velocity)
     n0 = np.zeros(coarse_ops.mesh.n_vertices)
     A, rhs = saddle_system(coarse_ops, u0, n0, u0, 0.01, PARAMS)
-    u, p = solve_saddle(coarse_ops, A, rhs, 0.01)
+    u, p = solve_saddle(coarse_ops, A, rhs)
     assert np.max(np.abs(u)) == 0.0
     assert np.max(np.abs(p)) == 0.0
 
@@ -49,7 +49,7 @@ def test_constant_buoyancy_is_hydrostatic(coarse_ops):
     u0 = np.zeros(ops.vspace.n_velocity)
     k = 0.05
     A, rhs = saddle_system(ops, u0, n, u0, k, PARAMS)
-    u, p = solve_saddle(ops, A, rhs, k)
+    u, p = solve_saddle(ops, A, rhs)
     assert np.sqrt(ops.velocity_norm_sq(u)) < 1e-10
     # pressure equals -2*y up to the mean-zero shift
     y = ops.mesh.vertices[:, 1]
@@ -68,11 +68,11 @@ def test_dense_saddle_oracle(coarse_ops):
     )
     k = 0.02
     u_hat = q
-    A_full, rhs_full = saddle_system(ops, u_hat, n, q, k, PARAMS)
-    u, p = solve_saddle(ops, A_full, rhs_full, k)
+    saddle, rhs_full = saddle_system(ops, u_hat, n, q, k, PARAMS)
+    u, p = solve_saddle(ops, saddle, rhs_full)
 
     idx = ops.vspace.interior_velocity
-    A = A_full[idx][:, idx].toarray()
+    A = saddle.A.toarray()
     B = ops.B[:, idx].toarray()
     w = ops.pressure_weights
     n_u, n_p = A.shape[0], B.shape[0]
@@ -115,7 +115,7 @@ def counted_factorisations(monkeypatch):
 
 def stokes_base(ops, xi, k):
     """Factor of the convection-free step saddle ``M + k xi K`` of step size ``k``."""
-    return fluid.factorise(fluid._PinnedSaddle(ops, ops.M_u.data + k * xi * ops.K_u.data, k), "saddle")
+    return fluid.factorise(fluid.PinnedSaddle(ops, ops.M_u.data + k * xi * ops.K_u.data, k), "saddle")
 
 
 def random_step_system(ops, params, k, amplitude, seed, q_scale=1.0):
@@ -132,9 +132,9 @@ def test_saddle_cache_matches_direct_solve(coarse_ops, monkeypatch):
     ops = coarse_ops
     k = 0.02
     A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
-    u_ref, p_ref = solve_saddle(ops, A, rhs, k)
+    u_ref, p_ref = solve_saddle(ops, A, rhs)
     made = counted_factorisations(monkeypatch)
-    u, p = solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", stokes_base(ops, PARAMS.xi, k)))
+    u, p = solve_saddle(ops, A, rhs, factor=KeptFactor("saddle", stokes_base(ops, PARAMS.xi, k)))
     assert len(made) == 1  # the convection-free base, nothing else
     assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
@@ -147,11 +147,11 @@ def test_saddle_cache_falls_back_once_at_low_viscosity(coarse_ops, monkeypatch):
     k = 0.0625
     A, rhs = random_step_system(ops, params, k, 5.0, 12)
     made = counted_factorisations(monkeypatch)
-    u, p = solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", stokes_base(ops, params.xi, k)))
+    u, p = solve_saddle(ops, A, rhs, factor=KeptFactor("saddle", stokes_base(ops, params.xi, k)))
     assert len(made) == 2  # the base, then the true matrix
     idx = ops.vspace.interior_velocity
     B = ops.B[:, idx]
-    r_mom = A[idx][:, idx] @ u[idx] - k * (B.T @ p) - rhs[idx]
+    r_mom = A.A @ u[idx] - k * (B.T @ p) - rhs[idx]
     assert np.linalg.norm(r_mom) <= 1e-10 * np.linalg.norm(rhs[idx])
     assert np.linalg.norm(B @ u[idx]) <= 1e-10 * np.linalg.norm(u[idx])
     assert np.array_equal(ops.vspace.zero_boundary(u), u)
@@ -172,7 +172,7 @@ def test_saddle_cache_falls_back_early(coarse_ops, monkeypatch, xi, amplitude):
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
     made = counted_factorisations(monkeypatch)
     factor = KeptFactor("saddle", stokes_base(ops, params.xi, k))
-    solve_saddle(ops, A, rhs, k, factor=factor)
+    solve_saddle(ops, A, rhs, factor=factor)
     base, *fresh = made
     assert base.solves <= 2
     assert len(fresh) == 1 and fresh[0].solves == 1
@@ -187,13 +187,13 @@ def test_saddle_cache_nearby_system_after_a_stall_needs_no_factorisation(coarse_
     k = 0.0625
     A_first, rhs_first = random_step_system(ops, params, k, amplitude, 12)
     A, rhs = random_step_system(ops, params, k, amplitude, 12, q_scale=1.01)
-    u_ref, p_ref = solve_saddle(ops, A, rhs, k)
+    u_ref, p_ref = solve_saddle(ops, A, rhs)
     made = counted_factorisations(monkeypatch)
     factor = KeptFactor("saddle", stokes_base(ops, params.xi, k))
-    solve_saddle(ops, A_first, rhs_first, k, factor=factor)
+    solve_saddle(ops, A_first, rhs_first, factor=factor)
     base, kept = made
     base_solves = base.solves
-    u, p = solve_saddle(ops, A, rhs, k, factor=factor)
+    u, p = solve_saddle(ops, A, rhs, factor=factor)
     assert len(made) == 2
     assert base.solves == base_solves
     assert 1 < kept.solves < 1 + KeptFactor.max_corrections
@@ -214,7 +214,7 @@ def test_saddle_cache_converging_correction_does_not_fall_back(coarse_ops, monke
     A, rhs = random_step_system(ops, params, k, amplitude, 12)
     made = counted_factorisations(monkeypatch)
     factor = KeptFactor("saddle", stokes_base(ops, params.xi, k))
-    solve_saddle(ops, A, rhs, k, factor=factor)
+    solve_saddle(ops, A, rhs, factor=factor)
     base, *fresh = made
     assert fresh == []
     assert 0 < base.solves < KeptFactor.max_corrections
@@ -238,7 +238,7 @@ def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
     made = counted_factorisations(monkeypatch)
     bases = {k: StepBase(ops, params, k)}
     oxygen_lu, cells_lu, saddle_lu = bases[k].factors
-    solve_saddle(ops, A, rhs, k, factor=KeptFactor("saddle", saddle_lu))
+    solve_saddle(ops, A, rhs, factor=KeptFactor("saddle", saddle_lu))
     assert made[:3] == [oxygen_lu, cells_lu, saddle_lu] and len(made) == 4
     stalled = made[3]
     held = (KeptFactor("oxygen", oxygen_lu), KeptFactor("cell-density", cells_lu))
@@ -268,7 +268,7 @@ def test_kinetic_energy_identity(coarse_ops):
         )
         k = 0.03
         A, load = saddle_system(ops, u_hat, n, q, k, PARAMS)
-        u, p = solve_saddle(ops, A, load, k)
+        u, p = solve_saddle(ops, A, load)
         force = ops.buoyancy_load(n, np.asarray(PARAMS.grad_sigma))
         lhs = (
             ops.velocity_norm_sq(u)
@@ -375,12 +375,12 @@ def test_step_matrices_equal_the_sparse_sums():
     assert_dense_equal(system.oxygen, expected_c)
     assert_dense_equal(system.cells, ops.M_vol + k * params.beta * ops.K_vol + k * C)
 
-    A = system.fluid
-    expected_A = ops.M_u + k * params.xi * ops.K_u + k * C_u
-    assert_dense_equal(A, expected_A)
+    saddle = system.fluid
     idx = ops.vspace.interior_velocity
+    expected_A = ops.M_u + k * params.xi * ops.K_u + k * C_u
+    assert_dense_equal(saddle.A, expected_A[idx][:, idx])
+    assert saddle.scale == k
     B = ops.B[:, idx].tocsr()
-    saddle = fluid._PinnedSaddle(ops, A.data, k)
     expected_saddle = sp.bmat([[expected_A[idx][:, idx], -k * B[1:, :].T], [B[1:, :], None]])
     assert_dense_equal(saddle.tocsc(), expected_saddle)
 
@@ -406,10 +406,10 @@ def test_saddle_guess_maps_to_the_pinned_layout(coarse_ops, monkeypatch):
     A, rhs = random_step_system(ops, PARAMS, k, 1.0, 12)
     made = counted_factorisations(monkeypatch)
     factor = KeptFactor("saddle", stokes_base(ops, PARAMS.xi, k))
-    u, p = solve_saddle(ops, A, rhs, k, factor=factor)
+    u, p = solve_saddle(ops, A, rhs, factor=factor)
     (base,) = made
     solves = base.solves
-    u2, p2 = solve_saddle(ops, A, rhs, k, factor=factor, guess=(u, p))
+    u2, p2 = solve_saddle(ops, A, rhs, factor=factor, guess=(u, p))
     assert base.solves == solves and len(made) == 1
     assert np.linalg.norm(u2 - u) <= 1e-14 * np.linalg.norm(u)
     assert np.linalg.norm(p2 - p) <= 1e-14 * np.linalg.norm(p)
@@ -422,9 +422,9 @@ def test_held_factors_keep_fill_low(medium_ops):
     ops = medium_ops
     k = 1 / 16
     systems = {
-        "xi=0.01 base": fluid._PinnedSaddle(ops, ops.M_u.data + k * 0.01 * ops.K_u.data, k),
-        "projection": fluid._PinnedSaddle(ops, ops.M_u.data, 1.0),
-        "stokes": fluid._PinnedSaddle(ops, PARAMS.xi * ops.K_u.data, 1.0),
+        "xi=0.01 base": fluid.PinnedSaddle(ops, ops.M_u.data + k * 0.01 * ops.K_u.data, k),
+        "projection": fluid.PinnedSaddle(ops, ops.M_u.data, 1.0),
+        "stokes": fluid.PinnedSaddle(ops, PARAMS.xi * ops.K_u.data, 1.0),
     }
     rhs = np.random.default_rng(3).standard_normal(sum(systems["stokes"].Bp.shape))
     for name, saddle in systems.items():

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chemoflow.config import config_from_dict
 from chemoflow.energy import CSV_COLUMNS
 from chemoflow.fields_io import FieldsIOError, export_fields, load_fields
-from chemoflow.geometry import MeshError, build_disc_mesh, load_mesh, save_mesh
+from chemoflow.geometry import Mesh, MeshError, build_disc_mesh, load_mesh, save_mesh
 from chemoflow.timestepping import (
     State,
     StepFailure,
@@ -150,6 +152,7 @@ def test_fields_reader_cut_files(tmp_path):
         ("mesh_tiny.txt", "\n0.5 0\n", "\n0.5 zero\n"),
         ("mesh_tiny.txt", "\n0 1 2\n", "\n0 1.5 2\n"),
         ("mesh_tiny.txt", "\n0 1 2\n", "\n0 1 19\n"),
+        ("mesh_tiny.txt", "\n0 1 2\n", "\n0 1 99999999999999999999\n"),
         ("mesh_tiny.txt", "boundary 12\n7\n", "boundary 12\n-7\n"),
         ("fields_tiny.txt", "t 0.25", "t quarter"),
         ("fields_tiny.txt", "c 19", "c nineteen"),
@@ -175,3 +178,54 @@ def test_readers_map_unreadable_files(tmp_path):
             load_mesh(tmp_path / name)
         with pytest.raises(FieldsIOError, match="cannot read fields"):
             load_fields(tmp_path / name)
+
+
+TEXTS = {name: (GOLDEN / name).read_bytes() for name in ("fields_tiny.txt", "mesh_tiny.txt")}
+TINY_MESH = build_disc_mesh(1.0, 0.6)
+# each golden text file's reader, the type it returns, its error, and its golden-value check
+READERS = {
+    "mesh_tiny.txt": (load_mesh, Mesh, MeshError, lambda mesh: same_mesh(mesh, TINY_MESH)),
+    "fields_tiny.txt": (load_fields, State, FieldsIOError, lambda state: same_state(state, tiny_state(TINY_MESH))),
+}
+
+
+@st.composite
+def mangled_texts(draw):
+    """A golden text file and its bytes after up to four byte flips, splices of either file and truncations."""
+    name = draw(st.sampled_from(sorted(TEXTS)))
+    data = bytearray(TEXTS[name])
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["flip", "splice", "truncate"]))
+        at = draw(st.integers(0, len(data)))
+        if kind == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif kind == "splice":
+            source = TEXTS[draw(st.sampled_from(sorted(TEXTS)))]
+            start = draw(st.integers(0, len(source)))
+            end = draw(st.integers(start, min(start + 200, len(source))))
+            data[at : at + draw(st.integers(0, 40))] = source[start:end]
+        else:
+            del data[at:]
+    return name, bytes(data)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@example(("mesh_tiny.txt", TEXTS["mesh_tiny.txt"]))
+@example(("fields_tiny.txt", TEXTS["fields_tiny.txt"]))
+@given(mangled_texts())
+def test_section_readers_return_their_type_or_raise_their_error(tmp_path_factory, case):
+    # whatever the bytes, the mesh and fields readers return a Mesh or a
+    # State or raise MeshError or FieldsIOError; the golden bytes read as
+    # the golden value
+    name, data = case
+    load, kind, error, golden = READERS[name]
+    path = tmp_path_factory.getbasetemp() / f"mangled_{name}"
+    path.write_bytes(data)
+    if data == TEXTS[name]:
+        assert golden(load(path))
+        return
+    try:
+        value = load(path)
+    except error:
+        return
+    assert isinstance(value, kind)

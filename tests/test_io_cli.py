@@ -484,7 +484,16 @@ def foreign_hash_checkpoint(tmp_path):
     return directory, "checkpoint belongs to a different mesh"
 
 
-@pytest.mark.parametrize("checkpoints", [missing_checkpoints, truncated_checkpoint, foreign_hash_checkpoint])
+def misplaced_checkpoint(tmp_path):
+    assert main(["run", *SMALL_STEADY, "--output", str(tmp_path / "run"), "--set", "output.checkpoints=true"]) == 0
+    directory = tmp_path / "run" / "checkpoints"
+    (directory / "step_000002.ckpt").write_bytes((directory / "step_000001.ckpt").read_bytes())
+    return directory, "step_000002.ckpt: checkpoint holds step 1 at t="
+
+
+@pytest.mark.parametrize(
+    "checkpoints", [missing_checkpoints, truncated_checkpoint, foreign_hash_checkpoint, misplaced_checkpoint]
+)
 def test_cli_energy_refused_checkpoint_exits_solver(tmp_path, capsys, checkpoints):
     # a checkpoint the reader refuses is a StepFailure, exit 3; exit 4 is an
     # OSError while opening a file

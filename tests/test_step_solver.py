@@ -7,7 +7,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from chemoflow import fluid, step_solver, timestepping
-from chemoflow.assembly import build_operators
+from chemoflow.assembly import assemble_convection, build_operators
 from chemoflow.config import apply_overrides, build_initial_state, config_from_dict, load_config
 from chemoflow.fluid import KeptFactor, project_divergence_free
 from chemoflow.geometry import build_disc_mesh
@@ -16,10 +16,14 @@ from chemoflow.step_solver import (
     SolverOptions,
     StepBase,
     StepInputs,
+    c_step_rhs,
+    n_step_rhs,
     outer_step,
     picard_inner,
+    step_data,
     step_residual,
     step_system,
+    u_step_rhs,
 )
 from chemoflow.timestepping import TimeGrid, run
 
@@ -211,6 +215,48 @@ def test_outer_step_converges_and_residual_small(coarse_ops):
     assert d.final_residual <= 1e-9
     system = step_system(ops, PARAMS, inputs.dt, result.u)
     assert step_residual(ops, PARAMS, inputs, system, result.c, result.n, result.p) <= 1e-9
+
+
+def full_pattern_step_residual(ops, params, inputs, system, c, n, p):
+    """``step_residual`` with the momentum rows of the fluid matrix on every velocity dof, then cut to the interior."""
+    k = inputs.dt
+    u = system.u
+    A = ops._work.p2_pair.matrix(step_data(ops, params, k)[2] + k * assemble_convection(ops, u)[1].data)
+    r_c = system.oxygen @ c - c_step_rhs(ops, params, inputs, c, n, params.consumption())
+    r_n = system.cells @ n - n_step_rhs(ops, inputs, c, n, params.sensitivity())
+    rhs_u = u_step_rhs(ops, params, inputs, n)
+    idx = ops.vspace.interior_velocity
+    M_u_prev = ops.M_u @ inputs.u_prev
+    r_u = (A @ u - k * (ops.B.T @ p) - rhs_u)[idx]
+    r_div = ops.B @ u
+    num = np.sqrt(np.sum(r_c**2) + np.sum(r_n**2) + np.sum(r_u**2) + np.sum(r_div**2))
+    scale = np.sqrt(
+        np.sum((ops.M_vol @ inputs.c_prev) ** 2)
+        + np.sum((ops.M_vol @ inputs.n_prev) ** 2)
+        + np.sum(M_u_prev[idx] ** 2)
+        + np.linalg.norm(rhs_u - M_u_prev) ** 2
+    )
+    return r_u, num / max(scale, 1e-300)
+
+
+@pytest.mark.parametrize("xi, k", [(1.0, 1 / 16), (0.01, 1 / 16), (0.01, 0.2)])
+def test_step_residual_equals_the_full_pattern_formula(medium_ops, xi, k):
+    # a velocity that vanishes on the boundary, as every one the solver
+    # makes does, meets only the interior columns: the pinned block's
+    # momentum rows are the full-pattern ones bit for bit, convection on
+    ops = medium_ops
+    params = ModelParams(alpha=0.05, beta=0.05, xi=xi, g1=0.02)
+    rng = np.random.default_rng(4)
+    nv, nvel = ops.mesh.n_vertices, ops.vspace.n_velocity
+    for _ in range(2):
+        u_prev, u = (project_divergence_free(ops.vspace.zero_boundary(rng.standard_normal(nvel)), ops) for _ in "ab")
+        inputs = make_inputs(ops, c=1 + rng.random(nv), n=rng.random(nv), u=u_prev, dt=k)
+        c, n, p = 1 + rng.random(nv), rng.random(nv), rng.standard_normal(nv)
+        system = step_system(ops, params, k, u)
+        r_u, expected = full_pattern_step_residual(ops, params, inputs, system, c, n, p)
+        idx = ops.vspace.interior_velocity
+        assert np.array_equal(system.fluid.momentum_residual(u[idx], p, u_step_rhs(ops, params, inputs, n)[idx]), r_u)
+        assert step_residual(ops, params, inputs, system, c, n, p) == expected
 
 
 def test_outer_step_deterministic(coarse_ops):

@@ -1,4 +1,6 @@
 import gc
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -321,6 +323,29 @@ def test_resume_with_an_earlier_checkpoint_missing_names_the_step(coarse_ops, tm
     with pytest.raises(StepFailure, match="missing checkpoint for step 1 in") as exc:
         run(ops, PARAMS, grid, state0, checkpoint_dir=directory, resume=True)
     assert exc.value.step == 1
+
+
+@pytest.mark.parametrize("header", ["step", "time"])
+def test_checkpoint_under_another_steps_name_is_refused(coarse_ops, tmp_path, header):
+    # step 2's checkpoint copied over step 3's, or step 3's with another
+    # time stamp: loading and resuming both refuse it by its path
+    ops, grid, directory = coarse_ops, TimeGrid(T=0.2, N=4), tmp_path / "a"
+    state0 = bump_initial(ops)
+    run(ops, PARAMS, grid, state0, checkpoint_dir=directory)
+    path = directory / "step_000003.ckpt"
+    if header == "step":
+        path.write_bytes((directory / "step_000002.ckpt").read_bytes())
+    else:
+        data = bytearray(path.read_bytes())
+        data[96:104] = struct.pack("<d", grid.time(2))  # the header's f64 t
+        path.write_bytes(bytes(data))
+    message = f"{path}: checkpoint holds step {3 if header == 'time' else 2} at t="
+    with pytest.raises(StepFailure, match=re.escape(message)) as exc:
+        load_trajectory(directory, ops, grid, PARAMS)
+    assert exc.value.step == 3
+    (directory / "step_000004.ckpt").unlink()
+    with pytest.raises(StepFailure, match=re.escape(message)):
+        run(ops, PARAMS, grid, state0, checkpoint_dir=directory, resume=True)
 
 
 def test_checkpoint_resume_with_fluid_fallbacks_within_steps(medium_ops, tmp_path, monkeypatch):
