@@ -173,62 +173,98 @@ def _row_blocks(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> sp.csr_matri
     return sp.csr_matrix((vals.ravel(), cols.ravel().astype(np.int32), indptr), shape=(len(indptr) - 1, n_cols))
 
 
-class _Workspace:
-    """Per-mesh precomputation shared by the element assemblies."""
+class OperatorSet:
+    """Everything fixed once per mesh that the solver assembles from.
 
-    def __init__(self, mesh: Mesh, vspace: VelocitySpace):
-        p = mesh.vertices[mesh.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if np.any(self.areas <= 0):
+    Operators: P1 mass ``M_vol`` and stiffness ``K_vol``; boundary-loop mass
+    ``M_bnd_global`` and Laplace-Beltrami stiffness ``K_bnd_global`` in vertex
+    indexing (``M[loop][:, loop]``, ``loop = mesh.boundary_loop``, is the
+    loop-indexed form); divergence ``B`` (nv, 2 ns); P2 vector mass ``M_u``
+    and stiffness ``K_u``; P2 x P1 mass ``M_mix``; ``pressure_weights``, the
+    integral of each P1 basis function.  Patterns: ``p1``, ``p2``, ``p2_pair``
+    (``[[P2, 0], [0, P2]]``) with the slots ``loop_slot`` and ``interior_slot``,
+    and the interior divergence blocks ``interior_div``.  Maps of the
+    per-iteration forms: ``v_map``, ``conv_ref``, ``areas``, ``grad_map``,
+    ``lam_weights``.
+    """
+
+    def __init__(self, mesh: Mesh):
+        areas = mesh.triangle_areas()
+        if not np.all(areas > 0):  # false for NaN too
             raise MeshError("mesh has non-positive triangle areas")
+        self.mesh, self.areas = mesh, areas
+        self.vspace = vspace = build_velocity_space(mesh)
         # gradients of barycentric coordinates: rows of inv(J)^T applied to
         # the reference gradients (-1,-1), (1,0), (0,1)
-        det = 2.0 * self.areas
+        p = mesh.vertices[mesh.triangles]
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        det = 2.0 * areas
         jinv_t = np.empty((len(det), 2, 2))
         jinv_t[:, 0, 0] = d2[:, 1] / det
         jinv_t[:, 0, 1] = -d1[:, 1] / det
         jinv_t[:, 1, 0] = -d2[:, 0] / det
         jinv_t[:, 1, 1] = d1[:, 0] / det
         ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        self.dlam = np.einsum("tdr,ir->tid", jinv_t, ref)  # (nt, 3, 2)
+        dlam = np.einsum("tdr,ir->tid", jinv_t, ref)  # (nt, 3, 2)
+        # quadrature weights, P1 and P2 values and P2 gradient coefficients at the points
+        w, lam_q, p2_q, p2_c = QUAD_WEIGHTS, QUAD_BARY, _p2_values(QUAD_BARY), _p2_grad_coeffs(QUAD_BARY)
 
-        self.w = QUAD_WEIGHTS
-        self.lam_q = QUAD_BARY  # (nq, 3): P1 values at quad points
-        self.p2_q = _p2_values(QUAD_BARY)  # (nq, 6)
-
-        self.tri_p1 = mesh.triangles
-        self.tri_p2 = np.hstack([mesh.triangles, vspace.n_vertices + vspace.tri_edges])
+        tri_p1 = mesh.triangles
+        tri_p2 = np.hstack([tri_p1, vspace.n_vertices + vspace.tri_edges])
         nv, ns = vspace.n_vertices, vspace.n_scalar
-        self.p1 = _Pattern(self.tri_p1, self.tri_p1, (nv, nv))
-        self.p2 = _Pattern(self.tri_p2, self.tri_p2, (ns, ns))
+        self.p1 = _Pattern(tri_p1, tri_p1, (nv, nv))
+        self.p2 = _Pattern(tri_p2, tri_p2, (ns, ns))
         # [[P2, 0], [0, P2]]: its data is the P2 data once per component
-        pair = np.vstack([self.tri_p2, self.tri_p2 + ns])
+        pair = np.vstack([tri_p2, tri_p2 + ns])
         self.p2_pair = _Pattern(pair, pair, (2 * ns, 2 * ns))
         # entry positions + 1 (none zero), then its interior block: data[interior_slot]
         rank = self.p2_pair.matrix(np.arange(1.0, self.p2_pair.indices.size + 1))
         self._interior = rank[vspace.interior_velocity][:, vspace.interior_velocity]
         self.interior_slot = self._interior.data.astype(np.intp) - 1
-        # divergence columns: x component, then y component
-        self.div = _Pattern(self.tri_p1, np.hstack([self.tri_p2, self.tri_p2 + ns]), (nv, 2 * ns))
-        self.mix = _Pattern(self.tri_p2, self.tri_p1, (ns, nv))
+        area = areas[:, None, None]
+
+        # P1 mass (1' M 1 is the mesh area exactly) and stiffness (annihilates constants)
+        ref_p1_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        self.M_vol = self.p1.scatter(area * ref_p1_mass[None, :, :])
+        gg = np.einsum("tid,tjd->tij", dlam, dlam)
+        self.K_vol = self.p1.scatter(area * gg)
+        self.pressure_weights = np.asarray(self.M_vol.sum(axis=1)).ravel()
+        self.M_bnd_global = assemble_boundary_mass(mesh)
+        self.K_bnd_global = assemble_boundary_laplace_beltrami(mesh)
+        # where the entries of both loop operators (one pattern) sit in the P1 pattern
+        loop, rank = self.M_bnd_global.tocoo(), self.p1.matrix(np.arange(1.0, self.p1.indices.size + 1))
+        self.loop_slot = np.asarray(rank[loop.row, loop.col]).ravel().astype(np.intp) - 1
+
+        # P2 scalar mass and stiffness, shared by both velocity components
+        self.M_u = self.scatter_pair(area * np.einsum("q,qa,qb->ab", w, p2_q, p2_q)[None, :, :])
+        p2_grad = np.einsum("qai,tid->tqad", p2_c, dlam)  # (nt, nq, 6, 2)
+        self.K_u = self.scatter_pair(area * np.einsum("q,tqad,tqbd->tab", w, p2_grad, p2_grad))
+        mix_local = area * np.einsum("q,qa,qp->ap", w, p2_q, lam_q)
+        self.M_mix = _Pattern(tri_p2, tri_p1, (ns, nv)).scatter(mix_local)
+
+        # divergence B: P2 velocity -> P1 pressure test space, columns x component then y
+        div_local = np.einsum("q,qp,tqad->tpda", w, lam_q, p2_grad)
+        div = _Pattern(tri_p1, np.hstack([tri_p2, tri_p2 + ns]), (nv, 2 * ns))
+        self.B = div.scatter(area * div_local.reshape(-1, 3, 12))
+        # on the interior velocity dofs, with its rows but pressure dof 0's, and their transposes
+        B_int = self.B[:, vspace.interior_velocity].tocsr()
+        Bp = B_int[1:, :]
+        self.interior_div = (B_int, B_int.T, Bp, Bp.T)
 
         # the per-iteration forms as reference tensors: convection is linear in
         # V[t, a, i] = |T| u_a . grad lambda_i, and v_map takes u to V
-        v_cols = self.tri_p2[:, :, None, None] + ns * np.arange(2)  # (nt, 6, 1, 2)
-        v_vals = self.areas[:, None, None, None] * self.dlam[:, None]  # (nt, 1, 3, 2)
+        v_cols = tri_p2[:, :, None, None] + ns * np.arange(2)  # (nt, 6, 1, 2)
+        v_vals = areas[:, None, None, None] * dlam[:, None]  # (nt, 1, 3, 2)
         self.v_map = _row_blocks(*np.broadcast_arrays(v_cols, v_vals), 2 * ns)
         # N2[b, c] = R2[b, c, a, i] V[a, i] and N1[i, j] = R1[i, a] V[a, j], skewed on
         # the strict-upper local pairs: V @ conv_ref holds the P2 pairs, then the P1 pairs
-        r2 = np.einsum("q,qb,qa,qci->bcai", self.w, self.p2_q, self.p2_q, _p2_grad_coeffs(QUAD_BARY))
-        r1 = np.einsum("ia,jk->ijak", (self.w[:, None] * self.lam_q).T @ self.p2_q, np.eye(3))
+        r2 = np.einsum("q,qb,qa,qci->bcai", w, p2_q, p2_q, p2_c)
+        r1 = np.einsum("ia,jk->ijak", (w[:, None] * lam_q).T @ p2_q, np.eye(3))
         skew = [0.5 * (r[up] - r[up[::-1]]).reshape(len(up[0]), 18) for r, up in ((r2, _UP2), (r1, _UP1))]
         self.conv_ref = np.vstack(skew).T  # (18, 15 + 3)
         # the chemotaxis load: grad_map takes c to grad lambda_j . grad c per element
-        gg = np.einsum("tid,tjd->tij", self.dlam, self.dlam)
-        self.grad_map = _row_blocks(*np.broadcast_arrays(self.tri_p1[:, None, :], gg), nv)
-        self.lam_weights = self.lam_q.T @ self.w  # integral of each lambda_i over T, per |T|
+        self.grad_map = _row_blocks(*np.broadcast_arrays(tri_p1[:, None, :], gg), nv)
+        self.lam_weights = lam_q.T @ w  # integral of each lambda_i over T, per |T|
 
     def scatter_pair(self, local: np.ndarray) -> sp.csr_matrix:
         """Block-diagonal ``[[S, 0], [0, S]]`` of one P2 scalar element matrix set."""
@@ -239,29 +275,6 @@ class _Workspace:
         """``A[idx][:, idx]`` over the interior velocity dofs, from ``A``'s pair-pattern ``data``."""
         block = self._interior
         return sp.csr_matrix((data[self.interior_slot], block.indices, block.indptr), shape=block.shape)
-
-
-@dataclass(frozen=True)
-class OperatorSet:
-    """All mesh-bound sparse operators plus the assembly workspace.
-
-    The boundary-loop operators ``M_bnd_global`` and ``K_bnd_global`` are in
-    vertex indexing; ``M[loop][:, loop]`` with ``loop = mesh.boundary_loop``
-    is their loop-indexed form.
-    """
-
-    mesh: Mesh
-    vspace: VelocitySpace
-    M_vol: sp.csr_matrix  # P1 mass, (nv, nv)
-    K_vol: sp.csr_matrix  # P1 stiffness, (nv, nv)
-    M_bnd_global: sp.csr_matrix  # boundary P1 mass, (nv, nv)
-    K_bnd_global: sp.csr_matrix  # boundary Laplace-Beltrami stiffness, (nv, nv)
-    B: sp.csr_matrix  # divergence: velocity dofs -> pressure dofs, (nv, 2 ns)
-    M_u: sp.csr_matrix  # P2 vector mass, (2 ns, 2 ns)
-    K_u: sp.csr_matrix  # P2 vector stiffness, (2 ns, 2 ns)
-    M_mix: sp.csr_matrix  # P2 scalar x P1 mass, (ns, nv)
-    pressure_weights: np.ndarray  # integral of each P1 basis function
-    _work: _Workspace
 
     def scalar_norm_sq(self, x: np.ndarray) -> float:
         return float(x @ (self.M_vol @ x))
@@ -292,25 +305,17 @@ def _periodic_loop_matrix(mesh: Mesh, edge_entries) -> sp.csr_matrix:
     return _Pattern(ends, ends, (mesh.n_vertices,) * 2).scatter(local)
 
 
-def _mass_entries(h):
-    return h / 3, h / 6
-
-
-def _laplace_beltrami_entries(h):
-    return 1.0 / h, -1.0 / h
-
-
 def assemble_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass on the closed boundary loop, vertex-indexed.
 
     ``1' M 1`` equals the polygonal boundary length exactly.
     """
-    return _periodic_loop_matrix(mesh, _mass_entries)
+    return _periodic_loop_matrix(mesh, lambda h: (h / 3, h / 6))
 
 
 def assemble_boundary_laplace_beltrami(mesh: Mesh) -> sp.csr_matrix:
     """Periodic 1D stiffness in arclength on the boundary loop, vertex-indexed."""
-    return _periodic_loop_matrix(mesh, _laplace_beltrami_entries)
+    return _periodic_loop_matrix(mesh, lambda h: (1.0 / h, -1.0 / h))
 
 
 def _skew_local(x: np.ndarray, up, size: int) -> np.ndarray:
@@ -331,9 +336,8 @@ def assemble_convection(ops: OperatorSet, u: np.ndarray) -> tuple[sp.csr_matrix,
     pairs; each mirrored pair gets their negation, so ``C' = -C`` bitwise and
     ``x' C x = 0`` for every x and every u.
     """
-    work = ops._work
-    x = (work.v_map @ u).reshape(-1, 18) @ work.conv_ref  # 15 P2 pairs, then 3 P1 pairs
-    return work.p1.scatter(_skew_local(x[:, 15:], _UP1, 3)), work.scatter_pair(_skew_local(x[:, :15], _UP2, 6))
+    x = (ops.v_map @ u).reshape(-1, 18) @ ops.conv_ref  # 15 P2 pairs, then 3 P1 pairs
+    return ops.p1.scatter(_skew_local(x[:, 15:], _UP1, 3)), ops.scatter_pair(_skew_local(x[:, :15], _UP2, 6))
 
 
 def assemble_chemotaxis_rhs(ops: OperatorSet, n: np.ndarray, c: np.ndarray, g) -> np.ndarray:
@@ -342,59 +346,15 @@ def assemble_chemotaxis_rhs(ops: OperatorSet, n: np.ndarray, c: np.ndarray, g) -
     The sensitivity is evaluated nodewise and interpolated (P1 product rule),
     so ``g == 1`` reproduces the stiffness action on c exactly.
     """
-    work = ops._work
+    tris = ops.mesh.triangles
     gn = np.asarray(g(n, c), dtype=float)
     if gn.shape != n.shape:
         gn = np.broadcast_to(gn, n.shape).astype(float)
-    coeff = work.areas * (gn[work.tri_p1] @ work.lam_weights)  # integral of g over each triangle
-    local = coeff[:, None] * (work.grad_map @ c).reshape(-1, 3)
-    return np.bincount(work.tri_p1.ravel(), weights=local.ravel(), minlength=ops.mesh.n_vertices)
+    coeff = ops.areas * (gn[tris] @ ops.lam_weights)  # integral of g over each triangle
+    local = coeff[:, None] * (ops.grad_map @ c).reshape(-1, 3)
+    return np.bincount(tris.ravel(), weights=local.ravel(), minlength=ops.mesh.n_vertices)
 
 
 def build_operators(mesh: Mesh) -> OperatorSet:
-    """Assemble every mesh-bound operator once; the result is immutable."""
-    vspace = build_velocity_space(mesh)
-    work = _Workspace(mesh, vspace)
-    area = work.areas[:, None, None]
-
-    # P1 mass (1' M 1 is the mesh area exactly) and stiffness (annihilates constants)
-    ref_p1_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    M_vol = work.p1.scatter(area * ref_p1_mass[None, :, :])
-    K_vol = work.p1.scatter(area * np.einsum("tid,tjd->tij", work.dlam, work.dlam))
-    M_bnd_global = assemble_boundary_mass(mesh)
-    K_bnd_global = assemble_boundary_laplace_beltrami(mesh)
-    # where the entries of both loop operators (one pattern) sit in the P1 pattern
-    loop, rank = M_bnd_global.tocoo(), work.p1.matrix(np.arange(1.0, work.p1.indices.size + 1))
-    work.loop_slot = np.asarray(rank[loop.row, loop.col]).ravel().astype(np.intp) - 1
-
-    # P2 scalar mass and stiffness, shared by both velocity components
-    ref_mass = np.einsum("q,qa,qb->ab", work.w, work.p2_q, work.p2_q)
-    M_u = work.scatter_pair(area * ref_mass[None, :, :])
-    p2_grad = np.einsum("qai,tid->tqad", _p2_grad_coeffs(QUAD_BARY), work.dlam)  # (nt, nq, 6, 2)
-    K_u = work.scatter_pair(area * np.einsum("q,tqad,tqbd->tab", work.w, p2_grad, p2_grad))
-
-    mix_local = area * np.einsum("q,qa,qp->ap", work.w, work.p2_q, work.lam_q)
-    M_mix = work.mix.scatter(mix_local)
-
-    # divergence B: P2 velocity -> P1 pressure test space
-    div_local = np.einsum("q,qp,tqad->tpda", work.w, work.lam_q, p2_grad)
-    B = work.div.scatter(area * div_local.reshape(-1, 3, 12))
-    # on the interior velocity dofs, with its rows but pressure dof 0's, and their transposes
-    B_int = B[:, vspace.interior_velocity].tocsr()
-    Bp = B_int[1:, :]
-    work.interior_div = (B_int, B_int.T, Bp, Bp.T)
-
-    return OperatorSet(
-        mesh=mesh,
-        vspace=vspace,
-        M_vol=M_vol,
-        K_vol=K_vol,
-        M_bnd_global=M_bnd_global,
-        K_bnd_global=K_bnd_global,
-        B=B,
-        M_u=M_u,
-        K_u=K_u,
-        M_mix=M_mix,
-        pressure_weights=np.asarray(M_vol.sum(axis=1)).ravel(),
-        _work=work,
-    )
+    """Assemble every mesh-bound operator once."""
+    return OperatorSet(mesh)

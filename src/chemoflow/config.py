@@ -172,7 +172,7 @@ def load_config(path, overrides=()) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(str(path), f"cannot read: {exc}")]) from exc
     try:
         raw = json.loads(text)

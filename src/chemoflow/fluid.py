@@ -117,8 +117,8 @@ class PinnedSaddle:
     """
 
     def __init__(self, ops: OperatorSet, data: np.ndarray, scale: float):
-        self.A = ops._work.interior(data)
-        self.B, self.BT, self.Bp, self.BpT = ops._work.interior_div
+        self.A = ops.interior(data)
+        self.B, self.BT, self.Bp, self.BpT = ops.interior_div
         self.scale = scale
 
     def __matmul__(self, x):

@@ -109,10 +109,13 @@ class Mesh:
 
     def validate(self) -> None:
         """Check every structural invariant; raise MeshError listing failures."""
+        if not np.all(np.isfinite(self.vertices)):
+            raise MeshError("non-finite vertex coordinates")
         problems = []
-        areas = self.triangle_areas()
-        if np.any(areas <= 0):
-            problems.append(f"{int(np.sum(areas <= 0))} triangles with non-positive area")
+        # negated comparisons, so NaN fails them
+        bad = ~(self.triangle_areas() > 0)
+        if np.any(bad):
+            problems.append(f"{int(np.sum(bad))} triangles with non-positive area")
         loop = self.boundary_loop
         if len(np.unique(loop)) != len(loop):
             problems.append("boundary loop revisits a vertex")
@@ -121,7 +124,7 @@ class Mesh:
         pts = self.vertices[loop]
         e = np.roll(pts, -1, axis=0) - pts
         cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        if np.any(cross <= 0):
+        if not np.all(cross > 0):
             problems.append("boundary polygon is not convex/CCW")
         if problems:
             raise MeshError("; ".join(problems))

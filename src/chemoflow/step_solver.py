@@ -125,12 +125,11 @@ class StepSystem:
 
 def step_data(ops: OperatorSet, params, k: float) -> tuple:
     """Convection-free pattern data of the oxygen, cell and fluid step matrices, in their sparse sums' order."""
-    work = ops._work
     a_ob = params.alpha / params.b
     oxygen = ops.M_vol.data.copy()
-    oxygen[work.loop_slot] += a_ob * ops.M_bnd_global.data
+    oxygen[ops.loop_slot] += a_ob * ops.M_bnd_global.data
     oxygen += k * params.alpha * ops.K_vol.data
-    oxygen[work.loop_slot] += k * a_ob * ops.K_bnd_global.data
+    oxygen[ops.loop_slot] += k * a_ob * ops.K_bnd_global.data
     return oxygen, ops.M_vol.data + k * params.beta * ops.K_vol.data, ops.M_u.data + k * params.xi * ops.K_u.data
 
 
@@ -138,11 +137,10 @@ def step_system(ops: OperatorSet, params, k: float, u: np.ndarray, data: tuple |
     """Step matrices of step size ``k`` at ``u``: its ``step_data``, or ``data``, plus ``k C(u)``."""
     oxygen, cells, velocity = step_data(ops, params, k) if data is None else data
     C, C_u = assemble_convection(ops, u)
-    work = ops._work
     return StepSystem(
         u=u,
-        oxygen=work.p1.matrix(oxygen + k * C.data),
-        cells=work.p1.matrix(cells + k * C.data),
+        oxygen=ops.p1.matrix(oxygen + k * C.data),
+        cells=ops.p1.matrix(cells + k * C.data),
         fluid=PinnedSaddle(ops, velocity + k * C_u.data, k),
     )
 
@@ -158,8 +156,7 @@ class StepBase:
 
     def __init__(self, ops: OperatorSet, params, k: float):
         self.data = oxygen, cells, velocity = step_data(ops, params, k)
-        p1 = ops._work.p1
-        blocks = (p1.matrix(oxygen), p1.matrix(cells), PinnedSaddle(ops, velocity, k))
+        blocks = (ops.p1.matrix(oxygen), ops.p1.matrix(cells), PinnedSaddle(ops, velocity, k))
         self.factors = tuple(map(fluid.factorise, blocks, BLOCKS))
         self.last = None
 

@@ -45,8 +45,13 @@ def test_operators_reject_non_positive_area(reference_triangle_mesh):
     flipped = dataclasses.replace(
         reference_triangle_mesh, triangles=reference_triangle_mesh.triangles[:, ::-1]
     )
-    with pytest.raises(MeshError, match="non-positive"):
-        build_operators(flipped)
+    # a NaN vertex, whose areas fail every comparison
+    vertices = reference_triangle_mesh.vertices.copy()
+    vertices[0, 0] = np.nan
+    nan_vertex = dataclasses.replace(reference_triangle_mesh, vertices=vertices)
+    for mesh in (flipped, nan_vertex):
+        with pytest.raises(MeshError, match="non-positive"):
+            build_operators(mesh)
 
 
 def test_mass_total_is_disc_area():

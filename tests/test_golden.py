@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chemoflow.config import config_from_dict
+from chemoflow.config import ConfigError, RunConfig, config_from_dict, load_config
 from chemoflow.energy import CSV_COLUMNS
 from chemoflow.fields_io import FieldsIOError, export_fields, load_fields
 from chemoflow.geometry import Mesh, MeshError, build_disc_mesh, load_mesh, save_mesh
@@ -150,6 +150,8 @@ def test_fields_reader_cut_files(tmp_path):
         ("mesh_tiny.txt", "vertices 19", "vertices 19.0"),
         ("mesh_tiny.txt", "vertices 19", "vertices -19"),
         ("mesh_tiny.txt", "\n0.5 0\n", "\n0.5 zero\n"),
+        ("mesh_tiny.txt", "\n0.5 0\n", "\nnan 0\n"),
+        ("mesh_tiny.txt", "\n0.5 0\n", "\ninf 0\n"),
         ("mesh_tiny.txt", "\n0 1 2\n", "\n0 1.5 2\n"),
         ("mesh_tiny.txt", "\n0 1 2\n", "\n0 1 19\n"),
         ("mesh_tiny.txt", "\n0 1 2\n", "\n0 1 99999999999999999999\n"),
@@ -180,18 +182,19 @@ def test_readers_map_unreadable_files(tmp_path):
             load_fields(tmp_path / name)
 
 
-TEXTS = {name: (GOLDEN / name).read_bytes() for name in ("fields_tiny.txt", "mesh_tiny.txt")}
+TEXTS = {name: (GOLDEN / name).read_bytes() for name in ("config_defaults.json", "fields_tiny.txt", "mesh_tiny.txt")}
 TINY_MESH = build_disc_mesh(1.0, 0.6)
 # each golden text file's reader, the type it returns, its error, and its golden-value check
 READERS = {
     "mesh_tiny.txt": (load_mesh, Mesh, MeshError, lambda mesh: same_mesh(mesh, TINY_MESH)),
     "fields_tiny.txt": (load_fields, State, FieldsIOError, lambda state: same_state(state, tiny_state(TINY_MESH))),
+    "config_defaults.json": (load_config, RunConfig, ConfigError, lambda cfg: cfg.raw == config_from_dict({}).raw),
 }
 
 
 @st.composite
 def mangled_texts(draw):
-    """A golden text file and its bytes after up to four byte flips, splices of either file and truncations."""
+    """A golden text file and its bytes after up to four byte flips, splices of any golden text file and truncations."""
     name = draw(st.sampled_from(sorted(TEXTS)))
     data = bytearray(TEXTS[name])
     for _ in range(draw(st.integers(0, 4))):
@@ -209,14 +212,15 @@ def mangled_texts(draw):
     return name, bytes(data)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=450, derandomize=True, deadline=None, database=None)
 @example(("mesh_tiny.txt", TEXTS["mesh_tiny.txt"]))
 @example(("fields_tiny.txt", TEXTS["fields_tiny.txt"]))
+@example(("config_defaults.json", TEXTS["config_defaults.json"]))
 @given(mangled_texts())
 def test_section_readers_return_their_type_or_raise_their_error(tmp_path_factory, case):
-    # whatever the bytes, the mesh and fields readers return a Mesh or a
-    # State or raise MeshError or FieldsIOError; the golden bytes read as
-    # the golden value
+    # whatever the bytes, the mesh, fields and config readers return a Mesh,
+    # a State or a RunConfig or raise MeshError, FieldsIOError or
+    # ConfigError; the golden bytes read as the golden value
     name, data = case
     load, kind, error, golden = READERS[name]
     path = tmp_path_factory.getbasetemp() / f"mangled_{name}"

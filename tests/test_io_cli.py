@@ -157,6 +157,18 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     assert "params.b" in capsys.readouterr().out
 
 
+def test_cli_config_not_utf8_exits_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"mesh": \xff}')
+    assert main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"ERROR   {path}: cannot read" in out and "Traceback" not in out + err
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert f"ERROR   {path}: cannot read" in err and "Traceback" not in out + err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_overrides_apply_before_validation(tmp_path, capsys):
     path = write_config(tmp_path, {"params": {"xi": -1}})
     assert main(["validate", "--config", str(path), "--set", "params.xi=1.0"]) == 0

@@ -221,7 +221,7 @@ def full_pattern_step_residual(ops, params, inputs, system, c, n, p):
     """``step_residual`` with the momentum rows of the fluid matrix on every velocity dof, then cut to the interior."""
     k = inputs.dt
     u = system.u
-    A = ops._work.p2_pair.matrix(step_data(ops, params, k)[2] + k * assemble_convection(ops, u)[1].data)
+    A = ops.p2_pair.matrix(step_data(ops, params, k)[2] + k * assemble_convection(ops, u)[1].data)
     r_c = system.oxygen @ c - c_step_rhs(ops, params, inputs, c, n, params.consumption())
     r_n = system.cells @ n - n_step_rhs(ops, inputs, c, n, params.sensitivity())
     rhs_u = u_step_rhs(ops, params, inputs, n)
