@@ -18,13 +18,17 @@ against the P1 basis integrals.
 Desk-scale systems are solved by sparse LU through ``KeptFactor``, the one
 linear layer of the oxygen, cell and fluid blocks: it holds a factor, solves
 each new system by defect correction around it, started from the iterate
-the solve replaces, and factorises (and keeps) the true matrix only when
-the correction stalls or, around a factor it was handed, once its budget of
-corrections is spent.  ``factorise`` makes every factor, with one
-symmetric-mode, fill-reducing ordering.  ``solve_saddle`` is the one saddle
-entry point: a time step passes the ``PinnedSaddle`` of its frozen velocity
-and a factor started from the convection-free saddle of its step size, and
-the one-off set-up systems pass none and keep the default tolerance 1e-10.
+the solve replaces, and factorises (and keeps) a matrix only when the
+correction stalls or, around a start factor it was handed, once its budget
+of corrections is spent.  A time step's held factor that gives up its start
+factor factorises the matrix of the step's first system, which the time
+loop can rebuild from the checkpointed states and so carries to the next
+step as that block's start factor; only when correction around that factor
+stalls too does it factorise the true matrix.  ``factorise`` makes every
+factor, with one symmetric-mode, fill-reducing ordering.  ``solve_saddle``
+is the one saddle entry point: a time step passes the ``PinnedSaddle`` of
+its frozen velocity and its held saddle factor, and the one-off set-up
+systems pass none and keep the default tolerance 1e-10.
 """
 
 from __future__ import annotations
@@ -62,39 +66,39 @@ class KeptFactor:
 
     ``solve`` corrects the defect around the held factor ``lu``, from
     ``guess`` or zero, until it is below ``0.01 tol ||rhs||``.  A handed-in
-    ``lu`` has ``max_corrections`` corrections to spend over the object's
-    life (``spare`` left).  Once the last contraction, continued to
-    ``max_corrections`` or ``spare``, cannot get there, or when nothing is
-    held, it factorises the true matrix, solves with it, checks the residual
-    against ``tol`` and keeps that factor.  ``matrix`` needs ``@`` and
-    ``tocsc()``.
+    start factor ``lu`` has ``max_corrections`` corrections to spend over the
+    object's life (``spare`` left).  Once the last contraction, continued to
+    ``max_corrections`` or ``spare``, cannot get there, the object gives the
+    factor up.  A given-up start factor is handed back as ``keep(None)``, so
+    that one nobody else holds is freed at once; the object then factorises
+    ``first()``, the matrix of the attempt's first system, hands that factor
+    over as ``keep(lu)`` and corrects around it with no budget.  With no
+    ``first`` (left), it factorises the true matrix, solves with it, checks
+    the residual against ``tol`` and keeps that factor.  Matrices need ``@``
+    and ``tocsc()``.
     """
 
     max_corrections = 30
 
-    def __init__(self, what: str, lu=None):
+    def __init__(self, what: str, lu=None, first=None, keep=lambda lu: None):
         self.what = what
         self.lu = lu
+        self.first = first
+        self.keep = keep
         self.spare = np.inf if lu is None else self.max_corrections
 
     def solve(self, matrix, rhs: np.ndarray, tol: float, guess=None) -> np.ndarray:
         scale = max(np.linalg.norm(rhs), 1e-300)
-        if self.lu is not None:
-            target = 0.01 * tol * scale
-            x = np.zeros_like(rhs) if guess is None else np.array(guess, dtype=float)
-            previous = np.inf
-            for it in range(self.max_corrections):
-                r = rhs - matrix @ x
-                defect = np.linalg.norm(r)
-                if defect <= target:
-                    return x
-                # a defect that did not fall never reaches the target
-                rate = min(defect / previous, 1.0)
-                if defect * rate ** min(self.max_corrections - 1 - it, self.spare) > target:
-                    break
-                previous = defect
-                self.spare -= 1
-                x += self.lu.solve(r)
+        x = np.zeros_like(rhs) if guess is None else np.array(guess, dtype=float)
+        while True:
+            if self.lu is not None and self._correct(matrix, rhs, x, 0.01 * tol * scale):
+                return x
+            if self.first is None:
+                break
+            self.lu = None
+            self.keep(None)
+            self.lu, self.first, self.spare = factorise(self.first(), self.what), None, np.inf
+            self.keep(self.lu)
         self.lu = factorise(matrix, self.what)
         self.spare = np.inf
         x = self.lu.solve(rhs)
@@ -104,6 +108,23 @@ class KeptFactor:
         if res > tol:
             raise LinearSolveError(f"{self.what} solve residual {res:.3e} exceeds tolerance {tol:.1e}")
         return x
+
+    def _correct(self, matrix, rhs: np.ndarray, x: np.ndarray, target: float) -> bool:
+        """Correct ``x`` in place around ``lu``; False once the defect cannot reach ``target``."""
+        previous = np.inf
+        for it in range(self.max_corrections):
+            r = rhs - matrix @ x
+            defect = np.linalg.norm(r)
+            if defect <= target:
+                return True
+            # a defect that did not fall never reaches the target
+            rate = min(defect / previous, 1.0)
+            if defect * rate ** min(self.max_corrections - 1 - it, self.spare) > target:
+                return False
+            previous = defect
+            self.spare -= 1
+            x += self.lu.solve(r)
+        return False
 
 
 class PinnedSaddle:

@@ -23,10 +23,13 @@ The step matrices of one frozen velocity are one ``StepSystem``, the
 convection-free data of its step size plus one convection assembly; the
 inner loop, the fluid solve and the residual check read it, the fluid block
 in the solve's pinned layout.  A run keeps one ``StepBase`` per step size:
-that data, the never-changed factors of its three blocks, which every
+that data, the start factor of each of its three blocks, which every
 attempt's held factors start from, and the last system, which the next step
 starts from.  The step matrices differ from the base by the skew convection
-block alone.
+block alone, and consecutive steps' matrices by ``k (C(u_m) - C(u_{m-1}))``:
+a start factor is the convection-free one until a grid step gives it up,
+and from then on the factor of that step's first system, carried to the
+steps after it.
 """
 
 from __future__ import annotations
@@ -48,13 +51,17 @@ class StepInputs:
     """Previous-step fields feeding one implicit step.
 
     The oxygen boundary trace is the restriction of ``c_prev``; the boundary
-    operators are vertex-indexed, so it needs no field of its own.
+    operators are vertex-indexed, so it needs no field of its own.  ``step``
+    is the grid step an attempt at the grid step size computes, which names
+    the first-system factors it leaves in its ``StepBase``; 0 (a halved
+    retry, or a step outside a time loop) leaves none.
     """
 
     c_prev: np.ndarray
     n_prev: np.ndarray
     u_prev: np.ndarray
     dt: float
+    step: int = 0
 
     def validate(self, ops: OperatorSet) -> None:
         if not self.dt > 0:
@@ -148,17 +155,66 @@ def step_system(ops: OperatorSet, params, k: float, u: np.ndarray, data: tuple |
 class StepBase:
     """What every attempt of step size ``k`` in one run shares.
 
-    ``data`` is the ``step_data`` of ``k``, ``factors`` the factors of its
-    oxygen, cell and pinned fluid matrices, and ``last`` the last system built
-    from it.  Each depends only on the mesh, the coefficients, ``k`` and the
-    system's velocity, so a resumed run rebuilds the same bits.
+    ``data`` is the ``step_data`` of ``k`` and ``last`` the last system built
+    from it.  ``factors`` holds the start factor of the oxygen, cell and
+    pinned fluid blocks, and ``sources`` the grid step whose first system
+    each was factorised from, 0 for the convection-free matrix of ``data``;
+    step ``j``'s first system is the one at ``states[j - 1].u``.  An attempt
+    of grid step ``j`` that gives up a block's start factor leaves its
+    first-system factor here, under ``j``, for the steps after it.  So each
+    factor depends only on the mesh, the coefficients, ``k`` and a
+    checkpointed velocity, and a base made from a checkpoint's ``sources``
+    and the ``states`` up to it holds the same bits.
     """
 
-    def __init__(self, ops: OperatorSet, params, k: float):
+    def __init__(self, ops: OperatorSet, params, k: float, sources=(0, 0, 0), states=()):
         self.data = oxygen, cells, velocity = step_data(ops, params, k)
-        blocks = (ops.p1.matrix(oxygen), ops.p1.matrix(cells), PinnedSaddle(ops, velocity, k))
-        self.factors = tuple(map(fluid.factorise, blocks, BLOCKS))
+
+        def blocks(j):
+            if j == 0:
+                return ops.p1.matrix(oxygen), ops.p1.matrix(cells), PinnedSaddle(ops, velocity, k)
+            system = step_system(ops, params, k, states[j - 1].u, self.data)
+            return system.oxygen, system.cells, system.fluid
+
+        made = {j: blocks(j) for j in set(sources)}
+        self.factors = [fluid.factorise(made[j][i], what) for i, (j, what) in enumerate(zip(sources, BLOCKS))]
+        self.sources = list(sources)
         self.last = None
+
+    def first_system(self, ops: OperatorSet, params, inputs: StepInputs) -> StepSystem:
+        """The system at ``inputs.u_prev``: ``last`` when it is there, else a new one, kept as ``last``."""
+        if self.last is None or not np.array_equal(self.last.u, inputs.u_prev):
+            self.last = step_system(ops, params, inputs.dt, np.asarray(inputs.u_prev, dtype=float), self.data)
+        return self.last
+
+    def held(self, ops: OperatorSet, params, inputs: StepInputs) -> tuple:
+        """One attempt's ``KeptFactor`` per block, started from ``factors``.
+
+        A block that gives up its start factor factorises its matrix in the
+        attempt's ``first_system``, fetched once for all blocks when the first
+        one gives up, so an attempt in which no block gives up holds no
+        system it has left.  For a grid step (``inputs.step`` not 0) the
+        given-up start factor leaves ``factors`` at once, and the
+        first-system factor takes its place.
+        """
+        firsts = []
+
+        def first(i):
+            def matrix():
+                if not firsts:
+                    firsts.append(self.first_system(ops, params, inputs))
+                return (firsts[0].oxygen, firsts[0].cells, firsts[0].fluid)[i]
+
+            return matrix
+
+        def keep(i):
+            def kept(lu):
+                if inputs.step:
+                    self.factors[i], self.sources[i] = lu, inputs.step
+
+            return kept
+
+        return tuple(KeptFactor(what, self.factors[i], first(i), keep(i)) for i, what in enumerate(BLOCKS))
 
 
 def c_step_rhs(ops: OperatorSet, params, inputs: StepInputs, c_hat, n_hat, consumption_fn):
@@ -283,8 +339,11 @@ def outer_step(
     iterate.  Convergence requires the inner loop converged, the velocity
     update below tolerance, and the fully nonlinear residual below tolerance;
     failure is reported in the diagnostics.  The attempt starts from the
-    ``StepBase`` of ``k`` in ``bases`` (made when missing): its factors, and
-    its last system when that is at ``u_prev``; it leaves its own last there.
+    ``StepBase`` of ``k`` in ``bases`` (made when missing): its start factors,
+    and its last system when that is at ``u_prev``, else a new one there,
+    which is the attempt's first system.  It leaves its own last system
+    there, and for a grid step (``inputs.step``) the first-system factor of
+    each block that gave up its start factor.
     """
     inputs.validate(ops)
     k = inputs.dt
@@ -292,11 +351,9 @@ def outer_step(
     if k not in bases:
         bases[k] = StepBase(ops, params, k)
     base = bases[k]
-    oxygen, cells, saddle = map(KeptFactor, BLOCKS, base.factors)
     # the residual check and the next outer iteration share each new velocity's system
-    system = base.last
-    if system is None or not np.array_equal(system.u, inputs.u_prev):
-        system = base.last = step_system(ops, params, k, np.asarray(inputs.u_prev, dtype=float), base.data)
+    system = base.first_system(ops, params, inputs)
+    oxygen, cells, saddle = base.held(ops, params, inputs)
     guess = None
     diag = FixedPointDiagnostics()
     c = n = None

@@ -10,6 +10,11 @@ study verifies from the ledger's increment norms (``energy.interpolant_step_gap`
 A step that fails to converge is retried with the step halved, recursively up
 to a configured depth; the substeps are merged back so the stored grid stays
 uniform.  Retries are logged because the scheme itself fixes no fallback.
+
+Each step's checkpoint binds it to its problem and names, per block, the
+step whose first system the grid step size's carried start factor was
+factorised from, so a resume rebuilds that factor from the states it reads
+and continues bit for bit.
 """
 
 from __future__ import annotations
@@ -20,19 +25,21 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .assembly import OperatorSet
 from .fluid import LinearSolveError, project_divergence_free
-from .step_solver import FixedPointDiagnostics, SolverOptions, StepInputs, outer_step
+from .step_solver import FixedPointDiagnostics, SolverOptions, StepBase, StepInputs, outer_step
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 1
-# magic, u32 version, 64-byte mesh hash, u64 N, u64 m, f64 T, f64 t, u64 nv, u64 n_velocity
-CHECKPOINT_HEADER = struct.Struct("<4sI64sQQddQQ")
+CHECKPOINT_VERSION = 2
+# magic, u32 version, 64-byte mesh hash, u64 N, u64 m, f64 T, f64 t, u64 nv, u64 n_velocity,
+# 64-byte trajectory data hash, u64 factor source of the oxygen, cell and fluid blocks
+CHECKPOINT_HEADER = struct.Struct("<4sI64sQQddQQ64s3Q")
 
 
 class StepFailure(Exception):
@@ -137,11 +144,15 @@ def _advance(ops, params, state: State, k: float, t_next: float, options, depth:
     """One step of size k ending at t_next, halving on failure up to depth.
 
     ``bases`` maps each step size to its ``StepBase`` (convection-free step
-    data, the base factors of the oxygen, cell and fluid blocks, and the last
-    system), shared by every attempt of that size.  A failed linear solve is
-    a failed attempt, like a stalled fixed point.
+    data, the start factors of the oxygen, cell and fluid blocks, and the
+    last system), shared by every attempt of that size.  Only the attempts
+    at the grid step size (``depth`` still ``options.retry_depth``) carry
+    factors to later steps, because only their first systems are at
+    checkpointed states.  A failed linear solve is a failed attempt, like a
+    stalled fixed point.
     """
-    inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u, dt=k)
+    carry = step if depth == options.retry_depth else 0
+    inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u, dt=k, step=carry)
     try:
         result = outer_step(inputs, params, ops, options, bases=bases)
     except LinearSolveError as exc:
@@ -193,7 +204,8 @@ def run(
 
     A failed step is retried with halved steps down to ``options.retry_depth``
     levels.  Optionally writes one checkpoint file per step and resumes from
-    the last complete checkpoint found in ``checkpoint_dir``.
+    the last complete checkpoint found in ``checkpoint_dir``, with the grid
+    step size's start factors rebuilt from the sources that checkpoint names.
     """
     bad = state0.first_nonfinite_field()
     if bad is not None:
@@ -204,27 +216,30 @@ def run(
     states = [state0]
     diagnostics: list[tuple] = [()]
     start = 0
+    bases: dict = {}
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
         if resume:
             for m in range(grid.N, 0, -1):
                 if (checkpoint_dir / checkpoint_name(m)).exists():
-                    states = _read_states(checkpoint_dir, mesh_hash, grid, m)
+                    read = _read_checkpoints(checkpoint_dir, ops, params, grid, m, data_hash)
+                    states = [checkpoint.state for checkpoint in read]
+                    bases[grid.k] = StepBase(ops, params, grid.k, read[-1].sources, states)
                     diagnostics = [()] * (m + 1)
                     start = m
                     break
-        write_checkpoint(checkpoint_dir / checkpoint_name(0), mesh_hash, grid, 0, states[0])
+        write_checkpoint(checkpoint_dir / checkpoint_name(0), mesh_hash, grid, 0, states[0], data_hash)
 
     state = states[-1]
-    bases: dict = {}
     for m in range(start + 1, grid.N + 1):
         t_next = grid.time(m)
         state, diags = _advance(ops, params, state, grid.k, t_next, options, options.retry_depth, m, bases)
         states.append(state)
         diagnostics.append(tuple(diags))
         if checkpoint_dir is not None:
-            write_checkpoint(checkpoint_dir / checkpoint_name(m), mesh_hash, grid, m, state)
+            write_checkpoint(checkpoint_dir / checkpoint_name(m), mesh_hash, grid, m, state, data_hash,
+                             bases[grid.k].sources)
         if step_callback is not None:
             step_callback(m, state, diags)
     return Trajectory(
@@ -268,19 +283,32 @@ def checkpoint_name(m: int) -> str:
     return f"step_{m:06d}.ckpt"
 
 
-def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State) -> None:
+class Checkpoint(NamedTuple):
+    """One checkpoint file: its step, state, trajectory data hash and the factor source of each block."""
+
+    m: int
+    state: State
+    data_hash: str
+    sources: tuple
+
+
+def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State, data_hash: str,
+                     sources=(0, 0, 0)) -> None:
     """Binary checkpoint: the ``CHECKPOINT_HEADER``, then c, n, u, p as little-endian f64.
 
-    The file is written as ``<name>.tmp`` beside ``path`` and renamed onto
-    it, so an interrupted write never leaves a checkpoint that a resume or
+    ``sources`` names, per block, the step whose first system the grid step
+    size's start factor came from (0: the convection-free matrix).  The file
+    is written as ``<name>.tmp`` beside ``path`` and renamed onto it, so an
+    interrupted write never leaves a checkpoint that a resume or
     ``load_trajectory`` would read.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, mesh_hash.encode(),
-                                           grid.N, m, grid.T, state.t, state.c.size, state.u.size))
+            f.write(CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, mesh_hash.encode(), grid.N, m,
+                                           grid.T, state.t, state.c.size, state.u.size, data_hash.encode(),
+                                           *sources))
             for arr in (state.c, state.n, state.u, state.p):
                 f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         os.replace(tmp, path)
@@ -288,17 +316,18 @@ def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State)
         tmp.unlink(missing_ok=True)
 
 
-def read_checkpoint(path, mesh_hash: str, grid: TimeGrid):
-    """Read one checkpoint, refusing version, mesh, grid or length mismatches."""
+def read_checkpoint(path, mesh_hash: str, grid: TimeGrid) -> Checkpoint:
+    """Read one checkpoint, refusing version, mesh, grid, length or factor-source mismatches."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size < CHECKPOINT_HEADER.size:
             raise StepFailure(f"{path}: checkpoint is {size} bytes, shorter than its header")
-        magic, version, stored_hash, N, m, T, t, nv, nvel = CHECKPOINT_HEADER.unpack(f.read(CHECKPOINT_HEADER.size))
+        header = CHECKPOINT_HEADER.unpack(f.read(CHECKPOINT_HEADER.size))
+        magic, version, stored_hash, N, m, T, t, nv, nvel, data_hash, *sources = header
         if magic != CHECKPOINT_MAGIC:
             raise StepFailure(f"{path}: not a checkpoint file")
         if version != CHECKPOINT_VERSION:
-            raise StepFailure(f"{path}: checkpoint version {version} not supported")
+            raise StepFailure(f"{path}: checkpoint version {version} not supported, only {CHECKPOINT_VERSION}")
         if stored_hash != mesh_hash.encode():
             raise StepFailure(f"{path}: checkpoint belongs to a different mesh")
         expected = CHECKPOINT_HEADER.size + 8 * (3 * nv + nvel)
@@ -306,31 +335,45 @@ def read_checkpoint(path, mesh_hash: str, grid: TimeGrid):
             raise StepFailure(f"{path}: checkpoint is {size} bytes, its header implies {expected}")
         if N != grid.N or T != grid.T:
             raise StepFailure(f"{path}: checkpoint grid (T={T}, N={N}) does not match")
+        if max(sources) > m:
+            raise StepFailure(f"{path}: checkpoint of step {m} names factor sources {tuple(sources)}")
         fields = [np.frombuffer(f.read(8 * count), dtype="<f8").copy() for count in (nv, nv, nvel, nv)]
-    return m, State(*fields, t=t)
+    return Checkpoint(m, State(*fields, t=t), data_hash.decode("ascii", "replace"), tuple(sources))
 
 
-def _read_states(checkpoint_dir: Path, mesh_hash: str, grid: TimeGrid, last: int) -> list:
-    """The states of steps ``0..last``; a checkpoint missing or stored under another step or time is a ``StepFailure``."""
-    states = []
+def _read_checkpoints(checkpoint_dir: Path, ops: OperatorSet, params, grid: TimeGrid, last: int,
+                      data_hash=None) -> list:
+    """The checkpoints of steps ``0..last``.
+
+    Each must be stored under its own step and time and bind the problem
+    ``data_hash``, by default the one of the coefficients ``params`` with
+    step 0's state; any other is a ``StepFailure``.
+    """
+    read = []
+    mesh_hash = ops.mesh.data_hash()
     for m in range(last + 1):
         path = checkpoint_dir / checkpoint_name(m)
         if not path.exists():
             raise StepFailure(f"missing checkpoint for step {m} in {checkpoint_dir}", step=m)
-        stored, state = read_checkpoint(path, mesh_hash, grid)
-        if stored != m or state.t != grid.time(m):
-            raise StepFailure(f"{path}: checkpoint holds step {stored} at t={state.t:.17g}, not step {m}", step=m)
-        states.append(state)
-    return states
+        checkpoint = read_checkpoint(path, mesh_hash, grid)
+        if checkpoint.m != m or checkpoint.state.t != grid.time(m):
+            raise StepFailure(f"{path}: checkpoint holds step {checkpoint.m} at t={checkpoint.state.t:.17g}, "
+                              f"not step {m}", step=m)
+        if data_hash is None:
+            data_hash = trajectory_data_hash(ops, params, checkpoint.state, grid.T)
+        if checkpoint.data_hash != data_hash:
+            raise StepFailure(f"{path}: checkpoint belongs to a different problem (coefficients, initial data "
+                              f"or horizon)", step=m)
+        read.append(checkpoint)
+    return read
 
 
 def load_trajectory(checkpoint_dir, ops: OperatorSet, grid: TimeGrid, params) -> Trajectory:
-    """Rebuild a trajectory from a complete run of checkpoints."""
-    states = _read_states(Path(checkpoint_dir), ops.mesh.data_hash(), grid, grid.N)
-    data_hash = trajectory_data_hash(ops, params, states[0], grid.T)
+    """Rebuild a trajectory from a complete run of checkpoints of the problem of ``params``."""
+    read = _read_checkpoints(Path(checkpoint_dir), ops, params, grid, grid.N)
     return Trajectory(
         grid=grid,
-        states=tuple(states),
-        diagnostics=tuple(() for _ in states),
-        data_hash=data_hash,
+        states=tuple(checkpoint.state for checkpoint in read),
+        diagnostics=tuple(() for _ in read),
+        data_hash=read[0].data_hash,
     )

@@ -201,6 +201,29 @@ def test_saddle_cache_nearby_system_after_a_stall_needs_no_factorisation(coarse_
     assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
 
 
+@pytest.mark.parametrize("xi, amplitude", STALLING)
+def test_given_up_start_factor_gives_way_to_the_first_systems_factor(coarse_ops, monkeypatch, xi, amplitude):
+    # a later outer iteration of a step, on a system near the step's first
+    # one: the held factor drops its start factor, factorises the first
+    # system rather than the current one, hands it over, and corrects the
+    # current system around it
+    ops = coarse_ops
+    params = ModelParams(xi=xi)
+    k = 0.0625
+    A_first, _ = random_step_system(ops, params, k, amplitude, 12)
+    A, rhs = random_step_system(ops, params, k, amplitude, 12, q_scale=1.01)
+    u_ref, p_ref = solve_saddle(ops, A, rhs)
+    made = counted_factorisations(monkeypatch)
+    handed = []
+    factor = KeptFactor("saddle", stokes_base(ops, params.xi, k), lambda: A_first, handed.append)
+    u, p = solve_saddle(ops, A, rhs, factor=factor)
+    start, first = made
+    assert start.solves <= 2 and 1 < first.solves < 1 + KeptFactor.max_corrections
+    assert handed == [None, first] and factor.lu is first and factor.first is None
+    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+
 @pytest.mark.parametrize(
     "xi, amplitude, k",
     [

@@ -10,15 +10,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chemoflow.assembly import build_operators
 from chemoflow.config import ConfigError, RunConfig, config_from_dict, load_config
 from chemoflow.energy import CSV_COLUMNS
 from chemoflow.fields_io import FieldsIOError, export_fields, load_fields
 from chemoflow.geometry import Mesh, MeshError, build_disc_mesh, load_mesh, save_mesh
+from chemoflow.model import ModelParams
 from chemoflow.timestepping import (
+    Checkpoint,
     State,
     StepFailure,
     TimeGrid,
     read_checkpoint,
+    trajectory_data_hash,
     write_checkpoint,
 )
 
@@ -50,20 +54,43 @@ def test_ledger_header_golden():
     assert ",".join(CSV_COLUMNS) + "\n" == (GOLDEN / "ledger_header.csv").read_text()
 
 
+# the golden checkpoint: step 1 of T=1, N=4 on the tiny mesh, whose oxygen
+# and fluid start factors come from step 1's first system and whose cell
+# factor is the convection-free one
+GOLDEN_SOURCES = (1, 0, 1)
+
+
+def sha256_hex(*chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def golden_hashes(mesh, state):
+    """The mesh hash and the trajectory data hash (default coefficients, ``state`` as initial data, T=1)."""
+    mesh_hash = sha256_hex(*(arr.tobytes() for arr in (mesh.vertices, mesh.triangles, mesh.boundary_loop)))
+    fields = (struct.pack(f"<{len(arr)}d", *arr) for arr in (state.c, state.n, state.u))
+    coefficients = repr(ModelParams()).encode()
+    return mesh_hash, sha256_hex(mesh_hash.encode("ascii"), coefficients, struct.pack("<d", 1.0), *fields)
+
+
 def test_checkpoint_format_golden(tmp_path):
     mesh = build_disc_mesh(1.0, 0.6)
-    write_checkpoint(
-        tmp_path / "c.ckpt", mesh.data_hash(), TimeGrid(T=1.0, N=4), 1, tiny_state(mesh)
-    )
+    state = tiny_state(mesh)
+    mesh_hash, data_hash = golden_hashes(mesh, state)
+    assert trajectory_data_hash(build_operators(mesh), ModelParams(), state, 1.0) == data_hash
+    write_checkpoint(tmp_path / "c.ckpt", mesh_hash, TimeGrid(T=1.0, N=4), 1, state, data_hash, GOLDEN_SOURCES)
     assert (tmp_path / "c.ckpt").read_bytes() == (GOLDEN / "checkpoint_tiny.ckpt").read_bytes()
 
 
-def encode_checkpoint_v1(mesh_hash, N, m, T, state):
+def encode_checkpoint_v2(mesh_hash, N, m, T, state, data_hash, sources):
     """The docs/formats.md checkpoint table, built with struct alone."""
     nv, nvel = len(state.c), len(state.u)
-    out = b"CFCK" + struct.pack("<I", 1) + mesh_hash.encode("ascii")
+    out = b"CFCK" + struct.pack("<I", 2) + mesh_hash.encode("ascii")
     out += struct.pack("<QQ", N, m) + struct.pack("<dd", T, state.t)
     out += struct.pack("<QQ", nv, nvel)
+    out += data_hash.encode("ascii") + struct.pack("<QQQ", *sources)
     for arr in (state.c, state.n, state.u, state.p):
         out += struct.pack(f"<{len(arr)}d", *arr)
     return out
@@ -71,23 +98,22 @@ def encode_checkpoint_v1(mesh_hash, N, m, T, state):
 
 def test_checkpoint_golden_matches_documented_layout():
     mesh = load_mesh(GOLDEN / "mesh_tiny.txt")
-    h = hashlib.sha256()
-    for arr in (mesh.vertices, mesh.triangles, mesh.boundary_loop):
-        h.update(arr.tobytes())
     state = tiny_state(mesh)
+    mesh_hash, data_hash = golden_hashes(mesh, state)
     golden = GOLDEN / "checkpoint_tiny.ckpt"
     data = golden.read_bytes()
-    assert data == encode_checkpoint_v1(h.hexdigest(), 4, 1, 1.0, state)
-    assert len(data) == 120 + 8 * (3 * mesh.n_vertices + len(state.u))
+    assert data == encode_checkpoint_v2(mesh_hash, 4, 1, 1.0, state, data_hash, GOLDEN_SOURCES)
+    assert len(data) == 208 + 8 * (3 * mesh.n_vertices + len(state.u))
 
-    m, read = read_checkpoint(golden, mesh.data_hash(), TimeGrid(T=1.0, N=4))
+    m, read, stored_hash, sources = read_checkpoint(golden, mesh.data_hash(), TimeGrid(T=1.0, N=4))
     assert m == 1 and read.t == 0.25
+    assert stored_hash == data_hash and sources == GOLDEN_SOURCES
     for name in ("c", "n", "u", "p"):
         assert np.array_equal(getattr(read, name), getattr(state, name))
 
 
 def test_checkpoint_length_checked(tmp_path):
-    # the size must be 120 + 8 (3 nv + n_velocity) from the file's own header
+    # the size must be 208 + 8 (3 nv + n_velocity) from the file's own header
     mesh = load_mesh(GOLDEN / "mesh_tiny.txt")
     grid = TimeGrid(T=1.0, N=4)
     data = (GOLDEN / "checkpoint_tiny.ckpt").read_bytes()
@@ -96,8 +122,7 @@ def test_checkpoint_length_checked(tmp_path):
         path.write_bytes(cut)
         with pytest.raises(StepFailure, match=f"{name}.ckpt: checkpoint is {len(cut)} bytes"):
             read_checkpoint(path, mesh.data_hash(), grid)
-    m, _ = read_checkpoint(GOLDEN / "checkpoint_tiny.ckpt", mesh.data_hash(), grid)
-    assert m == 1
+    assert read_checkpoint(GOLDEN / "checkpoint_tiny.ckpt", mesh.data_hash(), grid).m == 1
 
 
 def test_fields_format_golden(tmp_path):
@@ -182,10 +207,27 @@ def test_readers_map_unreadable_files(tmp_path):
             load_fields(tmp_path / name)
 
 
-TEXTS = {name: (GOLDEN / name).read_bytes() for name in ("config_defaults.json", "fields_tiny.txt", "mesh_tiny.txt")}
+TEXTS = {
+    name: (GOLDEN / name).read_bytes()
+    for name in ("checkpoint_tiny.ckpt", "config_defaults.json", "fields_tiny.txt", "mesh_tiny.txt")
+}
 TINY_MESH = build_disc_mesh(1.0, 0.6)
-# each golden text file's reader, the type it returns, its error, and its golden-value check
+TINY_HASHES = golden_hashes(TINY_MESH, tiny_state(TINY_MESH))
+
+
+def read_tiny_checkpoint(path):
+    return read_checkpoint(path, TINY_HASHES[0], TimeGrid(T=1.0, N=4))
+
+
+def golden_checkpoint(checkpoint):
+    return checkpoint == (1, checkpoint.state, TINY_HASHES[1], GOLDEN_SOURCES) and same_state(
+        checkpoint.state, tiny_state(TINY_MESH)
+    )
+
+
+# each golden file's reader, the type it returns, its error, and its golden-value check
 READERS = {
+    "checkpoint_tiny.ckpt": (read_tiny_checkpoint, Checkpoint, StepFailure, golden_checkpoint),
     "mesh_tiny.txt": (load_mesh, Mesh, MeshError, lambda mesh: same_mesh(mesh, TINY_MESH)),
     "fields_tiny.txt": (load_fields, State, FieldsIOError, lambda state: same_state(state, tiny_state(TINY_MESH))),
     "config_defaults.json": (load_config, RunConfig, ConfigError, lambda cfg: cfg.raw == config_from_dict({}).raw),
@@ -194,7 +236,7 @@ READERS = {
 
 @st.composite
 def mangled_texts(draw):
-    """A golden text file and its bytes after up to four byte flips, splices of any golden text file and truncations."""
+    """A golden file and its bytes after up to four byte flips, splices of any golden file and truncations."""
     name = draw(st.sampled_from(sorted(TEXTS)))
     data = bytearray(TEXTS[name])
     for _ in range(draw(st.integers(0, 4))):
@@ -212,15 +254,17 @@ def mangled_texts(draw):
     return name, bytes(data)
 
 
-@settings(max_examples=450, derandomize=True, deadline=None, database=None)
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@example(("checkpoint_tiny.ckpt", TEXTS["checkpoint_tiny.ckpt"]))
 @example(("mesh_tiny.txt", TEXTS["mesh_tiny.txt"]))
 @example(("fields_tiny.txt", TEXTS["fields_tiny.txt"]))
 @example(("config_defaults.json", TEXTS["config_defaults.json"]))
 @given(mangled_texts())
 def test_section_readers_return_their_type_or_raise_their_error(tmp_path_factory, case):
-    # whatever the bytes, the mesh, fields and config readers return a Mesh,
-    # a State or a RunConfig or raise MeshError, FieldsIOError or
-    # ConfigError; the golden bytes read as the golden value
+    # whatever the bytes, the checkpoint, mesh, fields and config readers
+    # return a Checkpoint, a Mesh, a State or a RunConfig or raise
+    # StepFailure, MeshError, FieldsIOError or ConfigError; the golden bytes
+    # read as the golden value
     name, data = case
     load, kind, error, golden = READERS[name]
     path = tmp_path_factory.getbasetemp() / f"mangled_{name}"

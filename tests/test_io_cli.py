@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemoflow import cli, fluid
+from chemoflow import cli, fluid, timestepping
 from chemoflow.cli import main
 from chemoflow.config import (
     ConfigError,
@@ -503,8 +504,20 @@ def misplaced_checkpoint(tmp_path):
     return directory, "step_000002.ckpt: checkpoint holds step 1 at t="
 
 
+def v1_checkpoint(tmp_path):
+    # step 1's file in the version 1 layout: the v2 header without the data
+    # hash and the factor sources
+    assert main(["run", *SMALL_STEADY, "--output", str(tmp_path / "run"), "--set", "output.checkpoints=true"]) == 0
+    directory = tmp_path / "run" / "checkpoints"
+    path = directory / "step_000001.ckpt"
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:120] + data[timestepping.CHECKPOINT_HEADER.size :])
+    return directory, "step_000001.ckpt: checkpoint version 1 not supported, only 2"
+
+
 @pytest.mark.parametrize(
-    "checkpoints", [missing_checkpoints, truncated_checkpoint, foreign_hash_checkpoint, misplaced_checkpoint]
+    "checkpoints",
+    [missing_checkpoints, truncated_checkpoint, foreign_hash_checkpoint, misplaced_checkpoint, v1_checkpoint],
 )
 def test_cli_energy_refused_checkpoint_exits_solver(tmp_path, capsys, checkpoints):
     # a checkpoint the reader refuses is a StepFailure, exit 3; exit 4 is an
@@ -516,3 +529,18 @@ def test_cli_energy_refused_checkpoint_exits_solver(tmp_path, capsys, checkpoint
     assert code == cli.EXIT_SOLVER
     assert err.startswith("solver failure: ") and message in err
     assert "Traceback" not in err
+
+
+def test_cli_energy_refuses_checkpoints_of_other_coefficients(tmp_path, capsys):
+    # checkpoints written with alpha=0.05 are not analysed as alpha=0.07
+    assert main(["run", *SMALL_STEADY, "--output", str(tmp_path / "run"), "--set", "output.checkpoints=true"]) == 0
+    directory = tmp_path / "run" / "checkpoints"
+    capsys.readouterr()
+    code = main(["energy", *SMALL_STEADY, "--set", "params.alpha=0.07", "--checkpoints", str(directory),
+                 "--output", str(tmp_path / "energy")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    path = directory / "step_000000.ckpt"
+    assert err.startswith(f"solver failure: {path}: checkpoint belongs to a different problem")
+    assert "Traceback" not in err
+    assert not (tmp_path / "energy").exists()

@@ -13,6 +13,7 @@ from chemoflow.fluid import KeptFactor, project_divergence_free
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams, ResponseSpec
 from chemoflow.step_solver import (
+    BLOCKS,
     SolverOptions,
     StepBase,
     StepInputs,
@@ -389,10 +390,11 @@ def solves_by_block(monkeypatch):
 
     class Counted:
         def __init__(self, lu, what):
-            self.lu, self.what = lu, what
+            self.lu, self.what, self.solves = lu, what, 0
 
         def solve(self, rhs):
             solves[self.what] += 1
+            self.solves += 1
             return self.lu.solve(rhs)
 
     def counted(matrix, what):
@@ -425,10 +427,13 @@ def test_warm_started_run_triangular_solves(monkeypatch):
 
 
 def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
-    # the low_xi data (xi=0.01, h=0.1, k=1/16), first four steps: the oxygen
-    # and cell corrections around their base factors stall or spend their
-    # budget in every attempt, and then each block factorises its own matrix
-    # once and keeps it for the rest of the attempt
+    # the low_xi data (xi=0.01, h=0.1, k=1/16), first four steps: in every
+    # attempt the oxygen and cell corrections around the start factor the
+    # attempt holds (the convection-free one in step 1, the factor of the
+    # previous step's first system after it) stall or spend their budget;
+    # each block then factorises its own first system's matrix once, keeps
+    # it for the rest of the attempt and leaves it as the next step's start
+    # factor.  The saddle gives its start factor up less often.
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     raw = apply_overrides(load_config(config).raw, ["params.xi=0.01", "mesh.target_h=0.1", "time.N=16"])
     cfg = config_from_dict(raw, base_dir=config.parent)
@@ -436,39 +441,33 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
     ops = build_operators(mesh)
     state0 = build_initial_state(cfg, ops)
     solves, made = solves_by_block(monkeypatch)
-    base_solves = Counter()
-    step_base = step_solver.StepBase
-
-    def counting(solve, what):
-        def counted(rhs):
-            base_solves[what] += 1
-            return solve(rhs)
-
-        return counted
-
-    def counted_base(ops, params, k):
-        base = step_base(ops, params, k)
-        for lu in base.factors:
-            lu.solve = counting(lu.solve, lu.what)
-        return base
-
     attempts = []
     outer = timestepping.outer_step
 
     def attempt(inputs, params, ops, options, bases):
         new = inputs.dt not in bases
-        before, before_base = made.copy(), base_solves.copy()
+        before = made.copy()
+        if new:
+            bases[inputs.dt] = StepBase(ops, params, inputs.dt)
+        base = bases[inputs.dt]
+        starts = list(zip(BLOCKS, base.factors))
+        spent = {what: lu.solves for what, lu in starts}
         result = outer(inputs, params, ops, options, bases=bases)
-        attempts.append((new, made - before, base_solves - before_base))
+        corrections = {what: lu.solves - spent[what] for what, lu in starts}
+        attempts.append((new, made - before, corrections, list(base.sources)))
         return result
 
-    monkeypatch.setattr(step_solver, "StepBase", counted_base)
     monkeypatch.setattr(timestepping, "outer_step", attempt)
     grid = TimeGrid(T=cfg.time["T"] / 4, N=4)
     assert grid.k == cfg.time["T"] / cfg.time["N"]
     traj = run(ops, cfg.params, grid, state0)
     assert all(d.converged for ds in traj.diagnostics[1:] for d in ds) and len(attempts) == 4
-    for new, factorisations, corrections in attempts:
+    for step, (new, factorisations, corrections, sources) in enumerate(attempts, start=1):
         for block in ("oxygen", "cell-density"):
             assert factorisations[block] == new + 1
             assert 0 < corrections[block] <= KeptFactor.max_corrections
+        assert sources[:2] == [step, step]
+        assert 0 < corrections["saddle"] <= KeptFactor.max_corrections
+    # the convection-free factor and step 1's first system, then step 3's
+    assert [factorisations["saddle"] for _, factorisations, _, _ in attempts] == [2, 0, 1, 0]
+    assert [sources[2] for *_, sources in attempts] == [1, 1, 3, 3]

@@ -15,9 +15,11 @@ from chemoflow.timestepping import (
     StepFailure,
     TimeGrid,
     Trajectory,
+    checkpoint_name,
     initial_state,
     interpolate_state,
     load_trajectory,
+    read_checkpoint,
     run,
     sample_state,
 )
@@ -393,6 +395,43 @@ def test_resume_around_a_halved_retry_is_bit_identical(coarse_ops, tmp_path, mon
         for sa, sb in zip(full.states, resumed.states):
             for name in ("c", "n", "u", "p"):
                 assert np.array_equal(getattr(sa, name), getattr(sb, name)), (last, sa.t, name)
+
+
+def test_resume_of_carried_factors_around_a_halved_retry_is_bit_identical(medium_ops, tmp_path, monkeypatch):
+    # a Stokes start at low viscosity: the grid step size's blocks give up
+    # their start factors and carry first-system factors, which the
+    # checkpoints name; the full-size attempt of step 2 is made to fail, so
+    # two k/2 halves, whose base carries nothing, rescue it.  Runs
+    # interrupted before and after step 2 rebuild the carried factors on
+    # resume and reproduce the uninterrupted run bit for bit
+    ops, grid = medium_ops, TimeGrid(T=0.15, N=3)
+    params = ModelParams(xi=0.01)
+    state0 = stokes_initial(ops, params)
+    after_step1 = run(ops, params, TimeGrid(T=grid.k, N=1), state0).states[1]
+    outer = timestepping.outer_step
+
+    def failing_step2(inputs, params, ops, options, bases):
+        result = outer(inputs, params, ops, options, bases=bases)
+        if inputs.dt == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
+            result.diagnostics.converged = False
+        return result
+
+    monkeypatch.setattr(timestepping, "outer_step", failing_step2)
+    directory = tmp_path / "a"
+    full = run(ops, params, grid, state0, checkpoint_dir=directory)
+    assert [len(d) for d in full.diagnostics[1:]] == [1, 2, 1]
+    paths = [directory / checkpoint_name(m) for m in range(grid.N + 1)]
+    sources = [read_checkpoint(path, ops.mesh.data_hash(), grid).sources for path in paths]
+    # every block of every grid step gave its start factor up, step 2's in its failed attempt
+    assert sources == [(m, m, m) for m in range(grid.N + 1)]
+    for last in (1, 2):
+        for path in paths[last + 1 :]:
+            path.unlink()
+        resumed = run(ops, params, grid, state0, checkpoint_dir=directory, resume=True)
+        for sa, sb in zip(full.states, resumed.states):
+            for name in ("c", "n", "u", "p"):
+                assert np.array_equal(getattr(sa, name), getattr(sb, name)), (last, sa.t, name)
+        assert [read_checkpoint(path, ops.mesh.data_hash(), grid).sources for path in paths] == sources
 
 
 def test_held_factors_are_freed_with_the_run(coarse_ops):
