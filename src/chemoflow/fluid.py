@@ -20,11 +20,10 @@ linear layer of the oxygen, cell and fluid blocks: it holds a factor, solves
 each new system by defect correction around it, started from the iterate
 the solve replaces, and factorises (and keeps) a matrix only when the
 correction stalls or, around a start factor it was handed, once its budget
-of corrections is spent.  A time step's held factor that gives up its start
-factor factorises the matrix of the step's first system, which the time
-loop can rebuild from the checkpointed states and so carries to the next
-step as that block's start factor; only when correction around that factor
-stalls too does it factorise the true matrix.  ``factorise`` makes every
+of corrections is spent.  A held factor of a time step corrects around its
+start factor, then around the factor of the step's first system (the one
+at the previous velocity), then around its own factor of the true matrix,
+each only after the one before it gave up.  ``factorise`` makes every
 factor, with one symmetric-mode, fill-reducing ordering.  ``solve_saddle``
 is the one saddle entry point: a time step passes the ``PinnedSaddle`` of
 its frozen velocity and its held saddle factor, and the one-off set-up
@@ -71,11 +70,10 @@ class KeptFactor:
     ``max_corrections`` or ``spare``, cannot get there, the object gives the
     factor up.  A given-up start factor is handed back as ``keep(None)``, so
     that one nobody else holds is freed at once; the object then factorises
-    ``first()``, the matrix of the attempt's first system, hands that factor
-    over as ``keep(lu)`` and corrects around it with no budget.  With no
-    ``first`` (left), it factorises the true matrix, solves with it, checks
-    the residual against ``tol`` and keeps that factor.  Matrices need ``@``
-    and ``tocsc()``.
+    the matrix ``first``, hands that factor over as ``keep(lu)`` and
+    corrects around it with no budget.  With no ``first`` (left), it
+    factorises the true matrix, solves with it, checks the residual against
+    ``tol`` and keeps that factor.  Matrices need ``@`` and ``tocsc()``.
     """
 
     max_corrections = 30
@@ -97,7 +95,7 @@ class KeptFactor:
                 break
             self.lu = None
             self.keep(None)
-            self.lu, self.first, self.spare = factorise(self.first(), self.what), None, np.inf
+            self.lu, self.first, self.spare = factorise(self.first, self.what), None, np.inf
             self.keep(self.lu)
         self.lu = factorise(matrix, self.what)
         self.spare = np.inf

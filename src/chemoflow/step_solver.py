@@ -35,6 +35,7 @@ steps after it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,17 +52,13 @@ class StepInputs:
     """Previous-step fields feeding one implicit step.
 
     The oxygen boundary trace is the restriction of ``c_prev``; the boundary
-    operators are vertex-indexed, so it needs no field of its own.  ``step``
-    is the grid step an attempt at the grid step size computes, which names
-    the first-system factors it leaves in its ``StepBase``; 0 (a halved
-    retry, or a step outside a time loop) leaves none.
+    operators are vertex-indexed, so it needs no field of its own.
     """
 
     c_prev: np.ndarray
     n_prev: np.ndarray
     u_prev: np.ndarray
     dt: float
-    step: int = 0
 
     def validate(self, ops: OperatorSet) -> None:
         if not self.dt > 0:
@@ -129,6 +126,11 @@ class StepSystem:
     cells: sp.csr_matrix
     fluid: PinnedSaddle  # M + k xi K + k C(u) on the interior velocity dofs, pressure scale k
 
+    @property
+    def blocks(self) -> tuple:
+        """The oxygen, cell and fluid matrices, in the order of ``BLOCKS``."""
+        return self.oxygen, self.cells, self.fluid
+
 
 def step_data(ops: OperatorSet, params, k: float) -> tuple:
     """Convection-free pattern data of the oxygen, cell and fluid step matrices, in their sparse sums' order."""
@@ -155,66 +157,47 @@ def step_system(ops: OperatorSet, params, k: float, u: np.ndarray, data: tuple |
 class StepBase:
     """What every attempt of step size ``k`` in one run shares.
 
-    ``data`` is the ``step_data`` of ``k`` and ``last`` the last system built
-    from it.  ``factors`` holds the start factor of the oxygen, cell and
-    pinned fluid blocks, and ``sources`` the grid step whose first system
-    each was factorised from, 0 for the convection-free matrix of ``data``;
-    step ``j``'s first system is the one at ``states[j - 1].u``.  An attempt
-    of grid step ``j`` that gives up a block's start factor leaves its
-    first-system factor here, under ``j``, for the steps after it.  So each
-    factor depends only on the mesh, the coefficients, ``k`` and a
-    checkpointed velocity, and a base made from a checkpoint's ``sources``
-    and the ``states`` up to it holds the same bits.
+    ``data`` is the ``step_data`` of ``k`` and ``last`` the last system that
+    ``system`` built from it.  ``factors`` holds the start factor of the
+    oxygen, cell and pinned fluid blocks, and ``sources`` the grid step
+    whose first system each was factorised from, 0 for the convection-free
+    matrix of ``data``; step ``j``'s first system is the one at
+    ``states[j - 1].u``.  So each factor depends only on the mesh, the
+    coefficients, ``k`` and a checkpointed velocity, and a base made from a
+    checkpoint's ``sources`` and the ``states`` up to it holds the same bits.
     """
 
     def __init__(self, ops: OperatorSet, params, k: float, sources=(0, 0, 0), states=()):
+        self.ops, self.params, self.k = ops, params, k
+        self.last = None
         self.data = oxygen, cells, velocity = step_data(ops, params, k)
-
-        def blocks(j):
-            if j == 0:
-                return ops.p1.matrix(oxygen), ops.p1.matrix(cells), PinnedSaddle(ops, velocity, k)
-            system = step_system(ops, params, k, states[j - 1].u, self.data)
-            return system.oxygen, system.cells, system.fluid
-
-        made = {j: blocks(j) for j in set(sources)}
+        made = {j: self.system(states[j - 1].u).blocks for j in set(sources) if j}
+        if 0 in sources:
+            made[0] = ops.p1.matrix(oxygen), ops.p1.matrix(cells), PinnedSaddle(ops, velocity, k)
         self.factors = [fluid.factorise(made[j][i], what) for i, (j, what) in enumerate(zip(sources, BLOCKS))]
         self.sources = list(sources)
-        self.last = None
 
-    def first_system(self, ops: OperatorSet, params, inputs: StepInputs) -> StepSystem:
-        """The system at ``inputs.u_prev``: ``last`` when it is there, else a new one, kept as ``last``."""
-        if self.last is None or not np.array_equal(self.last.u, inputs.u_prev):
-            self.last = step_system(ops, params, inputs.dt, np.asarray(inputs.u_prev, dtype=float), self.data)
+    def system(self, u: np.ndarray) -> StepSystem:
+        """The system of ``k`` at ``u``, kept as ``last``."""
+        self.last = step_system(self.ops, self.params, self.k, u, self.data)
         return self.last
 
-    def held(self, ops: OperatorSet, params, inputs: StepInputs) -> tuple:
+    def held(self, first: StepSystem, step: int = 0) -> tuple:
         """One attempt's ``KeptFactor`` per block, started from ``factors``.
 
-        A block that gives up its start factor factorises its matrix in the
-        attempt's ``first_system``, fetched once for all blocks when the first
-        one gives up, so an attempt in which no block gives up holds no
-        system it has left.  For a grid step (``inputs.step`` not 0) the
-        given-up start factor leaves ``factors`` at once, and the
-        first-system factor takes its place.
+        A block that gives up its start factor hands it to ``carry`` and
+        factorises its matrix in the attempt's ``first`` system.
         """
-        firsts = []
+        return tuple(KeptFactor(what, lu, matrix, partial(self.carry, i, step))
+                     for i, (what, lu, matrix) in enumerate(zip(BLOCKS, self.factors, first.blocks)))
 
-        def first(i):
-            def matrix():
-                if not firsts:
-                    firsts.append(self.first_system(ops, params, inputs))
-                return (firsts[0].oxygen, firsts[0].cells, firsts[0].fluid)[i]
+    def carry(self, i: int, step: int, lu) -> None:
+        """Carry ``lu`` as block ``i``'s start factor to the steps after grid ``step``.
 
-            return matrix
-
-        def keep(i):
-            def kept(lu):
-                if inputs.step:
-                    self.factors[i], self.sources[i] = lu, inputs.step
-
-            return kept
-
-        return tuple(KeptFactor(what, self.factors[i], first(i), keep(i)) for i, what in enumerate(BLOCKS))
+        ``None`` frees the given-up factor at once; a ``step`` of 0 (a halved retry) carries nothing.
+        """
+        if step:
+            self.factors[i], self.sources[i] = lu, step
 
 
 def c_step_rhs(ops: OperatorSet, params, inputs: StepInputs, c_hat, n_hat, consumption_fn):
@@ -332,6 +315,7 @@ def outer_step(
     ops: OperatorSet,
     options: SolverOptions = SolverOptions(),
     bases: dict | None = None,
+    step: int = 0,
 ) -> StepResult:
     """Full coupled step: alternate the (c, n) fixed point with fluid solves.
 
@@ -342,8 +326,8 @@ def outer_step(
     ``StepBase`` of ``k`` in ``bases`` (made when missing): its start factors,
     and its last system when that is at ``u_prev``, else a new one there,
     which is the attempt's first system.  It leaves its own last system
-    there, and for a grid step (``inputs.step``) the first-system factor of
-    each block that gave up its start factor.
+    there, and for a grid ``step`` (0: none) the first-system factor of each
+    block that gave up its start factor.
     """
     inputs.validate(ops)
     k = inputs.dt
@@ -352,8 +336,10 @@ def outer_step(
         bases[k] = StepBase(ops, params, k)
     base = bases[k]
     # the residual check and the next outer iteration share each new velocity's system
-    system = base.first_system(ops, params, inputs)
-    oxygen, cells, saddle = base.held(ops, params, inputs)
+    system = base.last
+    if system is None or not np.array_equal(system.u, inputs.u_prev):
+        system = base.system(np.asarray(inputs.u_prev, dtype=float))
+    oxygen, cells, saddle = base.held(system, step)
     guess = None
     diag = FixedPointDiagnostics()
     c = n = None
@@ -369,7 +355,7 @@ def outer_step(
         den = np.sqrt(ops.velocity_norm_sq(u))
         diag.outer_iterations = it
         diag.residual_history.append(num / den if den > 0 else num)
-        system = base.last = step_system(ops, params, k, u, base.data)
+        system = base.system(u)
         if inner.converged and num <= options.outer_tol * den:
             residual = step_residual(ops, params, inputs, system, c, n, p)
             diag.final_residual = residual

@@ -100,7 +100,9 @@ class State:
 class Trajectory:
     grid: TimeGrid
     states: tuple
-    diagnostics: tuple  # per step: tuple of FixedPointDiagnostics (retries included)
+    # per step: its converged attempts' FixedPointDiagnostics, a retried step's two
+    # halves under its one number; the failed attempt appears only in the log warning
+    diagnostics: tuple
     data_hash: str
 
     def __post_init__(self):
@@ -151,10 +153,9 @@ def _advance(ops, params, state: State, k: float, t_next: float, options, depth:
     checkpointed states.  A failed linear solve is a failed attempt, like a
     stalled fixed point.
     """
-    carry = step if depth == options.retry_depth else 0
-    inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u, dt=k, step=carry)
+    inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u, dt=k)
     try:
-        result = outer_step(inputs, params, ops, options, bases=bases)
+        result = outer_step(inputs, params, ops, options, bases=bases, step=step if depth == options.retry_depth else 0)
     except LinearSolveError as exc:
         result, residual, reason = None, None, str(exc)
     else:
@@ -205,8 +206,11 @@ def run(
     A failed step is retried with halved steps down to ``options.retry_depth``
     levels.  Optionally writes one checkpoint file per step and resumes from
     the last complete checkpoint found in ``checkpoint_dir``, with the grid
-    step size's start factors rebuilt from the sources that checkpoint names.
+    step size's start factors rebuilt from the sources that checkpoint names;
+    ``resume`` without a ``checkpoint_dir`` is a ``ValueError``.
     """
+    if resume and checkpoint_dir is None:
+        raise ValueError("resume=True needs the checkpoint_dir to resume from")
     bad = state0.first_nonfinite_field()
     if bad is not None:
         raise StepFailure(f"non-finite values in initial field '{bad}'", step=0)

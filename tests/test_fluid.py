@@ -215,7 +215,7 @@ def test_given_up_start_factor_gives_way_to_the_first_systems_factor(coarse_ops,
     u_ref, p_ref = solve_saddle(ops, A, rhs)
     made = counted_factorisations(monkeypatch)
     handed = []
-    factor = KeptFactor("saddle", stokes_base(ops, params.xi, k), lambda: A_first, handed.append)
+    factor = KeptFactor("saddle", stokes_base(ops, params.xi, k), A_first, handed.append)
     u, p = solve_saddle(ops, A, rhs, factor=factor)
     start, first = made
     assert start.solves <= 2 and 1 < first.solves < 1 + KeptFactor.max_corrections

@@ -433,7 +433,9 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
     # previous step's first system after it) stall or spend their budget;
     # each block then factorises its own first system's matrix once, keeps
     # it for the rest of the attempt and leaves it as the next step's start
-    # factor.  The saddle gives its start factor up less often.
+    # factor.  The saddle gives its start factor up less often.  No system
+    # is built twice: an attempt assembles the convection of its first
+    # system only when it made the base, and one per outer iteration.
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     raw = apply_overrides(load_config(config).raw, ["params.xi=0.01", "mesh.target_h=0.1", "time.N=16"])
     cfg = config_from_dict(raw, base_dir=config.parent)
@@ -441,10 +443,11 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
     ops = build_operators(mesh)
     state0 = build_initial_state(cfg, ops)
     solves, made = solves_by_block(monkeypatch)
-    attempts = []
+    velocities = counted_convection(monkeypatch)
+    attempts, assemblies = [], []
     outer = timestepping.outer_step
 
-    def attempt(inputs, params, ops, options, bases):
+    def attempt(inputs, params, ops, options, bases, **kwargs):
         new = inputs.dt not in bases
         before = made.copy()
         if new:
@@ -452,9 +455,11 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
         base = bases[inputs.dt]
         starts = list(zip(BLOCKS, base.factors))
         spent = {what: lu.solves for what, lu in starts}
-        result = outer(inputs, params, ops, options, bases=bases)
+        assembled = len(velocities)
+        result = outer(inputs, params, ops, options, bases=bases, **kwargs)
         corrections = {what: lu.solves - spent[what] for what, lu in starts}
         attempts.append((new, made - before, corrections, list(base.sources)))
+        assemblies.append((len(velocities) - assembled, result.diagnostics.outer_iterations + new))
         return result
 
     monkeypatch.setattr(timestepping, "outer_step", attempt)
@@ -462,6 +467,7 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
     assert grid.k == cfg.time["T"] / cfg.time["N"]
     traj = run(ops, cfg.params, grid, state0)
     assert all(d.converged for ds in traj.diagnostics[1:] for d in ds) and len(attempts) == 4
+    assert all(built == due for built, due in assemblies), assemblies
     for step, (new, factorisations, corrections, sources) in enumerate(attempts, start=1):
         for block in ("oxygen", "cell-density"):
             assert factorisations[block] == new + 1

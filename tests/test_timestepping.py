@@ -327,6 +327,14 @@ def test_resume_with_an_earlier_checkpoint_missing_names_the_step(coarse_ops, tm
     assert exc.value.step == 1
 
 
+def test_resume_without_a_checkpoint_directory_is_refused(coarse_ops, monkeypatch):
+    # nothing to resume from: refused before any step, not a run from step 0
+    ops = coarse_ops
+    monkeypatch.setattr(timestepping, "outer_step", None)  # a step taken would raise TypeError
+    with pytest.raises(ValueError, match="checkpoint_dir"):
+        run(ops, PARAMS, TimeGrid(T=0.1, N=2), bump_initial(ops), resume=True)
+
+
 @pytest.mark.parametrize("header", ["step", "time"])
 def test_checkpoint_under_another_steps_name_is_refused(coarse_ops, tmp_path, header):
     # step 2's checkpoint copied over step 3's, or step 3's with another
@@ -378,8 +386,8 @@ def test_resume_around_a_halved_retry_is_bit_identical(coarse_ops, tmp_path, mon
     after_step1 = run(ops, PARAMS, TimeGrid(T=grid.k, N=1), state0).states[1]
     outer = timestepping.outer_step
 
-    def failing_step2(inputs, params, ops, options, bases):
-        result = outer(inputs, params, ops, options, bases=bases)
+    def failing_step2(inputs, params, ops, options, **kwargs):
+        result = outer(inputs, params, ops, options, **kwargs)
         if inputs.dt == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
             result.diagnostics.converged = False
         return result
@@ -410,8 +418,8 @@ def test_resume_of_carried_factors_around_a_halved_retry_is_bit_identical(medium
     after_step1 = run(ops, params, TimeGrid(T=grid.k, N=1), state0).states[1]
     outer = timestepping.outer_step
 
-    def failing_step2(inputs, params, ops, options, bases):
-        result = outer(inputs, params, ops, options, bases=bases)
+    def failing_step2(inputs, params, ops, options, **kwargs):
+        result = outer(inputs, params, ops, options, **kwargs)
         if inputs.dt == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
             result.diagnostics.converged = False
         return result
