@@ -62,33 +62,6 @@ def _out_dir(cfg, override) -> Path:
     return base
 
 
-def _run_one(cfg, ops, state0, grid, out_dir: Path, write_outputs=True):
-    stride = cfg.output["snapshot_stride"]
-    diag_rows = ["step,level,iteration,residual"]
-
-    def on_step(m, state, diags):
-        for d in diags:
-            diag_rows.extend(d.csv_rows(m))
-        if write_outputs and stride > 0 and m % stride == 0:
-            export_fields(state, out_dir / snapshot_name(m))
-
-    checkpoint_dir = out_dir / "checkpoints" if (write_outputs and cfg.output["checkpoints"]) else None
-    traj = run_time_loop(
-        ops,
-        cfg.params,
-        grid,
-        state0,
-        options=SolverOptions(**cfg.solver),
-        checkpoint_dir=checkpoint_dir,
-        step_callback=on_step,
-    )
-    if write_outputs and stride > 0:
-        export_fields(traj.states[0], out_dir / snapshot_name(0))
-    if write_outputs:
-        (out_dir / "diagnostics.csv").write_text("\n".join(diag_rows) + "\n")
-    return traj
-
-
 def cmd_run(args) -> int:
     cfg = _load(args)
     mesh, ops = _setup(cfg)
@@ -96,7 +69,16 @@ def cmd_run(args) -> int:
     out_dir = _out_dir(cfg, args.output)
     (out_dir / "config_used.json").write_text(cfg.to_json())
     save_mesh(mesh, out_dir / "mesh.txt")
-    traj = _run_one(cfg, ops, build_initial_state(cfg, ops), grid, out_dir)
+    checkpoint_dir = out_dir / "checkpoints" if cfg.output["checkpoints"] else None
+    traj = run_time_loop(ops, cfg.params, grid, build_initial_state(cfg, ops), options=SolverOptions(**cfg.solver),
+                         checkpoint_dir=checkpoint_dir)
+    stride = cfg.output["snapshot_stride"]
+    if stride > 0:
+        for m in range(0, grid.N + 1, stride):
+            export_fields(traj.states[m], out_dir / snapshot_name(m))
+    rows = ["step,level,iteration,residual"]
+    rows += [row for m, ds in enumerate(traj.diagnostics) for d in ds for row in d.csv_rows(m)]
+    (out_dir / "diagnostics.csv").write_text("\n".join(rows) + "\n")
     ledger = build_ledger(traj, ops, cfg.params)
     export_ledger(ledger, out_dir / "ledger.csv")
     converged_steps = sum(
@@ -122,7 +104,7 @@ def cmd_converge(args) -> int:
     trajectories = []
     ledgers = []
     for N in levels:
-        traj = _run_one(cfg, ops, state0, TimeGrid(T=T, N=N), out_dir, write_outputs=False)
+        traj = run_time_loop(ops, cfg.params, TimeGrid(T=T, N=N), state0, options=SolverOptions(**cfg.solver))
         trajectories.append(traj)
         led = build_ledger(traj, ops, cfg.params)
         ledgers.append(led)

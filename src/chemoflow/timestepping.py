@@ -23,6 +23,7 @@ import hashlib
 import logging
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -36,9 +37,10 @@ from .step_solver import FixedPointDiagnostics, SolverOptions, StepBase, StepInp
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # magic, u32 version, 64-byte mesh hash, u64 N, u64 m, f64 T, f64 t, u64 nv, u64 n_velocity,
-# 64-byte trajectory data hash, u64 factor source of the oxygen, cell and fluid blocks
+# 64-byte trajectory data hash, u64 factor source of the oxygen, cell and fluid blocks;
+# the fields follow, then a u32 CRC-32 of every byte before it
 CHECKPOINT_HEADER = struct.Struct("<4sI64sQQddQQ64s3Q")
 
 
@@ -199,7 +201,6 @@ def run(
     options: SolverOptions = SolverOptions(),
     checkpoint_dir=None,
     resume: bool = False,
-    step_callback=None,
 ) -> Trajectory:
     """March the coupled system over the uniform grid.
 
@@ -244,8 +245,6 @@ def run(
         if checkpoint_dir is not None:
             write_checkpoint(checkpoint_dir / checkpoint_name(m), mesh_hash, grid, m, state, data_hash,
                              bases[grid.k].sources)
-        if step_callback is not None:
-            step_callback(m, state, diags)
     return Trajectory(
         grid=grid, states=tuple(states), diagnostics=tuple(diagnostics), data_hash=data_hash
     )
@@ -298,7 +297,7 @@ class Checkpoint(NamedTuple):
 
 def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State, data_hash: str,
                      sources=(0, 0, 0)) -> None:
-    """Binary checkpoint: the ``CHECKPOINT_HEADER``, then c, n, u, p as little-endian f64.
+    """Binary checkpoint: the ``CHECKPOINT_HEADER``, c, n, u, p as little-endian f64, then a u32 CRC-32.
 
     ``sources`` names, per block, the step whose first system the grid step
     size's start factor came from (0: the convection-free matrix).  The file
@@ -310,38 +309,45 @@ def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State,
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, mesh_hash.encode(), grid.N, m,
-                                           grid.T, state.t, state.c.size, state.u.size, data_hash.encode(),
-                                           *sources))
+            header = CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, mesh_hash.encode(), grid.N, m,
+                                            grid.T, state.t, state.c.size, state.u.size, data_hash.encode(), *sources)
+            f.write(header)
+            crc = zlib.crc32(header)
             for arr in (state.c, state.n, state.u, state.p):
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                chunk = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                f.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            f.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def read_checkpoint(path, mesh_hash: str, grid: TimeGrid) -> Checkpoint:
-    """Read one checkpoint, refusing version, mesh, grid, length or factor-source mismatches."""
+    """Read one checkpoint, refusing version, mesh, length, checksum, grid or factor-source mismatches."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size < CHECKPOINT_HEADER.size:
-            raise StepFailure(f"{path}: checkpoint is {size} bytes, shorter than its header")
-        header = CHECKPOINT_HEADER.unpack(f.read(CHECKPOINT_HEADER.size))
-        magic, version, stored_hash, N, m, T, t, nv, nvel, data_hash, *sources = header
-        if magic != CHECKPOINT_MAGIC:
-            raise StepFailure(f"{path}: not a checkpoint file")
-        if version != CHECKPOINT_VERSION:
-            raise StepFailure(f"{path}: checkpoint version {version} not supported, only {CHECKPOINT_VERSION}")
-        if stored_hash != mesh_hash.encode():
-            raise StepFailure(f"{path}: checkpoint belongs to a different mesh")
-        expected = CHECKPOINT_HEADER.size + 8 * (3 * nv + nvel)
-        if size != expected:
-            raise StepFailure(f"{path}: checkpoint is {size} bytes, its header implies {expected}")
-        if N != grid.N or T != grid.T:
-            raise StepFailure(f"{path}: checkpoint grid (T={T}, N={N}) does not match")
-        if max(sources) > m:
-            raise StepFailure(f"{path}: checkpoint of step {m} names factor sources {tuple(sources)}")
-        fields = [np.frombuffer(f.read(8 * count), dtype="<f8").copy() for count in (nv, nv, nvel, nv)]
+        data = f.read()
+    size = len(data)
+    if size < CHECKPOINT_HEADER.size:
+        raise StepFailure(f"{path}: checkpoint is {size} bytes, shorter than its header")
+    magic, version, stored_hash, N, m, T, t, nv, nvel, data_hash, *sources = CHECKPOINT_HEADER.unpack_from(data)
+    if magic != CHECKPOINT_MAGIC:
+        raise StepFailure(f"{path}: not a checkpoint file")
+    if version != CHECKPOINT_VERSION:
+        raise StepFailure(f"{path}: checkpoint version {version} not supported, only {CHECKPOINT_VERSION}")
+    if stored_hash != mesh_hash.encode():
+        raise StepFailure(f"{path}: checkpoint belongs to a different mesh")
+    expected = CHECKPOINT_HEADER.size + 8 * (3 * nv + nvel) + 4
+    if size != expected:
+        raise StepFailure(f"{path}: checkpoint is {size} bytes, its header implies {expected}")
+    if zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "little"):
+        raise StepFailure(f"{path}: checkpoint checksum does not match its contents")
+    if N != grid.N or T != grid.T:
+        raise StepFailure(f"{path}: checkpoint grid (T={T}, N={N}) does not match")
+    if max(sources) > m:
+        raise StepFailure(f"{path}: checkpoint of step {m} names factor sources {tuple(sources)}")
+    values = np.frombuffer(data, "<f8", 3 * nv + nvel, CHECKPOINT_HEADER.size)
+    fields = [field.copy() for field in np.split(values, np.cumsum([nv, nv, nvel]))]
     return Checkpoint(m, State(*fields, t=t), data_hash.decode("ascii", "replace"), tuple(sources))
 
 

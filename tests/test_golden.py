@@ -3,6 +3,7 @@
 import hashlib
 import re
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -84,16 +85,16 @@ def test_checkpoint_format_golden(tmp_path):
     assert (tmp_path / "c.ckpt").read_bytes() == (GOLDEN / "checkpoint_tiny.ckpt").read_bytes()
 
 
-def encode_checkpoint_v2(mesh_hash, N, m, T, state, data_hash, sources):
-    """The docs/formats.md checkpoint table, built with struct alone."""
+def encode_checkpoint(mesh_hash, N, m, T, state, data_hash, sources):
+    """The docs/formats.md checkpoint table, built with struct and zlib alone."""
     nv, nvel = len(state.c), len(state.u)
-    out = b"CFCK" + struct.pack("<I", 2) + mesh_hash.encode("ascii")
+    out = b"CFCK" + struct.pack("<I", 3) + mesh_hash.encode("ascii")
     out += struct.pack("<QQ", N, m) + struct.pack("<dd", T, state.t)
     out += struct.pack("<QQ", nv, nvel)
     out += data_hash.encode("ascii") + struct.pack("<QQQ", *sources)
     for arr in (state.c, state.n, state.u, state.p):
         out += struct.pack(f"<{len(arr)}d", *arr)
-    return out
+    return out + struct.pack("<I", zlib.crc32(out))
 
 
 def test_checkpoint_golden_matches_documented_layout():
@@ -102,8 +103,8 @@ def test_checkpoint_golden_matches_documented_layout():
     mesh_hash, data_hash = golden_hashes(mesh, state)
     golden = GOLDEN / "checkpoint_tiny.ckpt"
     data = golden.read_bytes()
-    assert data == encode_checkpoint_v2(mesh_hash, 4, 1, 1.0, state, data_hash, GOLDEN_SOURCES)
-    assert len(data) == 208 + 8 * (3 * mesh.n_vertices + len(state.u))
+    assert data == encode_checkpoint(mesh_hash, 4, 1, 1.0, state, data_hash, GOLDEN_SOURCES)
+    assert len(data) == 212 + 8 * (3 * mesh.n_vertices + len(state.u))
 
     m, read, stored_hash, sources = read_checkpoint(golden, mesh.data_hash(), TimeGrid(T=1.0, N=4))
     assert m == 1 and read.t == 0.25
@@ -113,7 +114,7 @@ def test_checkpoint_golden_matches_documented_layout():
 
 
 def test_checkpoint_length_checked(tmp_path):
-    # the size must be 208 + 8 (3 nv + n_velocity) from the file's own header
+    # the size must be 212 + 8 (3 nv + n_velocity) from the file's own header
     mesh = load_mesh(GOLDEN / "mesh_tiny.txt")
     grid = TimeGrid(T=1.0, N=4)
     data = (GOLDEN / "checkpoint_tiny.ckpt").read_bytes()
@@ -123,6 +124,25 @@ def test_checkpoint_length_checked(tmp_path):
         with pytest.raises(StepFailure, match=f"{name}.ckpt: checkpoint is {len(cut)} bytes"):
             read_checkpoint(path, mesh.data_hash(), grid)
     assert read_checkpoint(GOLDEN / "checkpoint_tiny.ckpt", mesh.data_hash(), grid).m == 1
+
+
+def test_checkpoint_checksum_refuses_a_flipped_bit(tmp_path):
+    # one bit of byte 300, inside the c array, is enough to refuse the file
+    data = bytearray((GOLDEN / "checkpoint_tiny.ckpt").read_bytes())
+    data[300] ^= 1
+    path = tmp_path / "flipped.ckpt"
+    path.write_bytes(bytes(data))
+    with pytest.raises(StepFailure, match="flipped.ckpt: checkpoint checksum does not match"):
+        read_checkpoint(path, load_mesh(GOLDEN / "mesh_tiny.txt").data_hash(), TimeGrid(T=1.0, N=4))
+
+
+def test_checkpoint_of_version_2_is_refused(tmp_path):
+    # the golden in the version 2 layout: the same table without the checksum
+    data = (GOLDEN / "checkpoint_tiny.ckpt").read_bytes()
+    path = tmp_path / "v2.ckpt"
+    path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:-4])
+    with pytest.raises(StepFailure, match="v2.ckpt: checkpoint version 2 not supported, only 3"):
+        read_checkpoint(path, load_mesh(GOLDEN / "mesh_tiny.txt").data_hash(), TimeGrid(T=1.0, N=4))
 
 
 def test_fields_format_golden(tmp_path):

@@ -443,6 +443,32 @@ def test_cli_run_linear_solve_failure_exits_solver(tmp_path, monkeypatch, capsys
     assert "Traceback" not in err
 
 
+def test_cli_run_failed_step_leaves_only_checkpoints(tmp_path, monkeypatch, capsys):
+    # snapshots, diagnostics and the ledger are written from the whole
+    # trajectory, so a run whose step 3 fails leaves the checkpoints of
+    # steps 0-2 and nothing else of the time loop
+    outer = timestepping.outer_step
+
+    def failing_step3(*args, step, **kwargs):
+        result = outer(*args, step=step, **kwargs)
+        if step == 3:
+            result.diagnostics.converged = False
+        return result
+
+    monkeypatch.setattr(timestepping, "outer_step", failing_step3)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(STEADY_CONFIG), "--output", str(out), "--set", "time.N=4",
+         "--set", "mesh.target_h=0.35", "--set", "output.snapshot_stride=1", "--set", "output.checkpoints=true",
+         "--set", "solver.retry_depth=0"]
+    )
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    assert "solver failure: step 3 " in err and "Traceback" not in err
+    assert sorted(path.name for path in (out / "checkpoints").iterdir()) == [f"step_{m:06d}.ckpt" for m in range(3)]
+    assert sorted(path.name for path in out.iterdir()) == ["checkpoints", "config_used.json", "mesh.txt"]
+
+
 def test_cli_setup_solve_failure_exits_solver(tmp_path, monkeypatch, capsys):
     # the Stokes preset's saddle solve fails before the first step
     def singular(matrix, **kw):
@@ -505,14 +531,14 @@ def misplaced_checkpoint(tmp_path):
 
 
 def v1_checkpoint(tmp_path):
-    # step 1's file in the version 1 layout: the v2 header without the data
-    # hash and the factor sources
+    # step 1's file in the version 1 layout: the header without the data
+    # hash and the factor sources, and no checksum
     assert main(["run", *SMALL_STEADY, "--output", str(tmp_path / "run"), "--set", "output.checkpoints=true"]) == 0
     directory = tmp_path / "run" / "checkpoints"
     path = directory / "step_000001.ckpt"
     data = path.read_bytes()
-    path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:120] + data[timestepping.CHECKPOINT_HEADER.size :])
-    return directory, "step_000001.ckpt: checkpoint version 1 not supported, only 2"
+    path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:120] + data[timestepping.CHECKPOINT_HEADER.size : -4])
+    return directory, "step_000001.ckpt: checkpoint version 1 not supported, only 3"
 
 
 @pytest.mark.parametrize(

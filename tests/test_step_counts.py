@@ -51,25 +51,23 @@ def record(case: str) -> dict:
     """Every attempt of each step and the ledger rows of one case's run."""
     cfg = config_from_dict(apply_overrides(load_config(CONFIG).raw, CASES[case]), base_dir=CONFIG.parent)
     ops = operators(cfg.mesh["radius"], cfg.mesh["target_h"], int(cfg.mesh["first_ring"]))
-    attempts, steps = [], []
+    steps = []
     outer = timestepping.outer_step
 
     def recorded(inputs, params, ops, options, **kwargs):
+        # only a grid step's first attempt names its step; its halved retries pass step=0
+        if kwargs.get("step"):
+            steps.append([])
         result = outer(inputs, params, ops, options, **kwargs)
         d = result.diagnostics
-        attempts.append({"k": inputs.dt, "inner": d.inner_iterations, "outer": d.outer_iterations,
-                         "converged": d.converged})
+        steps[-1].append({"k": inputs.dt, "inner": d.inner_iterations, "outer": d.outer_iterations,
+                          "converged": d.converged})
         return result
-
-    def on_step(m, state, diags):
-        steps.append(attempts[:])
-        attempts.clear()
 
     timestepping.outer_step = recorded
     try:
         traj = timestepping.run(ops, cfg.params, timestepping.TimeGrid(T=cfg.time["T"], N=cfg.time["N"]),
-                                build_initial_state(cfg, ops), options=SolverOptions(**cfg.solver),
-                                step_callback=on_step)
+                                build_initial_state(cfg, ops), options=SolverOptions(**cfg.solver))
     finally:
         timestepping.outer_step = outer
     ledger = build_ledger(traj, ops, cfg.params)

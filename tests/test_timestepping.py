@@ -1,6 +1,7 @@
 import gc
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -296,20 +297,30 @@ def test_interrupted_checkpoint_write_leaves_no_checkpoint(coarse_ops, tmp_path,
                     return Unwritable()
             return np.ascontiguousarray(arr, dtype=dtype)
 
-    def arm(m, state, diags):
+    write = timestepping.write_checkpoint
+
+    def arming_write(path, mesh_hash, grid, m, *rest):
+        write(path, mesh_hash, grid, m, *rest)
         if m == 2:
             fields.append(None)
 
+    monkeypatch.setattr(timestepping, "write_checkpoint", arming_write)
     monkeypatch.setattr(timestepping, "np", NumpyFailingOnStep3P())
     with pytest.raises(OSError, match="no space"):
-        run(ops, PARAMS, grid, state0, checkpoint_dir=directory, step_callback=arm)
+        run(ops, PARAMS, grid, state0, checkpoint_dir=directory)
     monkeypatch.undo()
     assert fields[-1] is not None and fields[-1].shape == state0.p.shape
     assert sorted(path.name for path in directory.iterdir()) == [f"step_{m:06d}.ckpt" for m in range(3)]
 
     computed = []
-    resumed = run(ops, PARAMS, grid, state0, checkpoint_dir=directory, resume=True,
-                  step_callback=lambda m, state, diags: computed.append(m))
+    outer = timestepping.outer_step
+
+    def recorded(*args, step, **kwargs):
+        computed.append(step)
+        return outer(*args, step=step, **kwargs)
+
+    monkeypatch.setattr(timestepping, "outer_step", recorded)
+    resumed = run(ops, PARAMS, grid, state0, checkpoint_dir=directory, resume=True)
     assert computed == [3, 4]
     for sa, sb in zip(full.states, resumed.states):
         for name in ("c", "n", "u", "p"):
@@ -348,6 +359,7 @@ def test_checkpoint_under_another_steps_name_is_refused(coarse_ops, tmp_path, he
     else:
         data = bytearray(path.read_bytes())
         data[96:104] = struct.pack("<d", grid.time(2))  # the header's f64 t
+        data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))  # resealed, so the time check is what refuses it
         path.write_bytes(bytes(data))
     message = f"{path}: checkpoint holds step {3 if header == 'time' else 2} at t="
     with pytest.raises(StepFailure, match=re.escape(message)) as exc:
