@@ -31,7 +31,6 @@ from .fields_io import FieldsIOError, export_fields, snapshot_name
 from .fluid import LinearSolveError
 from .geometry import MeshError, build_disc_mesh, save_mesh
 from .model import validate_params
-from .step_solver import SolverOptions
 from .timestepping import StepFailure, TimeGrid, load_trajectory, run as run_time_loop
 
 EXIT_OK = 0
@@ -41,16 +40,10 @@ EXIT_IO = 4
 EXIT_VERIFY = 5
 
 
-def _load(args) -> "RunConfig":
-    return load_config(args.config, args.set)
-
-
 def _setup(cfg):
     """The configured mesh and its operators; a mesh that cannot be built is a config error."""
     try:
-        mesh = build_disc_mesh(
-            cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"])
-        )
+        mesh = build_disc_mesh(**cfg.mesh)
     except MeshError as exc:
         raise ConfigError([("mesh", str(exc))]) from exc
     return mesh, build_operators(mesh)
@@ -63,18 +56,17 @@ def _out_dir(cfg, override) -> Path:
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.set)
     mesh, ops = _setup(cfg)
-    grid = TimeGrid(T=cfg.time["T"], N=cfg.time["N"])
     out_dir = _out_dir(cfg, args.output)
     (out_dir / "config_used.json").write_text(cfg.to_json())
     save_mesh(mesh, out_dir / "mesh.txt")
     checkpoint_dir = out_dir / "checkpoints" if cfg.output["checkpoints"] else None
-    traj = run_time_loop(ops, cfg.params, grid, build_initial_state(cfg, ops), options=SolverOptions(**cfg.solver),
+    traj = run_time_loop(ops, cfg.params, cfg.grid, build_initial_state(cfg, ops), options=cfg.options,
                          checkpoint_dir=checkpoint_dir)
     stride = cfg.output["snapshot_stride"]
     if stride > 0:
-        for m in range(0, grid.N + 1, stride):
+        for m in range(0, cfg.grid.N + 1, stride):
             export_fields(traj.states[m], out_dir / snapshot_name(m))
     rows = ["step,level,iteration,residual"]
     rows += [row for m, ds in enumerate(traj.diagnostics) for d in ds for row in d.csv_rows(m)]
@@ -84,27 +76,26 @@ def cmd_run(args) -> int:
     converged_steps = sum(
         1 for ds in traj.diagnostics[1:] if ds and all(d.converged for d in ds)
     )
-    print(f"run complete: {grid.N} steps (all converged: {converged_steps == grid.N})")
+    print(f"run complete: {cfg.grid.N} steps (all converged: {converged_steps == cfg.grid.N})")
     print(f"outputs in {out_dir}")
     return EXIT_OK
 
 
 def cmd_converge(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.set)
     if args.levels < 3:
         print(f"converge needs at least 3 refinement levels, got {args.levels}", file=sys.stderr)
         return EXIT_CONFIG
     mesh, ops = _setup(cfg)
     out_dir = _out_dir(cfg, args.output)
-    base_n = cfg.time["N"]
-    T = cfg.time["T"]
-    levels = [base_n * 2**j for j in range(args.levels)]
+    T = cfg.grid.T
+    levels = [cfg.grid.N * 2**j for j in range(args.levels)]
     state0 = build_initial_state(cfg, ops)
 
     trajectories = []
     ledgers = []
     for N in levels:
-        traj = run_time_loop(ops, cfg.params, TimeGrid(T=T, N=N), state0, options=SolverOptions(**cfg.solver))
+        traj = run_time_loop(ops, cfg.params, TimeGrid(T=T, N=N), state0, options=cfg.options)
         trajectories.append(traj)
         led = build_ledger(traj, ops, cfg.params)
         ledgers.append(led)
@@ -145,10 +136,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.set)
     mesh, ops = _setup(cfg)
-    grid = TimeGrid(T=cfg.time["T"], N=cfg.time["N"])
-    traj = load_trajectory(args.checkpoints, ops, grid, cfg.params)
+    traj = load_trajectory(args.checkpoints, ops, cfg.grid, cfg.params)
     out_dir = _out_dir(cfg, args.output)
     ledger = build_ledger(traj, ops, cfg.params)
     export_ledger(ledger, out_dir / "ledger.csv")
@@ -167,7 +157,7 @@ def cmd_energy(args) -> int:
         f"  cell mass drift: {np.max(np.abs(ledger['mass_n'] - ledger['mass_n'][0])):.3e}",
         f"  min cell density over run: {ledger['min_n'].min():.6g}",
     ]
-    shifts = [grid.T / 4, grid.T / 8, grid.T / 16, grid.T / 32]
+    shifts = [cfg.grid.T / 4, cfg.grid.T / 8, cfg.grid.T / 16, cfg.grid.T / 32]
     decay = time_translate_decay(traj, ops, shifts)
     lines.extend(decay.lines())
     text = "\n".join(lines) + "\n"
@@ -178,7 +168,7 @@ def cmd_energy(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config, args.set)
     except ConfigError as exc:
         for key, msg in exc.problems:
             print(f"ERROR   {key}: {msg}")
@@ -193,7 +183,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mesh_info(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.set)
     mesh, ops = _setup(cfg)
     print(f"vertices:        {mesh.n_vertices}")
     print(f"triangles:       {mesh.n_triangles}")

@@ -19,7 +19,7 @@ import numpy as np
 from .fluid import steady_stokes_velocity
 from .model import ModelParams, ResponseSpec, validate_params
 from .step_solver import SolverOptions
-from .timestepping import initial_state
+from .timestepping import TimeGrid, initial_state
 
 
 class ConfigError(Exception):
@@ -51,17 +51,34 @@ DEFAULTS = {
     "output": {"directory": "out", "snapshot_stride": 0, "checkpoints": True},
 }
 
-SCALAR_PRESETS = ("constant", "zero", "gaussian", "file")
-VELOCITY_PRESETS = ("zero", "stokes", "swirl", "file")
+# each numeric setting's rule: None for a positive number, else the least value of an integer
+NUMBERS = {
+    "mesh.radius": None, "mesh.target_h": None, "mesh.first_ring": 3,
+    "time.T": None, "time.N": 1,
+    "solver.inner_tol": None, "solver.outer_tol": None, "solver.linear_tol": None,
+    "solver.max_inner": 1, "solver.max_outer": 1, "solver.retry_depth": 0,
+    "output.snapshot_stride": 0,
+}
+
+# the keys each field preset takes besides 'preset', and each response family besides 'family'
+SCALAR_PRESETS = {"constant": ("value",), "zero": (), "gaussian": ("amplitude", "center", "width_sq"), "file": ("path",)}
+VELOCITY_PRESETS = {"zero": (), "stokes": (), "swirl": ("amplitude", "radius"), "file": ("path",)}
+RESPONSE_FAMILIES = {
+    "f": {"constant": ("f0", "f1"), "saturating": ("f0", "f1")},
+    "g": {"constant": ("g1", "theta"), "saturating": ("g1",)},
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration; ``raw`` is the fully defaulted dictionary and
-    ``base_dir`` the directory that ``file`` preset paths are relative to."""
+    """Validated configuration; ``raw`` is the fully defaulted dictionary,
+    ``grid`` and ``options`` its time and solver sections, and ``base_dir``
+    the directory that ``file`` preset paths are relative to."""
 
     raw: dict
     params: ModelParams
+    grid: TimeGrid
+    options: SolverOptions
     base_dir: Path = Path(".")
 
     @property
@@ -69,16 +86,8 @@ class RunConfig:
         return self.raw["mesh"]
 
     @property
-    def time(self) -> dict:
-        return self.raw["time"]
-
-    @property
     def initial(self) -> dict:
         return self.raw["initial"]
-
-    @property
-    def solver(self) -> dict:
-        return self.raw["solver"]
 
     @property
     def output(self) -> dict:
@@ -109,7 +118,7 @@ def _merge_defaults(raw: dict, defaults: dict, prefix: str, problems: list) -> d
 
 
 def _is_leaf_dict(path: str) -> bool:
-    # preset/response sub-objects have free-form keys per family
+    # preset and response objects take the keys of their preset or family
     return path in ("params.f", "params.g", "initial.c", "initial.n", "initial.u")
 
 
@@ -140,8 +149,8 @@ def _require_vector(val, path, problems):
     return None if None in entries else tuple(float(v) for v in entries)
 
 
-# the numeric parameters of each field preset
-PRESET_NUMBERS = {"constant": ("value",), "gaussian": ("amplitude", "width_sq"), "swirl": ("amplitude", "radius")}
+def _unknown_keys(spec: dict, known, path: str, problems: list) -> None:
+    problems.extend((f"{path}.{key}", "unknown key") for key in spec if key not in known)
 
 
 def _validate_field_spec(spec, path, presets, problems, base_dir):
@@ -149,14 +158,15 @@ def _validate_field_spec(spec, path, presets, problems, base_dir):
         problems.append((path, "expected an object with a 'preset' key"))
         return
     preset = spec["preset"]
-    if preset not in presets:
-        problems.append((f"{path}.preset", f"unknown preset {preset!r}; choose from {presets}"))
+    if not isinstance(preset, str) or preset not in presets:
+        problems.append((f"{path}.preset", f"unknown preset {preset!r}; choose from {tuple(presets)}"))
         return
-    for key in PRESET_NUMBERS.get(preset, ()):
-        if key in spec:
+    _unknown_keys(spec, ("preset", *presets[preset]), path, problems)
+    for key in presets[preset]:
+        if key == "center" and key in spec:
+            _require_vector(spec[key], f"{path}.{key}", problems)
+        elif key != "path" and key in spec:
             _require_number(spec[key], f"{path}.{key}", problems, positive=key == "width_sq")
-    if preset == "gaussian" and "center" in spec:
-        _require_vector(spec["center"], f"{path}.center", problems)
     if preset == "file":
         p = spec.get("path")
         if not isinstance(p, str):
@@ -187,34 +197,20 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
     problems: list = []
     merged = _merge_defaults(raw, DEFAULTS, "", problems)
 
-    mesh = merged["mesh"]
-    radius = _require_number(mesh["radius"], "mesh.radius", problems, positive=True)
-    target_h = _require_number(mesh["target_h"], "mesh.target_h", problems, positive=True)
+    numbers = {}
+    for path, least in NUMBERS.items():
+        section, key = path.split(".")
+        numbers[path] = v = _require_number(merged[section][key], path, problems, positive=least is None,
+                                            integer=least is not None, minimum=least)
+        if v is not None and least is not None:
+            merged[section][key] = int(v)
+    radius, target_h = numbers["mesh.radius"], numbers["mesh.target_h"]
     if radius and target_h and not target_h < radius:
         problems.append(("mesh.target_h", f"must be smaller than the radius {radius}"))
-    _require_number(mesh["first_ring"], "mesh.first_ring", problems, integer=True, minimum=3)
 
-    time = merged["time"]
-    _require_number(time["T"], "time.T", problems, positive=True)
-    n_steps = _require_number(time["N"], "time.N", problems, integer=True, minimum=1)
-    if n_steps is not None:
-        time["N"] = int(n_steps)
-
-    solver = merged["solver"]
-    for key in ("inner_tol", "outer_tol", "linear_tol"):
-        _require_number(solver[key], f"solver.{key}", problems, positive=True)
-    for key, minimum in (("max_inner", 1), ("max_outer", 1), ("retry_depth", 0)):
-        v = _require_number(solver[key], f"solver.{key}", problems, integer=True, minimum=minimum)
-        if v is not None:
-            solver[key] = int(v)
-
-    out = merged["output"]
-    stride = _require_number(out["snapshot_stride"], "output.snapshot_stride", problems, integer=True, minimum=0)
-    if stride is not None:
-        out["snapshot_stride"] = int(stride)
-    if not isinstance(out.get("directory"), str):
+    if not isinstance(merged["output"]["directory"], str):
         problems.append(("output.directory", "must be a string"))
-    if not isinstance(out.get("checkpoints"), bool):
+    if not isinstance(merged["output"]["checkpoints"], bool):
         problems.append(("output.checkpoints", "must be true or false"))
 
     params = _params_from_dict(merged["params"], problems)
@@ -229,16 +225,22 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(raw=merged, params=params, base_dir=Path(base_dir))
+    return RunConfig(merged, params, TimeGrid(**merged["time"]), SolverOptions(**merged["solver"]), Path(base_dir))
 
 
 def _params_from_dict(d: dict, problems: list):
     """The model parameters, or None when a coefficient is not a number."""
-    for key in ("f", "g"):
-        if not isinstance(d[key], dict):
+    specs = {}
+    for key, families in RESPONSE_FAMILIES.items():
+        user = d[key]
+        if not isinstance(user, dict):
             problems.append((f"params.{key}", "response spec must be an object"))
-    # the user's response objects over their defaults, merged only here so config_used.json keeps them as written
-    fd, gd = ({**DEFAULTS["params"][key], **(d[key] if isinstance(d[key], dict) else {})} for key in ("f", "g"))
+            user = {}
+        # the user's object over its defaults, merged only here so config_used.json keeps it as written
+        specs[key] = spec = {**DEFAULTS["params"][key], **user}
+        if isinstance(spec["family"], str) and spec["family"] in families:  # else validate_params reports it
+            _unknown_keys(user, ("family", *families[spec["family"]]), f"params.{key}", problems)
+    fd, gd = specs["f"], specs["g"]
     numbers = {key: _require_number(d[key], f"params.{key}", problems) for key in ("alpha", "beta", "xi", "b")}
     for key in ("f0", "f1"):
         numbers[key] = _require_number(fd[key], f"params.f.{key}", problems)
@@ -303,9 +305,7 @@ def build_scalar_field(spec: dict, mesh, base_dir, key: str) -> np.ndarray:
         cx, cy = spec.get("center", [0.0, 0.0])
         w2 = float(spec.get("width_sq", 0.25))
         return amp * np.exp(-(((x - cx) ** 2 + (y - cy) ** 2) / w2))
-    if preset == "file":
-        return _file_values(spec, base_dir, key, mesh.n_vertices)
-    raise ConfigError([(key, f"unknown scalar preset {preset!r}")])
+    return _file_values(spec, base_dir, key, mesh.n_vertices)
 
 
 def build_velocity_field(spec: dict, ops, params, n0: np.ndarray, base_dir) -> np.ndarray:
@@ -324,9 +324,7 @@ def build_velocity_field(spec: dict, ops, params, n0: np.ndarray, base_dir) -> n
             return -4.0 * amp * s * y, 4.0 * amp * s * x
 
         return ops.vspace.interpolate(vel)
-    if preset == "file":
-        return _file_values(spec, base_dir, "initial.u", ops.vspace.n_velocity)
-    raise ConfigError([("initial.u", f"unknown velocity preset {preset!r}")])
+    return _file_values(spec, base_dir, "initial.u", ops.vspace.n_velocity)
 
 
 def build_initial_state(cfg: RunConfig, ops):

@@ -35,7 +35,7 @@ def write_config(tmp_path, payload):
 
 def test_minimal_config_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, {}))
-    assert cfg.time["N"] == 16
+    assert cfg.grid.N == 16
     assert cfg.params.alpha == 1.0
     assert cfg.initial["c"]["preset"] == "constant"
 
@@ -72,13 +72,17 @@ def test_config_parse_error_has_position(tmp_path):
     assert "line 1" in exc.value.problems[0][1]
 
 
-# a typo, and three keys the format dropped, each with a value it once
-# accepted; keyed by the name the error reports
+# a typo, three keys the format dropped, each with a value it once
+# accepted, and keys a preset or response family does not take; keyed by
+# the name the error reports
 UNKNOWN_KEYS = {
     "tyme": {"tyme": {"N": 4}},
     "mollifier_eps": {"mollifier_eps": 0.0},
     "seed": {"seed": 0},
     "solver.damping": {"solver": {"damping": 1.0}},
+    "initial.n.amplitud": {"initial": {"n": {"preset": "gaussian", "amplitud": 0.5}}},
+    "params.g.thet": {"params": {"g": {"family": "constant", "thet": 0.5}}},
+    "initial.c.value": {"initial": {"c": {"preset": "zero", "value": 3}}},
 }
 
 
@@ -87,7 +91,18 @@ def test_config_unknown_key_rejected(tmp_path, key):
     path = write_config(tmp_path, UNKNOWN_KEYS[key])
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert any(k == key for k, _ in exc.value.problems)
+    assert (key, "unknown key") in exc.value.problems
+
+
+def test_integer_setting_is_stored_as_int(tmp_path, capsys):
+    args = ["--set", "mesh.first_ring=6.0", "--set", "mesh.target_h=0.35", "--set", "time.N=1"]
+    cfg = load_config(STEADY_CONFIG, args[1::2])
+    assert type(cfg.mesh["first_ring"]) is int and cfg.mesh["first_ring"] == 6
+    assert main(["run", "--config", str(STEADY_CONFIG), *args, "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # json reads 6.0 back as a float, 6 as an int
+    used = json.loads((tmp_path / "config_used.json").read_text())
+    assert type(used["mesh"]["first_ring"]) is int and used["mesh"]["first_ring"] == 6
 
 
 def test_config_missing_file_reference(tmp_path):
@@ -101,7 +116,7 @@ def test_overrides_apply_and_validate(tmp_path):
     cfg = load_config(write_config(tmp_path, {}))
     raw = apply_overrides(cfg.raw, ["time.N=8", "params.alpha=0.25"])
     cfg2 = config_from_dict(raw)
-    assert cfg2.time["N"] == 8 and cfg2.params.alpha == 0.25
+    assert cfg2.grid.N == 8 and cfg2.params.alpha == 0.25
     with pytest.raises(ConfigError):
         apply_overrides(cfg.raw, ["no-equals-sign"])
 
@@ -211,6 +226,13 @@ BAD_INPUTS = [
     ('initial.u={"preset": "swirl", "radius": "abc"}', "initial.u.radius"),
     ('initial.c={"preset": "file", "path": "bad.txt"}', "initial.c"),
     ("mesh.first_ring=3", "mesh"),
+    # keys the preset or family does not take
+    ("initial.n.amplitud=0.5", "initial.n.amplitud"),
+    ("params.g.thet=0.5", "params.g.thet"),
+    ('initial.c={"preset": "zero", "value": 3}', "initial.c.value"),
+    # a preset or family that is not a string is never looked up in a key table
+    ("initial.c.preset=[1]", "initial.c.preset"),
+    ("params.g.family=[1]", "params (response-family)"),
 ]
 
 

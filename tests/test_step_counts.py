@@ -31,7 +31,6 @@ from chemoflow.assembly import build_operators
 from chemoflow.config import apply_overrides, build_initial_state, config_from_dict, load_config
 from chemoflow.energy import CSV_COLUMNS, build_ledger
 from chemoflow.geometry import build_disc_mesh
-from chemoflow.step_solver import SolverOptions
 
 GOLDEN = Path(__file__).parent / "golden" / "step_counts.json"
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
@@ -44,13 +43,13 @@ LEDGER_RTOL = 1e-9
 
 @lru_cache(maxsize=None)
 def operators(radius, target_h, first_ring):
-    return build_operators(build_disc_mesh(radius, target_h, first_ring=first_ring))
+    return build_operators(build_disc_mesh(radius, target_h, first_ring))
 
 
 def record(case: str) -> dict:
     """Every attempt of each step and the ledger rows of one case's run."""
     cfg = config_from_dict(apply_overrides(load_config(CONFIG).raw, CASES[case]), base_dir=CONFIG.parent)
-    ops = operators(cfg.mesh["radius"], cfg.mesh["target_h"], int(cfg.mesh["first_ring"]))
+    ops = operators(**cfg.mesh)
     steps = []
     outer = timestepping.outer_step
 
@@ -66,8 +65,7 @@ def record(case: str) -> dict:
 
     timestepping.outer_step = recorded
     try:
-        traj = timestepping.run(ops, cfg.params, timestepping.TimeGrid(T=cfg.time["T"], N=cfg.time["N"]),
-                                build_initial_state(cfg, ops), options=SolverOptions(**cfg.solver))
+        traj = timestepping.run(ops, cfg.params, cfg.grid, build_initial_state(cfg, ops), options=cfg.options)
     finally:
         timestepping.outer_step = outer
     ledger = build_ledger(traj, ops, cfg.params)

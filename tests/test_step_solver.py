@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -298,14 +299,14 @@ def test_step_regime_scan_counts():
     # step from the initial state, one picard_inner per step size
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     cfg = load_config(config)
-    mesh = build_disc_mesh(cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"]))
+    mesh = build_disc_mesh(**cfg.mesh)
     ops = build_operators(mesh)
     state0 = build_initial_state(cfg, ops)
     counts = []
     for k in np.geomspace(1e-3, 30.0, 12):
         inputs = make_inputs(ops, c=state0.c, n=state0.n, u=state0.u, dt=k)
         system = step_system(ops, cfg.params, k, state0.u)
-        options = SolverOptions(inner_tol=cfg.solver["inner_tol"], max_inner=200)
+        options = replace(cfg.options, max_inner=200)
         _, _, diag = picard_inner(inputs, system, cfg.params, ops, options)
         counts.append(diag.inner_iterations if diag.converged else None)
         assert diag.converged or diag.inner_iterations == 200
@@ -414,11 +415,11 @@ def test_warm_started_run_triangular_solves(monkeypatch):
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     raw = apply_overrides(load_config(config).raw, ["mesh.target_h=0.1", "time.N=16"])
     cfg = config_from_dict(raw, base_dir=config.parent)
-    mesh = build_disc_mesh(cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"]))
+    mesh = build_disc_mesh(**cfg.mesh)
     ops = build_operators(mesh)
     state0 = build_initial_state(cfg, ops)
     solves, made = solves_by_block(monkeypatch)
-    traj = run(ops, cfg.params, TimeGrid(T=cfg.time["T"], N=cfg.time["N"]), state0)
+    traj = run(ops, cfg.params, cfg.grid, state0, options=cfg.options)
     assert all(d.converged for ds in traj.diagnostics[1:] for d in ds)
     assert solves["saddle"] <= 109
     assert solves["oxygen"] <= 491
@@ -439,7 +440,7 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     raw = apply_overrides(load_config(config).raw, ["params.xi=0.01", "mesh.target_h=0.1", "time.N=16"])
     cfg = config_from_dict(raw, base_dir=config.parent)
-    mesh = build_disc_mesh(cfg.mesh["radius"], cfg.mesh["target_h"], first_ring=int(cfg.mesh["first_ring"]))
+    mesh = build_disc_mesh(**cfg.mesh)
     ops = build_operators(mesh)
     state0 = build_initial_state(cfg, ops)
     solves, made = solves_by_block(monkeypatch)
@@ -463,9 +464,9 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
         return result
 
     monkeypatch.setattr(timestepping, "outer_step", attempt)
-    grid = TimeGrid(T=cfg.time["T"] / 4, N=4)
-    assert grid.k == cfg.time["T"] / cfg.time["N"]
-    traj = run(ops, cfg.params, grid, state0)
+    grid = TimeGrid(T=cfg.grid.T / 4, N=4)
+    assert grid.k == cfg.grid.k
+    traj = run(ops, cfg.params, grid, state0, options=cfg.options)
     assert all(d.converged for ds in traj.diagnostics[1:] for d in ds) and len(attempts) == 4
     assert all(built == due for built, due in assemblies), assemblies
     for step, (new, factorisations, corrections, sources) in enumerate(attempts, start=1):
