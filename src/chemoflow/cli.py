@@ -1,7 +1,8 @@
 """Command-line surface: run | converge | energy | validate | mesh-info.
 
 Exit codes: 0 success, 1 configuration or validation failure, 2 usage error,
-3 solver failure, 4 I/O failure, 5 verification failure.
+3 solver failure, 4 I/O failure, 5 verification failure, 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
+EXIT_INTERRUPTED = 130
 
 
 def _setup(cfg):
@@ -296,6 +298,9 @@ def main(argv=None) -> int:
     except (FieldsIOError, OSError) as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print(f"interrupted: {args.command}", file=sys.stderr)
+        return EXIT_INTERRUPTED
     finally:
         _release_heap()
 

@@ -67,6 +67,11 @@ RESPONSE_FAMILIES = {
     "f": {"constant": ("f0", "f1"), "saturating": ("f0", "f1")},
     "g": {"constant": ("g1", "theta"), "saturating": ("g1",)},
 }
+# the key table of each preset or family choice an override can switch
+SWITCHES = {
+    "initial.c.preset": SCALAR_PRESETS, "initial.n.preset": SCALAR_PRESETS, "initial.u.preset": VELOCITY_PRESETS,
+    "params.f.family": RESPONSE_FAMILIES["f"], "params.g.family": RESPONSE_FAMILIES["g"],
+}
 
 
 @dataclass(frozen=True)
@@ -261,7 +266,9 @@ def _params_from_dict(d: dict, problems: list):
 def apply_overrides(raw: dict, assignments) -> dict:
     """Apply dotted-path ``key=value`` overrides; values parse as JSON when
     possible and fall back to strings.  An object the path creates starts from
-    its defaults, so an override lands on the defaulted configuration."""
+    its defaults, so an override lands on the defaulted configuration.  An
+    override that switches a preset or family to another known one drops the
+    keys the new one does not take."""
     out = copy.deepcopy(raw)
     for assignment in assignments:
         if "=" not in assignment:
@@ -278,6 +285,10 @@ def apply_overrides(raw: dict, assignments) -> dict:
             node = node.setdefault(part, copy.deepcopy(default))
             if not isinstance(node, dict):
                 raise ConfigError([(key, "override path crosses a non-object value")])
+        table = SWITCHES.get(key)
+        if table is not None and isinstance(parsed, str) and parsed in table and node.get(parts[-1]) != parsed:
+            for extra in [k for k in node if k not in (parts[-1], *table[parsed])]:
+                del node[extra]
         node[parts[-1]] = parsed
     return out
 

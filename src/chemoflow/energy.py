@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorSet
-from .timestepping import Trajectory, interpolate_state
+from .timestepping import Trajectory, _locate
 
 _FIELDS = ("c", "ctau", "n", "u")
 
@@ -354,9 +354,14 @@ def time_translate_decay(traj: Trajectory, ops: OperatorSet, shifts) -> Translat
     """Integrals of |g(s + a) - g(s)|^2 over s in [0, T - a] per shift a.
 
     Between the cut points s in {t_m, t_m - a} the difference g(s + a) - g(s)
-    is linear in s, so its midpoint value is the mean of its end values and
-    the piecewise-quadratic integrand is integrated exactly by Simpson's rule.
-    The difference is evaluated once per cut point.
+    is linear in s, so the piecewise-quadratic integrand is integrated exactly
+    by Simpson's rule, and the midpoint value follows from the end values
+    d0, d1 by polarisation: |(d0 + d1)/2|^2 = (|d0|^2 + |d1|^2 + 2 d0.M d1) / 4.
+
+    ``M c``, ``M n`` and ``M u`` are formed once per state.  A cut's state and
+    its products are interpolated with the weights ``interpolate_state`` uses,
+    so a difference's product is a difference of products: its rounding is
+    about eps |M g|, not eps |M (g(s + a) - g(s))|.
     """
     T = traj.grid.T
     shifts = tuple(float(s) for s in shifts)
@@ -365,24 +370,32 @@ def time_translate_decay(traj: Trajectory, ops: OperatorSet, shifts) -> Translat
             raise ValueError(f"shift {s} outside (0, T)")
     times = traj.grid.times()
     values = {f: [] for f in ("c", "n", "u")}
+    pairs = [[(x, M @ x) for x, M in ((s.c, ops.M_vol), (s.n, ops.M_vol), (s.u, ops.M_u))]
+             for s in traj.states]
+
+    def at(t):
+        idx, theta = _locate(traj.grid, t)
+        if theta is None:
+            return pairs[idx]
+        w0 = 1.0 - theta
+        return [(w0 * x0 + theta * x1, w0 * y0 + theta * y1)
+                for (x0, y0), (x1, y1) in zip(pairs[idx - 1], pairs[idx])]
 
     def difference(s, a):
-        hi = interpolate_state(traj, s + a)
-        lo = interpolate_state(traj, s)
-        return hi.c - lo.c, hi.n - lo.n, hi.u - lo.u
+        return [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(at(s), at(s + a))]
 
-    def norms(c, n, u):
-        return np.array([ops.scalar_norm_sq(c), ops.scalar_norm_sq(n), ops.velocity_norm_sq(u)])
+    def norms(d):
+        return np.array([x @ y for x, y in d])
 
     for a in shifts:
         cuts = np.unique(np.clip(np.concatenate([times, times - a]), 0.0, T - a))
         acc = np.zeros(3)
         d0 = difference(cuts[0], a)
-        f0 = norms(*d0)
+        f0 = norms(d0)
         for s0, s1 in zip(cuts[:-1], cuts[1:]):
             d1 = difference(s1, a)
-            f1 = norms(*d1)
-            fm = norms(*(0.5 * (x0 + x1) for x0, x1 in zip(d0, d1)))
+            f1 = norms(d1)
+            fm = (f0 + f1 + 2.0 * np.array([x0 @ y1 for (x0, _), (_, y1) in zip(d0, d1)])) / 4.0
             acc += (s1 - s0) / 6.0 * (f0 + 4.0 * fm + f1)
             d0, f0 = d1, f1
         for f, v in zip(("c", "n", "u"), acc):

@@ -250,21 +250,26 @@ def run(
     )
 
 
-def _locate(grid: TimeGrid, t: float) -> tuple[int, np.ndarray]:
+def _locate(grid: TimeGrid, t: float) -> tuple[int, float | None]:
+    """Step ``idx`` and weight ``theta`` with g(t) = (1 - theta) g[idx - 1] + theta g[idx].
+
+    ``theta`` is None when t is the grid node ``idx``, which is then read as is.
+    """
     if t < 0 or t > grid.T:
         raise ValueError(f"time {t} outside [0, {grid.T}]")
     times = grid.times()
     idx = min(int(np.searchsorted(times, t, side="left")), grid.N)
-    return idx, times
+    if times[idx] == t:
+        return idx, None
+    return idx, (t - times[idx - 1]) / (times[idx] - times[idx - 1])
 
 
 def interpolate_state(traj: Trajectory, t: float) -> State:
     """Piecewise-linear-in-time evaluation; exact states at grid nodes."""
-    idx, times = _locate(traj.grid, t)
-    if idx <= traj.grid.N and times[idx] == t:
+    idx, theta = _locate(traj.grid, t)
+    if theta is None:
         return traj.states[idx]
     a, b = traj.states[idx - 1], traj.states[idx]
-    theta = (t - times[idx - 1]) / (times[idx] - times[idx - 1])
     w0, w1 = 1.0 - theta, theta
     return State(
         c=w0 * a.c + w1 * b.c,

@@ -21,7 +21,7 @@ from chemoflow.energy import (
 from chemoflow.assembly import build_operators
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams
-from chemoflow.timestepping import State, TimeGrid, Trajectory, initial_state, run
+from chemoflow.timestepping import State, TimeGrid, Trajectory, initial_state, interpolate_state, run
 from conftest import BENCH_PARAMS, bench_initial
 
 PARAMS = ModelParams()
@@ -318,6 +318,65 @@ def test_translate_decay_exactness_single_interval(coarse_ops):
     fm = nsq(0.5 * (d1 + d2))
     expected = a / 6.0 * (f0 + 4 * fm + f1)
     assert np.isclose(rep.values["c"][0], expected, rtol=1e-12)
+
+
+def reference_translate_decay(traj, ops, shifts):
+    """The direct algorithm: interpolate_state at every cut and midpoint, M d per field, Simpson's rule."""
+    T, times = traj.grid.T, traj.grid.times()
+    masses = {"c": ops.M_vol, "n": ops.M_vol, "u": ops.M_u}
+
+    def norms(s, a):
+        hi, lo = interpolate_state(traj, s + a), interpolate_state(traj, s)
+        diffs = {f: getattr(hi, f) - getattr(lo, f) for f in masses}
+        return np.array([diffs[f] @ (M @ diffs[f]) for f, M in masses.items()])
+
+    values = []
+    for a in shifts:
+        cuts = np.unique(np.clip(np.concatenate([times, times - a]), 0.0, T - a))
+        values.append(sum((s1 - s0) / 6.0 * (norms(s0, a) + 4.0 * norms(0.5 * (s0 + s1), a) + norms(s1, a))
+                          for s0, s1 in zip(cuts[:-1], cuts[1:])))
+    return {f: np.array(values)[:, i] for i, f in enumerate(masses)}
+
+
+def bump_shifts(traj):
+    # two shifts on the grid, two off it
+    T, k = traj.grid.T, traj.grid.k
+    return [T / 2, T / 4, 0.37 * T, k / 3]
+
+
+def test_translate_decay_equals_direct_algorithm(coarse_ops, bump_ledger):
+    _, traj = bump_ledger
+    shifts = bump_shifts(traj)
+    rep = time_translate_decay(traj, coarse_ops, shifts)
+    ref = reference_translate_decay(traj, coarse_ops, shifts)
+    order = np.argsort(shifts)[::-1]
+    for f in ("c", "n", "u"):
+        expected = ref[f][order]
+        assert np.max(np.abs(rep.values[f] - expected)) <= 1e-12 * np.max(np.abs(expected)), f
+        slack = 1e-12 * max(expected.max(), 1.0)
+        assert rep.monotone[f] == bool(np.all(np.diff(expected) <= slack)), f
+
+
+class CountingMatrix:
+    """A sparse matrix that counts its products with vectors."""
+
+    def __init__(self, matrix):
+        self.matrix, self.calls = matrix, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.matrix @ x
+
+
+def test_translate_decay_forms_one_mass_product_per_state(coarse_ops, bump_ledger, monkeypatch):
+    _, traj = bump_ledger
+    M_vol, M_u = CountingMatrix(coarse_ops.M_vol), CountingMatrix(coarse_ops.M_u)
+    monkeypatch.setattr(coarse_ops, "M_vol", M_vol)
+    monkeypatch.setattr(coarse_ops, "M_u", M_u)
+    time_translate_decay(traj, coarse_ops, bump_shifts(traj))
+    N = traj.grid.N
+    assert M_u.calls <= N + 1
+    assert M_vol.calls <= 2 * (N + 1)
 
 
 def test_ledger_csv_export(tmp_path, bump_ledger):

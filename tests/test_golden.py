@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemoflow.assembly import build_operators
+from chemoflow.cli import main
 from chemoflow.config import ConfigError, RunConfig, config_from_dict, load_config
 from chemoflow.energy import CSV_COLUMNS
 from chemoflow.fields_io import FieldsIOError, export_fields, load_fields
@@ -53,6 +54,20 @@ def test_mesh_format_golden(tmp_path):
 
 def test_ledger_header_golden():
     assert ",".join(CSV_COLUMNS) + "\n" == (GOLDEN / "ledger_header.csv").read_text()
+
+
+def test_energy_report_golden(tmp_path, capsys):
+    # run then energy on the benchmark data at h=0.1, N=8 (T/16 and T/32 are
+    # shifts off the grid); the first line names the checkpoint directory
+    config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
+    sets = ["--set", "mesh.target_h=0.1", "--set", "time.N=8", "--set", "output.checkpoints=true"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output", str(out), *sets]) == 0
+    assert main(["energy", "--config", str(config), "--checkpoints", str(out / "checkpoints"),
+                 "--output", str(out), *sets]) == 0
+    report = (out / "energy_report.txt").read_text().splitlines()
+    golden = (GOLDEN / "energy_report_h0.1_N8.txt").read_text().splitlines()
+    assert len(report) == len(golden) and report[1:] == golden[1:]
 
 
 # the golden checkpoint: step 1 of T=1, N=4 on the tiny mesh, whose oxygen

@@ -20,7 +20,8 @@ from chemoflow.config import (
     load_config,
 )
 from chemoflow.fields_io import export_fields, load_fields, snapshot_name
-from chemoflow.timestepping import State
+from chemoflow.geometry import load_mesh
+from chemoflow.timestepping import State, TimeGrid
 
 REPO = Path(__file__).resolve().parents[1]
 BENCHMARK_CONFIG = REPO / "configs" / "benchmark.json"
@@ -119,6 +120,30 @@ def test_overrides_apply_and_validate(tmp_path):
     assert cfg2.grid.N == 8 and cfg2.params.alpha == 0.25
     with pytest.raises(ConfigError):
         apply_overrides(cfg.raw, ["no-equals-sign"])
+
+
+def test_override_switching_a_preset_validates(capsys):
+    assert main(["validate", "--config", str(STEADY_CONFIG), "--set", "initial.c.preset=zero"]) == 0
+    assert "configuration valid" in capsys.readouterr().out
+
+
+def test_override_switching_a_preset_drops_its_keys(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(BENCHMARK_CONFIG), "--output", str(out), "--set", "initial.n.preset=constant",
+                 "--set", "mesh.target_h=0.35", "--set", "time.N=1", "--set", "output.checkpoints=false",
+                 "--set", "output.snapshot_stride=0"])
+    assert code == 0
+    assert json.loads((out / "config_used.json").read_text())["initial"]["n"] == {"preset": "constant"}
+
+
+def test_override_switching_a_family_drops_its_keys():
+    raw = {"params": {"g": {"family": "constant", "g1": 0.02, "theta": 0.5}}}
+    switched = apply_overrides(raw, ["params.g.family=saturating"])
+    assert switched["params"]["g"] == {"family": "saturating", "g1": 0.02}
+    config_from_dict(switched)
+    # an unknown or unchanged name keeps every key, so validation still names them
+    assert apply_overrides(raw, ["params.g.family=bogus"])["params"]["g"] == {**raw["params"]["g"], "family": "bogus"}
+    assert apply_overrides(raw, ["params.g.family=constant"]) == raw
 
 
 def test_fields_roundtrip_bit_exact(coarse_ops, tmp_path):
@@ -489,6 +514,34 @@ def test_cli_run_failed_step_leaves_only_checkpoints(tmp_path, monkeypatch, caps
     assert "solver failure: step 3 " in err and "Traceback" not in err
     assert sorted(path.name for path in (out / "checkpoints").iterdir()) == [f"step_{m:06d}.ckpt" for m in range(3)]
     assert sorted(path.name for path in out.iterdir()) == ["checkpoints", "config_used.json", "mesh.txt"]
+
+
+def test_cli_run_interrupted_exits_130(tmp_path, monkeypatch, capsys):
+    # Ctrl-C during step 3 ends typed; the checkpoints of steps 0-2 are
+    # complete and no partial write is left
+    outer = timestepping.outer_step
+    calls = []
+
+    def interrupted_step3(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return outer(*args, **kwargs)
+
+    monkeypatch.setattr(timestepping, "outer_step", interrupted_step3)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(STEADY_CONFIG), "--output", str(out), "--set", "time.N=4",
+         "--set", "mesh.target_h=0.35", "--set", "output.checkpoints=true"]
+    )
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert err.startswith("interrupted: run") and "Traceback" not in err
+    names = sorted(path.name for path in (out / "checkpoints").iterdir())
+    assert names == [timestepping.checkpoint_name(m) for m in range(3)]
+    mesh_hash = load_mesh(out / "mesh.txt").data_hash()
+    for m, name in enumerate(names):
+        assert timestepping.read_checkpoint(out / "checkpoints" / name, mesh_hash, TimeGrid(T=1.0, N=4)).m == m
 
 
 def test_cli_setup_solve_failure_exits_solver(tmp_path, monkeypatch, capsys):
