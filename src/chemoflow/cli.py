@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 configuration or validation failure, 2 usage error,
 3 solver failure, 4 I/O failure, 5 verification failure, 130 interrupted
-(Ctrl-C).
+(Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import ctypes
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,6 @@ from .energy import (
 from .fields_io import FieldsIOError, export_fields, snapshot_name
 from .fluid import LinearSolveError
 from .geometry import MeshError, build_disc_mesh, save_mesh
-from .model import validate_params
 from .timestepping import StepFailure, TimeGrid, load_trajectory, run as run_time_loop
 
 EXIT_OK = 0
@@ -40,6 +41,15 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
 EXIT_INTERRUPTED = 130
+EXIT_TERMINATED = 143
+
+
+class Terminated(BaseException):
+    """SIGTERM during a command; like KeyboardInterrupt, no ``except Exception`` catches it."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
 
 
 def _setup(cfg):
@@ -175,11 +185,8 @@ def cmd_validate(args) -> int:
         for key, msg in exc.problems:
             print(f"ERROR   {key}: {msg}")
         return EXIT_CONFIG
-    report = validate_params(cfg.params)
-    for line in report.lines():
+    for line in cfg.report.lines():
         print(line)
-    if not report.ok:
-        return EXIT_CONFIG
     print("configuration valid")
     return EXIT_OK
 
@@ -286,6 +293,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _pin_blas_threads()
     _release_heap()
+    # SIGTERM ends the command typed; only the main thread can set handlers, and the caller's returns after
+    handles_term = threading.current_thread() is threading.main_thread()
+    if handles_term:
+        previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -301,7 +312,12 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print(f"interrupted: {args.command}", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Terminated:
+        print(f"terminated: {args.command}", file=sys.stderr)
+        return EXIT_TERMINATED
     finally:
+        if handles_term:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
         _release_heap()
 
 

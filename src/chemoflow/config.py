@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fluid import steady_stokes_velocity
-from .model import ModelParams, ResponseSpec, validate_params
+from .model import ModelParams, ResponseSpec, ValidationReport, validate_params
 from .step_solver import SolverOptions
 from .timestepping import TimeGrid, initial_state
 
@@ -77,14 +77,16 @@ SWITCHES = {
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration; ``raw`` is the fully defaulted dictionary,
-    ``grid`` and ``options`` its time and solver sections, and ``base_dir``
-    the directory that ``file`` preset paths are relative to."""
+    ``grid`` and ``options`` its time and solver sections, ``base_dir`` the
+    directory that ``file`` preset paths are relative to, and ``report`` the
+    findings of ``validate_params`` on ``params``, none of them an error."""
 
     raw: dict
     params: ModelParams
     grid: TimeGrid
     options: SolverOptions
-    base_dir: Path = Path(".")
+    base_dir: Path
+    report: ValidationReport
 
     @property
     def mesh(self) -> dict:
@@ -230,7 +232,8 @@ def config_from_dict(raw: dict, base_dir=Path(".")) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(merged, params, TimeGrid(**merged["time"]), SolverOptions(**merged["solver"]), Path(base_dir))
+    return RunConfig(merged, params, TimeGrid(**merged["time"]), SolverOptions(**merged["solver"]), Path(base_dir),
+                     report)
 
 
 def _params_from_dict(d: dict, problems: list):

@@ -21,13 +21,14 @@ each new system by defect correction around it, started from the iterate
 the solve replaces, and factorises (and keeps) a matrix only when the
 correction stalls or, around a start factor it was handed, once its budget
 of corrections is spent.  A held factor of a time step corrects around its
-start factor, then around the factor of the step's first system (the one
-at the previous velocity), then around its own factor of the true matrix,
-each only after the one before it gave up.  ``factorise`` makes every
-factor, with one symmetric-mode, fill-reducing ordering.  ``solve_saddle``
-is the one saddle entry point: a time step passes the ``PinnedSaddle`` of
-its frozen velocity and its held saddle factor, and the one-off set-up
-systems pass none and keep the default tolerance 1e-10.
+start factor, an earlier step's first-system factor, if it has one, then
+around the factor of its own step's first system (the one at the previous
+velocity), then around its own factor of the true matrix, each only after
+the one before it gave up.  ``factorise`` makes every factor, with one
+symmetric-mode, fill-reducing ordering.  ``solve_saddle`` is the one saddle
+entry point: a time step passes the ``PinnedSaddle`` of its frozen velocity
+and its held saddle factor, and the one-off set-up systems pass none and
+keep the default tolerance 1e-10.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ class KeptFactor:
     object's life (``spare`` left).  Once the last contraction, continued to
     ``max_corrections`` or ``spare``, cannot get there, the object gives the
     factor up.  A given-up start factor is handed back as ``keep(None)``, so
-    that one nobody else holds is freed at once; the object then factorises
-    the matrix ``first``, hands that factor over as ``keep(lu)`` and
-    corrects around it with no budget.  With no ``first`` (left), it
-    factorises the true matrix, solves with it, checks the residual against
-    ``tol`` and keeps that factor.  Matrices need ``@`` and ``tocsc()``.
+    that one nobody else holds is freed at once.  Then, or at once with no
+    ``lu``, the object factorises the matrix ``first``, hands that factor
+    over as ``keep(lu)`` and corrects around it with no budget.  With no
+    ``first`` (left), it factorises the true matrix, solves with it, checks
+    the residual against ``tol`` and keeps that factor.  Matrices need ``@``
+    and ``tocsc()``.
     """
 
     max_corrections = 30

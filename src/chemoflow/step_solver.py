@@ -22,14 +22,13 @@ trace evolves with its own surface diffusion driven by the bulk flux.
 The step matrices of one frozen velocity are one ``StepSystem``, the
 convection-free data of its step size plus one convection assembly; the
 inner loop, the fluid solve and the residual check read it, the fluid block
-in the solve's pinned layout.  A run keeps one ``StepBase`` per step size:
-that data, the start factor of each of its three blocks, which every
-attempt's held factors start from, and the last system, which the next step
-starts from.  The step matrices differ from the base by the skew convection
-block alone, and consecutive steps' matrices by ``k (C(u_m) - C(u_{m-1}))``:
-a start factor is the convection-free one until a grid step gives it up,
-and from then on the factor of that step's first system, carried to the
-steps after it.
+in the solve's pinned layout.  One ``StepBase`` per step size holds that
+data, the start factor of each of its three blocks, which every attempt's
+held factors start from, and the last system, which the next step starts
+from.  Consecutive steps' matrices differ by ``k (C(u_m) - C(u_{m-1}))``
+alone, so every start factor is the factor of some step's first system:
+the first attempt factorises its own, and a block that gives its start
+factor up later factorises its step's first system and carries that on.
 """
 
 from __future__ import annotations
@@ -155,13 +154,13 @@ def step_system(ops: OperatorSet, params, k: float, u: np.ndarray, data: tuple |
 
 
 class StepBase:
-    """What every attempt of step size ``k`` in one run shares.
+    """What every attempt of one step size ``k`` shares.
 
     ``data`` is the ``step_data`` of ``k`` and ``last`` the last system that
     ``system`` built from it.  ``factors`` holds the start factor of the
-    oxygen, cell and pinned fluid blocks, and ``sources`` the grid step
-    whose first system each was factorised from, 0 for the convection-free
-    matrix of ``data``; step ``j``'s first system is the one at
+    oxygen, cell and pinned fluid blocks, None until an attempt carries one,
+    and ``sources`` the grid step whose first system each was factorised
+    from, 0 for none; step ``j``'s first system is the one at
     ``states[j - 1].u``.  So each factor depends only on the mesh, the
     coefficients, ``k`` and a checkpointed velocity, and a base made from a
     checkpoint's ``sources`` and the ``states`` up to it holds the same bits.
@@ -170,11 +169,10 @@ class StepBase:
     def __init__(self, ops: OperatorSet, params, k: float, sources=(0, 0, 0), states=()):
         self.ops, self.params, self.k = ops, params, k
         self.last = None
-        self.data = oxygen, cells, velocity = step_data(ops, params, k)
+        self.data = step_data(ops, params, k)
         made = {j: self.system(states[j - 1].u).blocks for j in set(sources) if j}
-        if 0 in sources:
-            made[0] = ops.p1.matrix(oxygen), ops.p1.matrix(cells), PinnedSaddle(ops, velocity, k)
-        self.factors = [fluid.factorise(made[j][i], what) for i, (j, what) in enumerate(zip(sources, BLOCKS))]
+        self.factors = [fluid.factorise(made[j][i], what) if j else None
+                        for i, (j, what) in enumerate(zip(sources, BLOCKS))]
         self.sources = list(sources)
 
     def system(self, u: np.ndarray) -> StepSystem:
@@ -182,22 +180,18 @@ class StepBase:
         self.last = step_system(self.ops, self.params, self.k, u, self.data)
         return self.last
 
-    def held(self, first: StepSystem, step: int = 0) -> tuple:
+    def held(self, first: StepSystem, step: int) -> tuple:
         """One attempt's ``KeptFactor`` per block, started from ``factors``.
 
-        A block that gives up its start factor hands it to ``carry`` and
-        factorises its matrix in the attempt's ``first`` system.
+        A block with no start factor, or that gives it up, factorises its
+        matrix in the attempt's ``first`` system and hands it to ``carry``.
         """
         return tuple(KeptFactor(what, lu, matrix, partial(self.carry, i, step))
                      for i, (what, lu, matrix) in enumerate(zip(BLOCKS, self.factors, first.blocks)))
 
     def carry(self, i: int, step: int, lu) -> None:
-        """Carry ``lu`` as block ``i``'s start factor to the steps after grid ``step``.
-
-        ``None`` frees the given-up factor at once; a ``step`` of 0 (a halved retry) carries nothing.
-        """
-        if step:
-            self.factors[i], self.sources[i] = lu, step
+        """Carry ``lu``, grid ``step``'s first-system factor, as block ``i``'s start factor; None frees the old one."""
+        self.factors[i], self.sources[i] = lu, 0 if lu is None else step
 
 
 def c_step_rhs(ops: OperatorSet, params, inputs: StepInputs, c_hat, n_hat, consumption_fn):
@@ -314,7 +308,7 @@ def outer_step(
     params,
     ops: OperatorSet,
     options: SolverOptions = SolverOptions(),
-    bases: dict | None = None,
+    base: StepBase | None = None,
     step: int = 0,
 ) -> StepResult:
     """Full coupled step: alternate the (c, n) fixed point with fluid solves.
@@ -322,19 +316,15 @@ def outer_step(
     Convection in the fluid is linearised at the previous outer velocity
     iterate.  Convergence requires the inner loop converged, the velocity
     update below tolerance, and the fully nonlinear residual below tolerance;
-    failure is reported in the diagnostics.  The attempt starts from the
-    ``StepBase`` of ``k`` in ``bases`` (made when missing): its start factors,
-    and its last system when that is at ``u_prev``, else a new one there,
-    which is the attempt's first system.  It leaves its own last system
-    there, and for a grid ``step`` (0: none) the first-system factor of each
-    block that gave up its start factor.
+    failure is reported in the diagnostics.  The attempt starts from
+    ``base``, the ``StepBase`` of its step size (a new one when None): its
+    start factors, and its last system when that is at ``u_prev``, else a
+    new one there, which is the attempt's first system.  It leaves in
+    ``base`` its own last system and, for each block that had no start
+    factor or gave it up, the factor of its first system, from grid ``step``.
     """
     inputs.validate(ops)
-    k = inputs.dt
-    bases = {} if bases is None else bases
-    if k not in bases:
-        bases[k] = StepBase(ops, params, k)
-    base = bases[k]
+    base = StepBase(ops, params, inputs.dt) if base is None else base
     # the residual check and the next outer iteration share each new velocity's system
     system = base.last
     if system is None or not np.array_equal(system.u, inputs.u_prev):

@@ -13,8 +13,8 @@ uniform.  Retries are logged because the scheme itself fixes no fallback.
 
 Each step's checkpoint binds it to its problem and names, per block, the
 step whose first system the grid step size's carried start factor was
-factorised from, so a resume rebuilds that factor from the states it reads
-and continues bit for bit.
+factorised from (0: none yet), so a resume rebuilds that factor from the
+states it reads and continues bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .step_solver import FixedPointDiagnostics, SolverOptions, StepBase, StepInp
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # magic, u32 version, 64-byte mesh hash, u64 N, u64 m, f64 T, f64 t, u64 nv, u64 n_velocity,
 # 64-byte trajectory data hash, u64 factor source of the oxygen, cell and fluid blocks;
 # the fields follow, then a u32 CRC-32 of every byte before it
@@ -144,20 +144,18 @@ def trajectory_data_hash(ops: OperatorSet, params, state0: State, T: float) -> s
     return h.hexdigest()
 
 
-def _advance(ops, params, state: State, k: float, t_next: float, options, depth: int, step: int, bases: dict):
+def _advance(ops, params, state: State, k: float, t_next: float, options, depth: int, step: int, base: StepBase):
     """One step of size k ending at t_next, halving on failure up to depth.
 
-    ``bases`` maps each step size to its ``StepBase`` (convection-free step
-    data, the start factors of the oxygen, cell and fluid blocks, and the
-    last system), shared by every attempt of that size.  Only the attempts
-    at the grid step size (``depth`` still ``options.retry_depth``) carry
-    factors to later steps, because only their first systems are at
-    checkpointed states.  A failed linear solve is a failed attempt, like a
-    stalled fixed point.
+    The attempt starts from ``base``, the ``StepBase`` of ``k``, and carries
+    its first-system factors on in it.  A retry makes one base of ``k/2``
+    for its two halves, dropped with them, so the grid step size's base
+    carries only factors of first systems at checkpointed states.  A failed
+    linear solve is a failed attempt, like a stalled fixed point.
     """
     inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u, dt=k)
     try:
-        result = outer_step(inputs, params, ops, options, bases=bases, step=step if depth == options.retry_depth else 0)
+        result = outer_step(inputs, params, ops, options, base=base, step=step)
     except LinearSolveError as exc:
         result, residual, reason = None, None, str(exc)
     else:
@@ -165,31 +163,18 @@ def _advance(ops, params, state: State, k: float, t_next: float, options, depth:
         reason = f"residual {residual:.3e}"
     if result is None or not result.diagnostics.converged:
         if depth <= 0:
-            raise StepFailure(
-                f"step {step} at t={t_next:g} failed to converge ({reason}) after exhausting retries",
-                step=step,
-                time=t_next,
-                residual=residual,
-            )
-        logger.warning(
-            "step %d at t=%g did not converge with k=%g (%s); retrying with k/2 "
-            "(local rescue, the uniform grid is unchanged)",
-            step,
-            t_next,
-            k,
-            reason,
-        )
-        mid_state, d1 = _advance(ops, params, state, k / 2, t_next - k / 2, options, depth - 1, step, bases)
-        end_state, d2 = _advance(ops, params, mid_state, k / 2, t_next, options, depth - 1, step, bases)
+            raise StepFailure(f"step {step} at t={t_next:g} failed to converge ({reason}) after exhausting retries",
+                              step=step, time=t_next, residual=residual)
+        logger.warning("step %d at t=%g did not converge with k=%g (%s); retrying with k/2 (local rescue, the "
+                       "uniform grid is unchanged)", step, t_next, k, reason)
+        half = StepBase(ops, params, k / 2)
+        mid_state, d1 = _advance(ops, params, state, k / 2, t_next - k / 2, options, depth - 1, step, half)
+        end_state, d2 = _advance(ops, params, mid_state, k / 2, t_next, options, depth - 1, step, half)
         return end_state, d1 + d2
     new = State(c=result.c, n=result.n, u=result.u, p=result.p, t=t_next)
     bad = new.first_nonfinite_field()
     if bad is not None:
-        raise StepFailure(
-            f"non-finite values in field '{bad}' at step {step}, t={t_next:g}",
-            step=step,
-            time=t_next,
-        )
+        raise StepFailure(f"non-finite values in field '{bad}' at step {step}, t={t_next:g}", step=step, time=t_next)
     return new, [result.diagnostics]
 
 
@@ -220,8 +205,7 @@ def run(
 
     states = [state0]
     diagnostics: list[tuple] = [()]
-    start = 0
-    bases: dict = {}
+    start, sources = 0, (0, 0, 0)
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -230,21 +214,21 @@ def run(
                 if (checkpoint_dir / checkpoint_name(m)).exists():
                     read = _read_checkpoints(checkpoint_dir, ops, params, grid, m, data_hash)
                     states = [checkpoint.state for checkpoint in read]
-                    bases[grid.k] = StepBase(ops, params, grid.k, read[-1].sources, states)
+                    sources = read[-1].sources
                     diagnostics = [()] * (m + 1)
                     start = m
                     break
         write_checkpoint(checkpoint_dir / checkpoint_name(0), mesh_hash, grid, 0, states[0], data_hash)
 
+    base = StepBase(ops, params, grid.k, sources, states)
     state = states[-1]
     for m in range(start + 1, grid.N + 1):
         t_next = grid.time(m)
-        state, diags = _advance(ops, params, state, grid.k, t_next, options, options.retry_depth, m, bases)
+        state, diags = _advance(ops, params, state, grid.k, t_next, options, options.retry_depth, m, base)
         states.append(state)
         diagnostics.append(tuple(diags))
         if checkpoint_dir is not None:
-            write_checkpoint(checkpoint_dir / checkpoint_name(m), mesh_hash, grid, m, state, data_hash,
-                             bases[grid.k].sources)
+            write_checkpoint(checkpoint_dir / checkpoint_name(m), mesh_hash, grid, m, state, data_hash, base.sources)
     return Trajectory(
         grid=grid, states=tuple(states), diagnostics=tuple(diagnostics), data_hash=data_hash
     )
@@ -305,7 +289,7 @@ def write_checkpoint(path, mesh_hash: str, grid: TimeGrid, m: int, state: State,
     """Binary checkpoint: the ``CHECKPOINT_HEADER``, c, n, u, p as little-endian f64, then a u32 CRC-32.
 
     ``sources`` names, per block, the step whose first system the grid step
-    size's start factor came from (0: the convection-free matrix).  The file
+    size's start factor came from (0: none yet).  The file
     is written as ``<name>.tmp`` beside ``path`` and renamed onto it, so an
     interrupted write never leaves a checkpoint that a resume or
     ``load_trajectory`` would read.

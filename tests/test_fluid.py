@@ -244,10 +244,11 @@ def test_saddle_cache_converging_correction_does_not_fall_back(coarse_ops, monke
 
 
 def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
-    # a base shared with an earlier saddle solve that stalled and kept its
-    # own factor, and with an inner loop that spent corrections around its
-    # scalar factors: the step starts from the base factors alone, with a
-    # full correction budget, so it computes the same bits as a fresh store
+    # a base that carries an attempt's first-system factors, shared with a
+    # saddle solve that stalled and kept its own factor, and with an inner
+    # loop that spent corrections around its scalar factors: the next
+    # attempt starts from the base factors alone, with a full correction
+    # budget, so it computes the same bits as from a base not shared
     ops = coarse_ops
     params = ModelParams(xi=0.01)
     k = 0.0625
@@ -257,19 +258,23 @@ def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
     n = rng.random(ops.mesh.n_vertices)
     u_prev = np.zeros(ops.vspace.n_velocity)
     inputs = StepInputs(c_prev=c, n_prev=n, u_prev=u_prev, dt=k)
-    fresh = outer_step(inputs, params, ops)
+    unshared = StepBase(ops, params, k)
+    outer_step(inputs, params, ops, base=unshared, step=1)
+    fresh = outer_step(inputs, params, ops, base=unshared, step=2)
     made = counted_factorisations(monkeypatch)
-    bases = {k: StepBase(ops, params, k)}
-    oxygen_lu, cells_lu, saddle_lu = bases[k].factors
+    base = StepBase(ops, params, k)
+    outer_step(inputs, params, ops, base=base, step=1)
+    oxygen_lu, cells_lu, saddle_lu = base.factors
+    assert base.sources == [1, 1, 1] and made[:3] == [oxygen_lu, cells_lu, saddle_lu]
     solve_saddle(ops, A, rhs, factor=KeptFactor("saddle", saddle_lu))
-    assert made[:3] == [oxygen_lu, cells_lu, saddle_lu] and len(made) == 4
-    stalled = made[3]
+    stalled = made[-1]
+    assert stalled not in base.factors and stalled.solves == 1
     held = (KeptFactor("oxygen", oxygen_lu), KeptFactor("cell-density", cells_lu))
     other = StepInputs(c_prev=2 * c, n_prev=n, u_prev=u_prev, dt=k)
     picard_inner(other, step_system(ops, params, other.dt, u_prev), params, ops, factors=held)
     assert all(f.spare < KeptFactor.max_corrections for f in held)
     solves = saddle_lu.solves
-    result = outer_step(inputs, params, ops, bases=bases)
+    result = outer_step(inputs, params, ops, base=base, step=2)
     assert saddle_lu.solves > solves and stalled.solves == 1
     for name in ("c", "n", "u", "p"):
         assert np.array_equal(getattr(result, name), getattr(fresh, name))

@@ -70,10 +70,9 @@ def test_energy_report_golden(tmp_path, capsys):
     assert len(report) == len(golden) and report[1:] == golden[1:]
 
 
-# the golden checkpoint: step 1 of T=1, N=4 on the tiny mesh, whose oxygen
-# and fluid start factors come from step 1's first system and whose cell
-# factor is the convection-free one
-GOLDEN_SOURCES = (1, 0, 1)
+# the golden checkpoint: step 1 of T=1, N=4 on the tiny mesh, whose three
+# start factors come from step 1's first system, as after every first step
+GOLDEN_SOURCES = (1, 1, 1)
 
 
 def sha256_hex(*chunks):
@@ -103,7 +102,7 @@ def test_checkpoint_format_golden(tmp_path):
 def encode_checkpoint(mesh_hash, N, m, T, state, data_hash, sources):
     """The docs/formats.md checkpoint table, built with struct and zlib alone."""
     nv, nvel = len(state.c), len(state.u)
-    out = b"CFCK" + struct.pack("<I", 3) + mesh_hash.encode("ascii")
+    out = b"CFCK" + struct.pack("<I", 4) + mesh_hash.encode("ascii")
     out += struct.pack("<QQ", N, m) + struct.pack("<dd", T, state.t)
     out += struct.pack("<QQ", nv, nvel)
     out += data_hash.encode("ascii") + struct.pack("<QQQ", *sources)
@@ -156,7 +155,7 @@ def test_checkpoint_of_version_2_is_refused(tmp_path):
     data = (GOLDEN / "checkpoint_tiny.ckpt").read_bytes()
     path = tmp_path / "v2.ckpt"
     path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:-4])
-    with pytest.raises(StepFailure, match="v2.ckpt: checkpoint version 2 not supported, only 3"):
+    with pytest.raises(StepFailure, match="v2.ckpt: checkpoint version 2 not supported, only 4"):
         read_checkpoint(path, load_mesh(GOLDEN / "mesh_tiny.txt").data_hash(), TimeGrid(T=1.0, N=4))
 
 

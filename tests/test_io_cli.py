@@ -1,16 +1,18 @@
 import hashlib
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chemoflow import cli, fluid, timestepping
+from chemoflow import cli, config, fluid, timestepping
 from chemoflow.cli import main
 from chemoflow.config import (
     ConfigError,
@@ -189,6 +191,23 @@ def test_cli_validate_benchmark_exit_zero(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "WARNING" not in out
+
+
+def test_cli_validate_checks_the_parameters_once(monkeypatch, capsys):
+    # the findings of the config's own check are the ones printed
+    calls = []
+    check = config.validate_params
+
+    def counted(params):
+        calls.append(params)
+        return check(params)
+
+    monkeypatch.setattr(config, "validate_params", counted)
+    assert main(["validate", "--config", str(STEADY_CONFIG)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "INFO    delta-hat-window: admissible delta-hat window: (0.1, 1)\nconfiguration valid\n"
+    )
 
 
 def test_cli_validate_bad_config(tmp_path, capsys):
@@ -516,32 +535,52 @@ def test_cli_run_failed_step_leaves_only_checkpoints(tmp_path, monkeypatch, caps
     assert sorted(path.name for path in out.iterdir()) == ["checkpoints", "config_used.json", "mesh.txt"]
 
 
-def test_cli_run_interrupted_exits_130(tmp_path, monkeypatch, capsys):
-    # Ctrl-C during step 3 ends typed; the checkpoints of steps 0-2 are
-    # complete and no partial write is left
+def stopped_in_step3(tmp_path, monkeypatch, capsys, stop):
+    """Exit code and stderr of a checkpointed ``run`` that calls ``stop()`` as step 3 starts.
+
+    The checkpoints of steps 0-2 must be whole, with no partial write left.
+    """
     outer = timestepping.outer_step
     calls = []
 
-    def interrupted_step3(*args, **kwargs):
+    def stopping(*args, **kwargs):
         calls.append(1)
         if len(calls) == 3:
-            raise KeyboardInterrupt
+            stop()
         return outer(*args, **kwargs)
 
-    monkeypatch.setattr(timestepping, "outer_step", interrupted_step3)
+    monkeypatch.setattr(timestepping, "outer_step", stopping)
     out = tmp_path / "out"
     code = main(
         ["run", "--config", str(STEADY_CONFIG), "--output", str(out), "--set", "time.N=4",
          "--set", "mesh.target_h=0.35", "--set", "output.checkpoints=true"]
     )
     err = capsys.readouterr().err
-    assert code == cli.EXIT_INTERRUPTED == 130
-    assert err.startswith("interrupted: run") and "Traceback" not in err
     names = sorted(path.name for path in (out / "checkpoints").iterdir())
     assert names == [timestepping.checkpoint_name(m) for m in range(3)]
     mesh_hash = load_mesh(out / "mesh.txt").data_hash()
     for m, name in enumerate(names):
         assert timestepping.read_checkpoint(out / "checkpoints" / name, mesh_hash, TimeGrid(T=1.0, N=4)).m == m
+    return code, err
+
+
+def test_cli_run_interrupted_exits_130(tmp_path, monkeypatch, capsys):
+    # Ctrl-C during step 3 ends typed
+    def interrupt():
+        raise KeyboardInterrupt
+
+    code, err = stopped_in_step3(tmp_path, monkeypatch, capsys, interrupt)
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert err.startswith("interrupted: run") and "Traceback" not in err
+
+
+def test_cli_run_terminated_exits_143(tmp_path, monkeypatch, capsys):
+    # a real SIGTERM during step 3 ends typed, and the caller's handler is back after it
+    before = signal.getsignal(signal.SIGTERM)
+    code, err = stopped_in_step3(tmp_path, monkeypatch, capsys, lambda: os.kill(os.getpid(), signal.SIGTERM))
+    assert signal.getsignal(signal.SIGTERM) is before
+    assert code == cli.EXIT_TERMINATED == 143
+    assert err == "terminated: run\n"
 
 
 def test_cli_setup_solve_failure_exits_solver(tmp_path, monkeypatch, capsys):
@@ -613,12 +652,27 @@ def v1_checkpoint(tmp_path):
     path = directory / "step_000001.ckpt"
     data = path.read_bytes()
     path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:120] + data[timestepping.CHECKPOINT_HEADER.size : -4])
-    return directory, "step_000001.ckpt: checkpoint version 1 not supported, only 3"
+    return directory, "step_000001.ckpt: checkpoint version 1 not supported, only 4"
+
+
+def v3_checkpoint(tmp_path):
+    # step 1's file as version 3 wrote it: the same layout, resealed, but a
+    # factor source 0 there named the convection-free factor, which no
+    # resume rebuilds any more
+    assert main(["run", *SMALL_STEADY, "--output", str(tmp_path / "run"), "--set", "output.checkpoints=true"]) == 0
+    directory = tmp_path / "run" / "checkpoints"
+    path = directory / "step_000001.ckpt"
+    data = bytearray(path.read_bytes())
+    data[4:8] = struct.pack("<I", 3)
+    data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+    path.write_bytes(bytes(data))
+    return directory, "step_000001.ckpt: checkpoint version 3 not supported, only 4"
 
 
 @pytest.mark.parametrize(
     "checkpoints",
-    [missing_checkpoints, truncated_checkpoint, foreign_hash_checkpoint, misplaced_checkpoint, v1_checkpoint],
+    [missing_checkpoints, truncated_checkpoint, foreign_hash_checkpoint, misplaced_checkpoint, v1_checkpoint,
+     v3_checkpoint],
 )
 def test_cli_energy_refused_checkpoint_exits_solver(tmp_path, capsys, checkpoints):
     # a checkpoint the reader refuses is a StepFailure, exit 3; exit 4 is an

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 from chemoflow import fluid, step_solver, timestepping
 from chemoflow.assembly import assemble_convection, build_operators
 from chemoflow.config import apply_overrides, build_initial_state, config_from_dict, load_config
-from chemoflow.fluid import KeptFactor, project_divergence_free
+from chemoflow.fluid import KeptFactor, LinearSolveError, project_divergence_free
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams, ResponseSpec
 from chemoflow.step_solver import (
@@ -185,10 +185,10 @@ def test_outer_step_zero_forcing_reduces_to_inner(coarse_ops):
     assert result.diagnostics.converged
     assert result.diagnostics.outer_iterations == 1
     assert np.max(np.abs(result.u)) == 0.0
-    # the inner loop alone, its factors started from the same base
-    base = StepBase(ops, params, inputs.dt)
-    factors = (KeptFactor("oxygen", base.factors[0]), KeptFactor("cell-density", base.factors[1]))
+    # the inner loop alone, its factors those of the step's first system,
+    # which an attempt with no start factor makes on its first solve
     system = step_system(ops, params, inputs.dt, inputs.u_prev)
+    factors = (KeptFactor("oxygen", first=system.oxygen), KeptFactor("cell-density", first=system.cells))
     c_ref, n_ref, _ = picard_inner(inputs, system, params, ops, factors=factors)
     assert np.array_equal(result.c, c_ref) and np.array_equal(result.n, n_ref)
 
@@ -329,7 +329,7 @@ def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
     result = outer_step(inputs, PARAMS, ops)
     assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
     scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
-    assert len(scalar) == 2 and len(made) == 3  # the oxygen, cell and fluid bases
+    assert len(scalar) == 2 and len(made) == 3  # the oxygen, cell and fluid first systems
 
 
 def counted_convection(monkeypatch):
@@ -359,20 +359,23 @@ def test_one_convection_assembly_per_frozen_velocity(coarse_ops, monkeypatch):
 
 
 def test_next_step_starts_from_the_system_the_last_one_ended_on(coarse_ops, monkeypatch):
-    # a step that shares the store of the step before it starts from that
-    # step's last system: one convection assembly fewer than with a fresh
-    # store, and the same bits
+    # a step that shares the base of the step before it starts from that
+    # step's last system and its first-system factors: one convection
+    # assembly fewer than with a base rebuilt from those factors' sources,
+    # as a resume builds it, and the same bits
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
     first = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125), dt=0.05)
-    bases = {}
-    previous = outer_step(first, PARAMS, ops, bases=bases)
-    assert bases[first.dt].last.u is previous.u
+    base = StepBase(ops, PARAMS, first.dt)
+    previous = outer_step(first, PARAMS, ops, base=base, step=1)
+    assert base.last.u is previous.u and base.sources == [1, 1, 1]
     second = make_inputs(ops, c=previous.c, n=previous.n, u=previous.u.copy(), dt=first.dt)
+    state0 = timestepping.State(first.c_prev, first.n_prev, first.u_prev, np.zeros(ops.mesh.n_vertices), 0.0)
+    rebuilt = StepBase(ops, PARAMS, first.dt, base.sources, [state0])
     velocities = counted_convection(monkeypatch)
-    shared = outer_step(second, PARAMS, ops, bases=bases)
+    shared = outer_step(second, PARAMS, ops, base=base, step=2)
     assembled = len(velocities)
-    fresh = outer_step(second, PARAMS, ops)
+    fresh = outer_step(second, PARAMS, ops, base=rebuilt, step=2)
     assert shared.diagnostics.converged and shared.diagnostics.outer_iterations > 1
     assert assembled == len(velocities) - assembled - 1
     for name in ("c", "n", "u", "p"):
@@ -409,9 +412,9 @@ def solves_by_block(monkeypatch):
 def test_warm_started_run_triangular_solves(monkeypatch):
     # every held-factor solve corrects from the iterate it replaces, so the
     # later outer iterations of a step need fewer corrections; bounds are the
-    # counts of the warm-started solver around the base factors of the step
-    # size (cold starts took 192, 667 and 885 solves, and 17 oxygen and 17
-    # cell factorisations)
+    # counts of the warm-started solver around first-system factors (cold
+    # starts took 192, 667 and 885 solves, and 17 oxygen and 17 cell
+    # factorisations)
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     raw = apply_overrides(load_config(config).raw, ["mesh.target_h=0.1", "time.N=16"])
     cfg = config_from_dict(raw, base_dir=config.parent)
@@ -421,22 +424,23 @@ def test_warm_started_run_triangular_solves(monkeypatch):
     solves, made = solves_by_block(monkeypatch)
     traj = run(ops, cfg.params, cfg.grid, state0, options=cfg.options)
     assert all(d.converged for ds in traj.diagnostics[1:] for d in ds)
-    assert solves["saddle"] <= 109
-    assert solves["oxygen"] <= 491
-    assert solves["cell-density"] <= 390
-    assert made["oxygen"] <= 11 and made["cell-density"] == 1 and made["saddle"] == 1
+    assert solves["saddle"] <= 102
+    assert solves["oxygen"] <= 424
+    assert solves["cell-density"] <= 362
+    assert made["oxygen"] == 1 and made["cell-density"] == 1 and made["saddle"] == 1
 
 
 def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
-    # the low_xi data (xi=0.01, h=0.1, k=1/16), first four steps: in every
-    # attempt the oxygen and cell corrections around the start factor the
-    # attempt holds (the convection-free one in step 1, the factor of the
-    # previous step's first system after it) stall or spend their budget;
-    # each block then factorises its own first system's matrix once, keeps
-    # it for the rest of the attempt and leaves it as the next step's start
-    # factor.  The saddle gives its start factor up less often.  No system
-    # is built twice: an attempt assembles the convection of its first
-    # system only when it made the base, and one per outer iteration.
+    # the low_xi data (xi=0.01, h=0.1, k=1/16), first four steps: step 1
+    # has no start factors, so each block factorises its first system's
+    # matrix once and carries it.  In every later attempt the oxygen and
+    # cell corrections around the factor of the previous step's first
+    # system stall or spend their budget; each block then factorises its
+    # own first system's matrix once, keeps it for the rest of the attempt
+    # and carries it to the next step.  The saddle gives its start factor
+    # up less often.  No system is built twice: an attempt assembles the
+    # convection of its first system only when the base holds no last
+    # system yet, and one per outer iteration.
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
     raw = apply_overrides(load_config(config).raw, ["params.xi=0.01", "mesh.target_h=0.1", "time.N=16"])
     cfg = config_from_dict(raw, base_dir=config.parent)
@@ -448,18 +452,15 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
     attempts, assemblies = [], []
     outer = timestepping.outer_step
 
-    def attempt(inputs, params, ops, options, bases, **kwargs):
-        new = inputs.dt not in bases
+    def attempt(inputs, params, ops, options, base, step):
+        new = base.last is None
         before = made.copy()
-        if new:
-            bases[inputs.dt] = StepBase(ops, params, inputs.dt)
-        base = bases[inputs.dt]
-        starts = list(zip(BLOCKS, base.factors))
+        starts = [(what, lu) for what, lu in zip(BLOCKS, base.factors) if lu is not None]
         spent = {what: lu.solves for what, lu in starts}
         assembled = len(velocities)
-        result = outer(inputs, params, ops, options, bases=bases, **kwargs)
+        result = outer(inputs, params, ops, options, base=base, step=step)
         corrections = {what: lu.solves - spent[what] for what, lu in starts}
-        attempts.append((new, made - before, corrections, list(base.sources)))
+        attempts.append((step, made - before, corrections, list(base.sources)))
         assemblies.append((len(velocities) - assembled, result.diagnostics.outer_iterations + new))
         return result
 
@@ -469,12 +470,37 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
     traj = run(ops, cfg.params, grid, state0, options=cfg.options)
     assert all(d.converged for ds in traj.diagnostics[1:] for d in ds) and len(attempts) == 4
     assert all(built == due for built, due in assemblies), assemblies
-    for step, (new, factorisations, corrections, sources) in enumerate(attempts, start=1):
+    assert [step for step, *_ in attempts] == [1, 2, 3, 4] and attempts[0][2] == {}
+    for step, factorisations, corrections, sources in attempts:
         for block in ("oxygen", "cell-density"):
-            assert factorisations[block] == new + 1
-            assert 0 < corrections[block] <= KeptFactor.max_corrections
+            assert factorisations[block] == 1
+            assert step == 1 or 0 < corrections[block] <= KeptFactor.max_corrections
         assert sources[:2] == [step, step]
-        assert 0 < corrections["saddle"] <= KeptFactor.max_corrections
-    # the convection-free factor and step 1's first system, then step 3's
-    assert [factorisations["saddle"] for _, factorisations, _, _ in attempts] == [2, 0, 1, 0]
+        assert step == 1 or 0 < corrections["saddle"] <= KeptFactor.max_corrections
+    # step 1's first system, then step 3's
+    assert [factorisations["saddle"] for _, factorisations, _, _ in attempts] == [1, 0, 1, 0]
     assert [sources[2] for *_, sources in attempts] == [1, 1, 3, 3]
+
+
+def test_fresh_step_base_factorises_nothing(coarse_ops, monkeypatch):
+    # the first attempt factorises its own first system, so a base starts
+    # with no start factor and builds no system
+    solves, made = solves_by_block(monkeypatch)
+    velocities = counted_convection(monkeypatch)
+    base = StepBase(coarse_ops, PARAMS, 0.05)
+    assert not made and not velocities and base.last is None
+    assert base.factors == [None, None, None] and base.sources == [0, 0, 0]
+
+
+def test_failed_first_system_factorisation_carries_no_source(coarse_ops, monkeypatch):
+    # the block hands back its (absent) start factor before it factorises
+    # its first system; when that fails it carries nothing, so a checkpoint
+    # written after the retry names no factor the run does not hold
+    def singular(matrix, **kw):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fluid, "splu", singular)
+    base = StepBase(coarse_ops, PARAMS, 0.05)
+    with pytest.raises(LinearSolveError, match="oxygen factorisation failed"):
+        outer_step(make_inputs(coarse_ops), PARAMS, coarse_ops, base=base, step=1)
+    assert base.factors == [None, None, None] and base.sources == [0, 0, 0]

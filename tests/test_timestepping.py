@@ -211,7 +211,7 @@ def failing_factorisation(monkeypatch):
 
 def test_linear_solve_failure_is_retried_then_names_step(coarse_ops, monkeypatch):
     attempts = failing_factorisation(monkeypatch)
-    # the oxygen base factor is the first factorisation of each step size
+    # the oxygen factor of its first system is the first factorisation of each attempt
     with pytest.raises(StepFailure, match="oxygen factorisation failed") as exc:
         run(coarse_ops, PARAMS, TimeGrid(T=1.0, N=2), steady_initial(coarse_ops), SolverOptions(retry_depth=2))
     # k = 0.5 fails, then its first half, then the first quarter, which ends at 0.125
@@ -227,23 +227,37 @@ def test_retry_rescues_with_halved_step(coarse_ops, caplog, monkeypatch):
     grid = TimeGrid(T=4.0, N=1)
     params = ModelParams(grad_sigma=(0.0, 0.0))  # one outer pass per attempt
     opts = SolverOptions(max_inner=8, max_outer=1, inner_tol=1e-10, outer_tol=1e-9, retry_depth=2)
-    made = []
+    made, attempts = [], []
+    outer = timestepping.outer_step
 
     def counted(matrix, **kw):
         made.append(matrix.shape)
         return splu(matrix, **kw)
 
+    def recorded(inputs, params, ops, options, base, step):
+        result = outer(inputs, params, ops, options, base=base, step=step)
+        attempts.append((inputs.dt, base, list(base.factors), list(base.sources)))
+        return result
+
     monkeypatch.setattr(fluid, "splu", counted)
+    monkeypatch.setattr(timestepping, "outer_step", recorded)
     with caplog.at_level(logging.WARNING):
         traj = run(ops, params, grid, bump_initial(ops), options=opts)
     assert any("retrying with k/2" in r.message for r in caplog.records)
     assert len(traj.states) == grid.N + 1
     assert traj.states[1].t == grid.time(1)  # merged back onto the uniform grid
     assert len(traj.diagnostics[1]) > 1  # substep diagnostics kept
-    # one oxygen, cell and Stokes base factor per step size, shared by both
-    # k=2 halves
+    # the oxygen, cell and fluid factors of the k=4 attempt's first system
+    # and of the first k=2 half's, which the second half starts from
     scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
     assert len(made) - len(scalar) == 2 and len(scalar) == 4
+    # both halves share one base of k=2, made for the retry, and the grid
+    # step size's base keeps the factors and sources of its own attempt
+    (k, grid_base, factors, sources), first_half, second_half = attempts
+    assert (k, first_half[0], second_half[0]) == (4.0, 2.0, 2.0)
+    assert first_half[1] is second_half[1] is not grid_base and first_half[1].k == 2.0
+    assert sources == [1, 1, 1] and grid_base.sources == sources
+    assert all(a is b for a, b in zip(grid_base.factors, factors))
 
 
 def stokes_initial(ops, params):
