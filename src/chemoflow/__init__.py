@@ -7,7 +7,7 @@ from .config import ConfigError, RunConfig, load_config
 from .energy import EnergyLedger, build_ledger, discrete_gronwall, uniform_bound_scan
 from .geometry import Mesh, build_disc_mesh
 from .model import ModelParams, ResponseSpec, validate_params
-from .step_solver import SolverOptions, StepInputs, StepSystem, outer_step, picard_inner, step_system
+from .step_solver import SolverOptions, StepBase, StepInputs, StepSystem, outer_step, picard_inner
 from .timestepping import State, TimeGrid, Trajectory, run
 
 __version__ = "0.1.0"
@@ -22,6 +22,7 @@ __all__ = [
     "RunConfig",
     "SolverOptions",
     "State",
+    "StepBase",
     "StepInputs",
     "StepSystem",
     "TimeGrid",
@@ -33,7 +34,6 @@ __all__ = [
     "load_config",
     "outer_step",
     "picard_inner",
-    "step_system",
     "run",
     "uniform_bound_scan",
     "validate_params",

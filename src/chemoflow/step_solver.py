@@ -22,10 +22,14 @@ trace evolves with its own surface diffusion driven by the bulk flux.
 The step matrices of one frozen velocity are one ``StepSystem``, the
 convection-free data of its step size plus one convection assembly; the
 inner loop, the fluid solve and the residual check read it, the fluid block
-in the solve's pinned layout.  One ``StepBase`` per step size holds that
-data, the start factor of each of its three blocks, which every attempt's
-held factors start from, and the last system, which the next step starts
-from.  Consecutive steps' matrices differ by ``k (C(u_m) - C(u_{m-1}))``
+in the solve's pinned layout.  ``StepBase`` is the one owner of what every
+attempt at a step size ``k`` shares: the operators, the coefficients, ``k``
+and the solver options, the convection-free data, the start factor of each
+of its three blocks, which every attempt's held factors start from, and the
+last system, which the next step starts from.  ``outer_step``,
+``picard_inner``, ``step_residual`` and the block loads read all of it from
+the base they are given, so one step's matrices and loads share one ``k``.
+Consecutive steps' matrices differ by ``k (C(u_m) - C(u_{m-1}))``
 alone, so every start factor is the factor of some step's first system:
 the first attempt factorises its own, and a block that gives its start
 factor up later factorises its step's first system and carries that on.
@@ -48,7 +52,7 @@ BLOCKS = ("oxygen", "cell-density", "saddle")  # the block names a failed factor
 
 @dataclass(frozen=True)
 class StepInputs:
-    """Previous-step fields feeding one implicit step.
+    """Previous-step fields feeding one implicit step; its step size is the ``StepBase``'s ``k``.
 
     The oxygen boundary trace is the restriction of ``c_prev``; the boundary
     operators are vertex-indexed, so it needs no field of its own.
@@ -57,11 +61,8 @@ class StepInputs:
     c_prev: np.ndarray
     n_prev: np.ndarray
     u_prev: np.ndarray
-    dt: float
 
     def validate(self, ops: OperatorSet) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         nv = ops.mesh.n_vertices
         if self.c_prev.shape != (nv,) or self.n_prev.shape != (nv,):
             raise ValueError("scalar fields do not match the mesh vertex count")
@@ -131,32 +132,13 @@ class StepSystem:
         return self.oxygen, self.cells, self.fluid
 
 
-def step_data(ops: OperatorSet, params, k: float) -> tuple:
-    """Convection-free pattern data of the oxygen, cell and fluid step matrices, in their sparse sums' order."""
-    a_ob = params.alpha / params.b
-    oxygen = ops.M_vol.data.copy()
-    oxygen[ops.loop_slot] += a_ob * ops.M_bnd_global.data
-    oxygen += k * params.alpha * ops.K_vol.data
-    oxygen[ops.loop_slot] += k * a_ob * ops.K_bnd_global.data
-    return oxygen, ops.M_vol.data + k * params.beta * ops.K_vol.data, ops.M_u.data + k * params.xi * ops.K_u.data
-
-
-def step_system(ops: OperatorSet, params, k: float, u: np.ndarray, data: tuple | None = None) -> StepSystem:
-    """Step matrices of step size ``k`` at ``u``: its ``step_data``, or ``data``, plus ``k C(u)``."""
-    oxygen, cells, velocity = step_data(ops, params, k) if data is None else data
-    C, C_u = assemble_convection(ops, u)
-    return StepSystem(
-        u=u,
-        oxygen=ops.p1.matrix(oxygen + k * C.data),
-        cells=ops.p1.matrix(cells + k * C.data),
-        fluid=PinnedSaddle(ops, velocity + k * C_u.data, k),
-    )
-
-
 class StepBase:
-    """What every attempt of one step size ``k`` shares.
+    """The one owner of what every attempt at one step size ``k`` shares.
 
-    ``data`` is the ``step_data`` of ``k`` and ``last`` the last system that
+    The solver layers read the operators ``ops``, the coefficients
+    ``params``, ``k`` and the solver ``options`` from here.  ``data`` is the
+    convection-free pattern data of the oxygen, cell and fluid step matrices
+    of ``k``, in their sparse sums' order, and ``last`` the last system that
     ``system`` built from it.  ``factors`` holds the start factor of the
     oxygen, cell and pinned fluid blocks, None until an attempt carries one,
     and ``sources`` the grid step whose first system each was factorised
@@ -166,18 +148,39 @@ class StepBase:
     checkpoint's ``sources`` and the ``states`` up to it holds the same bits.
     """
 
-    def __init__(self, ops: OperatorSet, params, k: float, sources=(0, 0, 0), states=()):
-        self.ops, self.params, self.k = ops, params, k
+    def __init__(self, ops: OperatorSet, params, k: float, options: SolverOptions = SolverOptions(),
+                 sources=(0, 0, 0), states=()):
+        if not 0 < k < np.inf:
+            raise ValueError(f"step size k must be positive and finite, got {k}")
+        self.ops, self.params, self.k, self.options = ops, params, k, options
         self.last = None
-        self.data = step_data(ops, params, k)
+        a_ob = params.alpha / params.b
+        oxygen = ops.M_vol.data.copy()
+        oxygen[ops.loop_slot] += a_ob * ops.M_bnd_global.data
+        oxygen += k * params.alpha * ops.K_vol.data
+        oxygen[ops.loop_slot] += k * a_ob * ops.K_bnd_global.data
+        cells = ops.M_vol.data + k * params.beta * ops.K_vol.data
+        self.data = oxygen, cells, ops.M_u.data + k * params.xi * ops.K_u.data
         made = {j: self.system(states[j - 1].u).blocks for j in set(sources) if j}
         self.factors = [fluid.factorise(made[j][i], what) if j else None
                         for i, (j, what) in enumerate(zip(sources, BLOCKS))]
         self.sources = list(sources)
 
+    def halved(self) -> StepBase:
+        """A retry level's base: the same operators, coefficients and options, step ``k/2``, no start factors."""
+        return StepBase(self.ops, self.params, self.k / 2, self.options)
+
     def system(self, u: np.ndarray) -> StepSystem:
-        """The system of ``k`` at ``u``, kept as ``last``."""
-        self.last = step_system(self.ops, self.params, self.k, u, self.data)
+        """The system of ``k`` at ``u``, ``data`` plus ``k C(u)``, kept as ``last``."""
+        ops, k = self.ops, self.k
+        oxygen, cells, velocity = self.data
+        C, C_u = assemble_convection(ops, u)
+        self.last = StepSystem(
+            u=u,
+            oxygen=ops.p1.matrix(oxygen + k * C.data),
+            cells=ops.p1.matrix(cells + k * C.data),
+            fluid=PinnedSaddle(ops, velocity + k * C_u.data, k),
+        )
         return self.last
 
     def held(self, first: StepSystem, step: int) -> tuple:
@@ -194,25 +197,28 @@ class StepBase:
         self.factors[i], self.sources[i] = lu, 0 if lu is None else step
 
 
-def c_step_rhs(ops: OperatorSet, params, inputs: StepInputs, c_hat, n_hat, consumption_fn):
-    a_ob = params.alpha / params.b
-    consumption = n_hat * consumption_fn(c_hat)
+def c_step_rhs(base: StepBase, inputs: StepInputs, c_hat, n_hat):
+    """Right side of the oxygen step: previous oxygen and boundary trace less the consumption load."""
+    ops, params = base.ops, base.params
+    consumption = n_hat * params.consumption()(c_hat)
     return (
         ops.M_vol @ inputs.c_prev
-        + a_ob * (ops.M_bnd_global @ inputs.c_prev)
-        - inputs.dt * (ops.M_vol @ consumption)
+        + params.alpha / params.b * (ops.M_bnd_global @ inputs.c_prev)
+        - base.k * (ops.M_vol @ consumption)
     )
 
 
-def n_step_rhs(ops: OperatorSet, inputs: StepInputs, c, n_hat, sensitivity_fn):
+def n_step_rhs(base: StepBase, inputs: StepInputs, c, n_hat):
     """Right side of the cell step: previous density plus the chemotaxis load."""
-    return ops.M_vol @ inputs.n_prev + inputs.dt * assemble_chemotaxis_rhs(ops, n_hat, c, sensitivity_fn)
+    ops = base.ops
+    return ops.M_vol @ inputs.n_prev + base.k * assemble_chemotaxis_rhs(ops, n_hat, c, base.params.sensitivity())
 
 
-def u_step_rhs(ops: OperatorSet, params, inputs: StepInputs, n):
+def u_step_rhs(base: StepBase, inputs: StepInputs, n):
     """Load of the fluid step on the full velocity dof set: the buoyancy of ``n`` plus ``M u_prev``."""
-    force = ops.buoyancy_load(n, np.asarray(params.grad_sigma, dtype=float))
-    return inputs.dt * force + ops.M_u @ inputs.u_prev
+    ops = base.ops
+    force = ops.buoyancy_load(n, np.asarray(base.params.grad_sigma, dtype=float))
+    return base.k * force + ops.M_u @ inputs.u_prev
 
 
 def _pair_update_norm(ops, dc, dn, c, n):
@@ -221,28 +227,19 @@ def _pair_update_norm(ops, dc, dn, c, n):
     return num, den
 
 
-def picard_inner(
-    inputs: StepInputs,
-    system: StepSystem,
-    params,
-    ops: OperatorSet,
-    options: SolverOptions = SolverOptions(),
-    initial_guess=None,
-    factors=None,
-):
+def picard_inner(base: StepBase, inputs: StepInputs, system: StepSystem, initial_guess=None, factors=None):
     """Iterate the (c, n) map of the frozen-velocity ``system`` to its fixed point.
 
-    Stops once the relative pair update is at most ``options.inner_tol`` or
-    after ``options.max_inner`` passes.  Starts from the previous-step fields
+    Stops once the relative pair update is at most ``base.options.inner_tol``
+    or after ``max_inner`` passes.  Starts from the previous-step fields
     unless a warmer guess is supplied, and solves through the ``(oxygen,
     cells)`` factor pair ``factors`` or fresh ones.  Non-convergence is
     reported through the diagnostics, not raised; the caller owns the retry
     policy.
     """
+    ops, options = base.ops, base.options
     inputs.validate(ops)
     oxygen, cells = factors or (KeptFactor("oxygen"), KeptFactor("cell-density"))
-    f = params.consumption()
-    g = params.sensitivity()
 
     if initial_guess is None:
         c_hat, n_hat = inputs.c_prev, inputs.n_prev
@@ -252,9 +249,9 @@ def picard_inner(
     diag = FixedPointDiagnostics()
     linear_tol = min(options.inner_tol, 1e-10)
     for it in range(1, options.max_inner + 1):
-        rhs_c = c_step_rhs(ops, params, inputs, c_hat, n_hat, f)
+        rhs_c = c_step_rhs(base, inputs, c_hat, n_hat)
         c = oxygen.solve(system.oxygen, rhs_c, linear_tol, c_hat)
-        rhs_n = n_step_rhs(ops, inputs, c, n_hat, g)
+        rhs_n = n_step_rhs(base, inputs, c, n_hat)
         n = cells.solve(system.cells, rhs_n, linear_tol, n_hat)
         num, den = _pair_update_norm(ops, c - c_hat, n - n_hat, c, n)
         diag.inner_iterations = it
@@ -266,16 +263,17 @@ def picard_inner(
     return c_hat, n_hat, diag
 
 
-def step_residual(ops: OperatorSet, params, inputs: StepInputs, system: StepSystem, c, n, p) -> float:
+def step_residual(base: StepBase, inputs: StepInputs, system: StepSystem, c, n, p) -> float:
     """Relative residual of the fully coupled nonlinear step at (c, n, u, p), ``u = system.u``.
 
     Each block is ``matrix @ x - rhs`` from the matrices and loads the solve
     uses, with every frozen coefficient evaluated at (c, n, u) itself.
     """
+    ops = base.ops
     u = system.u
-    r_c = system.oxygen @ c - c_step_rhs(ops, params, inputs, c, n, params.consumption())
-    r_n = system.cells @ n - n_step_rhs(ops, inputs, c, n, params.sensitivity())
-    rhs_u = u_step_rhs(ops, params, inputs, n)
+    r_c = system.oxygen @ c - c_step_rhs(base, inputs, c, n)
+    r_n = system.cells @ n - n_step_rhs(base, inputs, c, n)
+    rhs_u = u_step_rhs(base, inputs, n)
     idx = ops.vspace.interior_velocity
     M_u_prev = ops.M_u @ inputs.u_prev
     # u is zero on the boundary, so the interior columns carry every product
@@ -303,28 +301,21 @@ class StepResult:
     diagnostics: FixedPointDiagnostics
 
 
-def outer_step(
-    inputs: StepInputs,
-    params,
-    ops: OperatorSet,
-    options: SolverOptions = SolverOptions(),
-    base: StepBase | None = None,
-    step: int = 0,
-) -> StepResult:
-    """Full coupled step: alternate the (c, n) fixed point with fluid solves.
+def outer_step(base: StepBase, inputs: StepInputs, step: int = 0) -> StepResult:
+    """Full coupled step of size ``base.k``: alternate the (c, n) fixed point with fluid solves.
 
     Convection in the fluid is linearised at the previous outer velocity
     iterate.  Convergence requires the inner loop converged, the velocity
     update below tolerance, and the fully nonlinear residual below tolerance;
     failure is reported in the diagnostics.  The attempt starts from
-    ``base``, the ``StepBase`` of its step size (a new one when None): its
-    start factors, and its last system when that is at ``u_prev``, else a
-    new one there, which is the attempt's first system.  It leaves in
-    ``base`` its own last system and, for each block that had no start
-    factor or gave it up, the factor of its first system, from grid ``step``.
+    ``base``: its start factors, and its last system when that is at
+    ``u_prev``, else a new one there, which is the attempt's first system.
+    It leaves in ``base`` its own last system and, for each block that had
+    no start factor or gave it up, the factor of its first system, from
+    grid ``step``.
     """
+    ops, options = base.ops, base.options
     inputs.validate(ops)
-    base = StepBase(ops, params, inputs.dt) if base is None else base
     # the residual check and the next outer iteration share each new velocity's system
     system = base.last
     if system is None or not np.array_equal(system.u, inputs.u_prev):
@@ -335,11 +326,11 @@ def outer_step(
     c = n = None
     u, p = system.u, np.zeros(ops.mesh.n_vertices)
     for it in range(1, options.max_outer + 1):
-        c, n, inner = picard_inner(inputs, system, params, ops, options, initial_guess=guess, factors=(oxygen, cells))
+        c, n, inner = picard_inner(base, inputs, system, initial_guess=guess, factors=(oxygen, cells))
         guess = (c, n)
         diag.inner_iterations += inner.inner_iterations
         diag.inner_history.extend(inner.residual_history)
-        rhs = u_step_rhs(ops, params, inputs, n)
+        rhs = u_step_rhs(base, inputs, n)
         u, p = solve_saddle(ops, system.fluid, rhs, tol=options.linear_tol, factor=saddle, guess=(system.u, p))
         num = np.sqrt(ops.velocity_norm_sq(u - system.u))
         den = np.sqrt(ops.velocity_norm_sq(u))
@@ -347,11 +338,11 @@ def outer_step(
         diag.residual_history.append(num / den if den > 0 else num)
         system = base.system(u)
         if inner.converged and num <= options.outer_tol * den:
-            residual = step_residual(ops, params, inputs, system, c, n, p)
+            residual = step_residual(base, inputs, system, c, n, p)
             diag.final_residual = residual
             if residual <= max(options.outer_tol, 10 * options.linear_tol):
                 diag.converged = True
                 break
     if not diag.converged and c is not None and np.isnan(diag.final_residual):
-        diag.final_residual = step_residual(ops, params, inputs, system, c, n, p)
+        diag.final_residual = step_residual(base, inputs, system, c, n, p)
     return StepResult(c=c, n=n, u=u, p=p, diagnostics=diag)

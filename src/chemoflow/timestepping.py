@@ -144,18 +144,19 @@ def trajectory_data_hash(ops: OperatorSet, params, state0: State, T: float) -> s
     return h.hexdigest()
 
 
-def _advance(ops, params, state: State, k: float, t_next: float, options, depth: int, step: int, base: StepBase):
-    """One step of size k ending at t_next, halving on failure up to depth.
+def _advance(base: StepBase, state: State, t_next: float, depth: int, step: int):
+    """One step of size ``base.k`` ending at t_next, halving on failure up to depth.
 
-    The attempt starts from ``base``, the ``StepBase`` of ``k``, and carries
-    its first-system factors on in it.  A retry makes one base of ``k/2``
-    for its two halves, dropped with them, so the grid step size's base
-    carries only factors of first systems at checkpointed states.  A failed
-    linear solve is a failed attempt, like a stalled fixed point.
+    The attempt starts from ``base``, the ``StepBase`` of its step size, and
+    carries its first-system factors on in it.  A retry makes one
+    ``base.halved()`` for its two halves, dropped with them, so the grid
+    step size's base carries only factors of first systems at checkpointed
+    states.  A failed linear solve is a failed attempt, like a stalled fixed
+    point.
     """
-    inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u, dt=k)
+    inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u)
     try:
-        result = outer_step(inputs, params, ops, options, base=base, step=step)
+        result = outer_step(base, inputs, step=step)
     except LinearSolveError as exc:
         result, residual, reason = None, None, str(exc)
     else:
@@ -166,10 +167,10 @@ def _advance(ops, params, state: State, k: float, t_next: float, options, depth:
             raise StepFailure(f"step {step} at t={t_next:g} failed to converge ({reason}) after exhausting retries",
                               step=step, time=t_next, residual=residual)
         logger.warning("step %d at t=%g did not converge with k=%g (%s); retrying with k/2 (local rescue, the "
-                       "uniform grid is unchanged)", step, t_next, k, reason)
-        half = StepBase(ops, params, k / 2)
-        mid_state, d1 = _advance(ops, params, state, k / 2, t_next - k / 2, options, depth - 1, step, half)
-        end_state, d2 = _advance(ops, params, mid_state, k / 2, t_next, options, depth - 1, step, half)
+                       "uniform grid is unchanged)", step, t_next, base.k, reason)
+        half = base.halved()
+        mid_state, d1 = _advance(half, state, t_next - half.k, depth - 1, step)
+        end_state, d2 = _advance(half, mid_state, t_next, depth - 1, step)
         return end_state, d1 + d2
     new = State(c=result.c, n=result.n, u=result.u, p=result.p, t=t_next)
     bad = new.first_nonfinite_field()
@@ -220,11 +221,10 @@ def run(
                     break
         write_checkpoint(checkpoint_dir / checkpoint_name(0), mesh_hash, grid, 0, states[0], data_hash)
 
-    base = StepBase(ops, params, grid.k, sources, states)
+    base = StepBase(ops, params, grid.k, options, sources, states)
     state = states[-1]
     for m in range(start + 1, grid.N + 1):
-        t_next = grid.time(m)
-        state, diags = _advance(ops, params, state, grid.k, t_next, options, options.retry_depth, m, base)
+        state, diags = _advance(base, state, grid.time(m), options.retry_depth, m)
         states.append(state)
         diagnostics.append(tuple(diags))
         if checkpoint_dir is not None:

@@ -28,7 +28,7 @@ from chemoflow.energy import (
     uniform_bound_scan,
 )
 from chemoflow.geometry import build_disc_mesh
-from chemoflow.step_solver import SolverOptions, StepInputs, outer_step, picard_inner, step_system
+from chemoflow.step_solver import SolverOptions, StepBase, StepInputs, outer_step, picard_inner
 from chemoflow.timestepping import TimeGrid, initial_state, run
 
 from conftest import BENCH_PARAMS, bench_initial
@@ -187,35 +187,18 @@ def test_criterion_07_time_translate_decay(bench_traj, bench_ops):
 
 
 def test_criterion_08_step_size_regime(bench_ops, bench_state0):
-    def inputs_for(k):
-        return StepInputs(
-            c_prev=bench_state0.c,
-            n_prev=bench_state0.n,
-            u_prev=bench_state0.u,
-            dt=k,
-        )
-
-    c, n, small = picard_inner(
-        inputs_for(0.01),
-        step_system(bench_ops, BENCH_PARAMS, 0.01, bench_state0.u),
-        BENCH_PARAMS,
-        bench_ops,
-        SolverOptions(inner_tol=1e-11),
-    )
-    result = outer_step(inputs_for(0.01), BENCH_PARAMS, bench_ops, SolverOptions())
+    inputs = StepInputs(c_prev=bench_state0.c, n_prev=bench_state0.n, u_prev=bench_state0.u)
+    base = StepBase(bench_ops, BENCH_PARAMS, 0.01, SolverOptions(inner_tol=1e-11))
+    c, n, small = picard_inner(base, inputs, base.system(bench_state0.u))
+    result = outer_step(StepBase(bench_ops, BENCH_PARAMS, 0.01), inputs)
     ok_small = (
         small.converged
         and small.inner_iterations <= BASELINE_INNER_ITERS
         and result.diagnostics.converged
         and result.diagnostics.outer_iterations <= BASELINE_OUTER_ITERS
     )
-    _, _, big = picard_inner(
-        inputs_for(10.0),
-        step_system(bench_ops, BENCH_PARAMS, 10.0, bench_state0.u),
-        BENCH_PARAMS,
-        bench_ops,
-        SolverOptions(inner_tol=1e-11, max_inner=200),
-    )
+    base = StepBase(bench_ops, BENCH_PARAMS, 10.0, SolverOptions(inner_tol=1e-11, max_inner=200))
+    _, _, big = picard_inner(base, inputs, base.system(bench_state0.u))
     ok_big = (not big.converged) or big.inner_iterations >= 5 * small.inner_iterations
     report(
         "criterion-8 step-size regime",
@@ -263,14 +246,13 @@ def test_criterion_10_discrete_gronwall():
     )
 
 
-def dense_newton_step(ops, params, inputs, tol=1e-12, max_iter=40):
+def dense_newton_step(ops, params, inputs, k, tol=1e-12, max_iter=40):
     """Independent oracle: Newton with finite-difference Jacobian on the
     monolithic residual of one implicit step (mean-zero pressure via a
     multiplier)."""
     nv = ops.mesh.n_vertices
     idx = ops.vspace.interior_velocity
     n_u = idx.size
-    k = inputs.dt
     a_ob = params.alpha / params.b
     f = params.consumption()
     g = params.sensitivity()
@@ -341,16 +323,11 @@ def test_criterion_11_oracle_equivalence(coarse_ops):
     total_dofs = 3 * ops.mesh.n_vertices + ops.vspace.interior_velocity.size + 1
     assert total_dofs <= 500
     state0 = bench_initial(ops)
-    inputs = StepInputs(
-        c_prev=state0.c,
-        n_prev=state0.n,
-        u_prev=state0.u,
-        dt=0.05,
-    )
+    inputs = StepInputs(c_prev=state0.c, n_prev=state0.n, u_prev=state0.u)
     opts = SolverOptions(inner_tol=1e-13, outer_tol=1e-12, linear_tol=1e-11)
-    nested = outer_step(inputs, BENCH_PARAMS, ops, opts)
+    nested = outer_step(StepBase(ops, BENCH_PARAMS, 0.05, opts), inputs)
     assert nested.diagnostics.converged
-    c, n, u, p, newton_res = dense_newton_step(ops, BENCH_PARAMS, inputs)
+    c, n, u, p, newton_res = dense_newton_step(ops, BENCH_PARAMS, inputs, 0.05)
     p_nested = nested.p - (ops.pressure_weights @ nested.p) / ops.pressure_weights.sum()
 
     def rel(a, b):

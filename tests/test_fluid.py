@@ -12,7 +12,7 @@ from chemoflow.fluid import (
 )
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams
-from chemoflow.step_solver import StepBase, StepInputs, outer_step, picard_inner, step_system, u_step_rhs
+from chemoflow.step_solver import StepBase, StepInputs, outer_step, picard_inner, u_step_rhs
 
 
 PARAMS = ModelParams()
@@ -20,15 +20,14 @@ PARAMS = ModelParams()
 
 def saddle_system(ops, u_hat, n, u_prev, k, params):
     """The fluid step's saddle at ``u_hat`` and its load from ``n`` and ``u_prev``."""
-    inputs = StepInputs(c_prev=n, n_prev=n, u_prev=u_prev, dt=k)
-    return step_system(ops, params, k, u_hat).fluid, u_step_rhs(ops, params, inputs, n)
+    base = StepBase(ops, params, k)
+    return base.system(u_hat).fluid, u_step_rhs(base, StepInputs(c_prev=n, n_prev=n, u_prev=u_prev), n)
 
 
 def fluid_step(ops, n, q, k, params):
     """One coupled step from cell density n and velocity q, with no oxygen."""
     c = np.zeros(ops.mesh.n_vertices)
-    inputs = StepInputs(c_prev=c, n_prev=n, u_prev=q, dt=k)
-    result = outer_step(inputs, params, ops)
+    result = outer_step(StepBase(ops, params, k), StepInputs(c_prev=c, n_prev=n, u_prev=q))
     return result.u, result.p, result.diagnostics
 
 
@@ -257,24 +256,25 @@ def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
     c = np.ones(ops.mesh.n_vertices)
     n = rng.random(ops.mesh.n_vertices)
     u_prev = np.zeros(ops.vspace.n_velocity)
-    inputs = StepInputs(c_prev=c, n_prev=n, u_prev=u_prev, dt=k)
+    inputs = StepInputs(c_prev=c, n_prev=n, u_prev=u_prev)
     unshared = StepBase(ops, params, k)
-    outer_step(inputs, params, ops, base=unshared, step=1)
-    fresh = outer_step(inputs, params, ops, base=unshared, step=2)
+    outer_step(unshared, inputs, step=1)
+    fresh = outer_step(unshared, inputs, step=2)
     made = counted_factorisations(monkeypatch)
     base = StepBase(ops, params, k)
-    outer_step(inputs, params, ops, base=base, step=1)
+    outer_step(base, inputs, step=1)
     oxygen_lu, cells_lu, saddle_lu = base.factors
     assert base.sources == [1, 1, 1] and made[:3] == [oxygen_lu, cells_lu, saddle_lu]
     solve_saddle(ops, A, rhs, factor=KeptFactor("saddle", saddle_lu))
     stalled = made[-1]
     assert stalled not in base.factors and stalled.solves == 1
     held = (KeptFactor("oxygen", oxygen_lu), KeptFactor("cell-density", cells_lu))
-    other = StepInputs(c_prev=2 * c, n_prev=n, u_prev=u_prev, dt=k)
-    picard_inner(other, step_system(ops, params, other.dt, u_prev), params, ops, factors=held)
+    other = StepInputs(c_prev=2 * c, n_prev=n, u_prev=u_prev)
+    inner = StepBase(ops, params, k)
+    picard_inner(inner, other, inner.system(u_prev), factors=held)
     assert all(f.spare < KeptFactor.max_corrections for f in held)
     solves = saddle_lu.solves
-    result = outer_step(inputs, params, ops, base=base, step=2)
+    result = outer_step(base, inputs, step=2)
     assert saddle_lu.solves > solves and stalled.solves == 1
     for name in ("c", "n", "u", "p"):
         assert np.array_equal(getattr(result, name), getattr(fresh, name))
@@ -397,7 +397,7 @@ def test_step_matrices_equal_the_sparse_sums():
     k = 0.015625
     u = ops.vspace.zero_boundary(ops.vspace.interpolate(lambda x, y: (-y + 0.3 * x * x, x - 0.2 * y)))
     C, C_u = assemble_convection(ops, u)
-    system = step_system(ops, params, k, u)
+    system = StepBase(ops, params, k).system(u)
     a_ob = params.alpha / params.b
     expected_c = ops.M_vol + a_ob * ops.M_bnd_global + k * params.alpha * ops.K_vol + k * a_ob * ops.K_bnd_global + k * C
     assert_dense_equal(system.oxygen, expected_c)

@@ -53,13 +53,13 @@ def record(case: str) -> dict:
     steps = []
     outer = timestepping.outer_step
 
-    def recorded(inputs, params, ops, options, **kwargs):
-        # only a grid step's first attempt names its step; its halved retries pass step=0
-        if kwargs.get("step"):
+    def recorded(base, inputs, step=0):
+        # a grid step's first attempt is the one at the grid step size; its halved retries follow it
+        if base.k == cfg.grid.k:
             steps.append([])
-        result = outer(inputs, params, ops, options, **kwargs)
+        result = outer(base, inputs, step=step)
         d = result.diagnostics
-        steps[-1].append({"k": inputs.dt, "inner": d.inner_iterations, "outer": d.outer_iterations,
+        steps[-1].append({"k": base.k, "inner": d.inner_iterations, "outer": d.outer_iterations,
                           "converged": d.converged})
         return result
 

@@ -22,9 +22,7 @@ from chemoflow.step_solver import (
     n_step_rhs,
     outer_step,
     picard_inner,
-    step_data,
     step_residual,
-    step_system,
     u_step_rhs,
 )
 from chemoflow.timestepping import TimeGrid, run
@@ -35,19 +33,20 @@ PARAMS = ModelParams()
 NO_TAXIS = ModelParams(g_spec=ResponseSpec("constant", {"theta": 0.0}))
 
 
-def make_inputs(ops, c=None, n=None, u=None, dt=0.01):
+def make_inputs(ops, c=None, n=None, u=None):
     nv = ops.mesh.n_vertices
     c = np.zeros(nv) if c is None else np.asarray(c, dtype=float)
     n = np.zeros(nv) if n is None else np.asarray(n, dtype=float)
     u = np.zeros(ops.vspace.n_velocity) if u is None else np.asarray(u, dtype=float)
-    return StepInputs(c_prev=c, n_prev=n, u_prev=u, dt=dt)
+    return StepInputs(c_prev=c, n_prev=n, u_prev=u)
 
 
 def test_constant_oxygen_is_steady(coarse_ops):
     ops = coarse_ops
     cbar = 2.5 * np.ones(ops.mesh.n_vertices)
-    inputs = make_inputs(ops, c=cbar, dt=0.1)
-    c, _, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
+    inputs = make_inputs(ops, c=cbar)
+    base = StepBase(ops, NO_TAXIS, 0.1)
+    c, _, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
     assert np.max(np.abs(c - 2.5)) < 1e-12
 
 
@@ -60,8 +59,9 @@ def test_oxygen_eigenmode_decay(coarse_ops):
     eigvals, eigvecs = eigh(K_comb, M_comb)
     lam, v = eigvals[3], eigvecs[:, 3]
     k = 0.05
-    inputs = make_inputs(ops, c=v, dt=k)
-    c, _, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
+    inputs = make_inputs(ops, c=v)
+    base = StepBase(ops, NO_TAXIS, k)
+    c, _, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
     expected = v / (1.0 + k * NO_TAXIS.alpha * lam)
     assert np.max(np.abs(c - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -73,8 +73,9 @@ def test_oxygen_consistency_order(coarse_ops):
     errs = []
     ks = [1e-2, 1e-3, 1e-4]
     for k in ks:
-        inputs = make_inputs(ops, c=h, dt=k)
-        c, _, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
+        inputs = make_inputs(ops, c=h)
+        base = StepBase(ops, NO_TAXIS, k)
+        c, _, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
         errs.append(np.sqrt(ops.scalar_norm_sq(c - h)))
     slope = np.polyfit(np.log(ks), np.log(errs), 1)[0]
     assert 0.9 <= slope <= 1.1
@@ -84,8 +85,9 @@ def test_cells_constant_steady(coarse_ops):
     ops = coarse_ops
     nbar = 1.3 * np.ones(ops.mesh.n_vertices)
     cconst = 2.0 * np.ones(ops.mesh.n_vertices)
-    inputs = make_inputs(ops, c=cconst, n=nbar, dt=0.1)
-    _, n, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
+    inputs = make_inputs(ops, c=cconst, n=nbar)
+    base = StepBase(ops, NO_TAXIS, 0.1)
+    _, n, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
     assert np.max(np.abs(n - 1.3)) < 1e-12
 
 
@@ -94,8 +96,9 @@ def test_cells_heat_eigenmode(coarse_ops):
     eigvals, eigvecs = eigh(ops.K_vol.toarray(), ops.M_vol.toarray())
     lam, v = eigvals[2], eigvecs[:, 2]
     k = 0.05
-    inputs = make_inputs(ops, n=v, dt=k)
-    _, n, _ = picard_inner(inputs, step_system(ops, NO_TAXIS, inputs.dt, inputs.u_prev), NO_TAXIS, ops)
+    inputs = make_inputs(ops, n=v)
+    base = StepBase(ops, NO_TAXIS, k)
+    _, n, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
     expected = v / (1.0 + k * NO_TAXIS.beta * lam)
     assert np.max(np.abs(n - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -104,6 +107,7 @@ def test_cell_mass_conserved(coarse_ops):
     ops = coarse_ops
     rng = np.random.default_rng(12)
     ones = np.ones(ops.mesh.n_vertices)
+    base = StepBase(ops, PARAMS, 0.05)
     for _ in range(5):
         l = rng.random(ops.mesh.n_vertices)
         c = rng.random(ops.mesh.n_vertices)
@@ -111,10 +115,9 @@ def test_cell_mass_conserved(coarse_ops):
         u = project_divergence_free(
             ops.vspace.zero_boundary(rng.standard_normal(ops.vspace.n_velocity)), ops
         )
-        inputs = make_inputs(ops, c=c, n=l, dt=0.05)
+        inputs = make_inputs(ops, c=c, n=l)
         # sensitivity left on: the chemotaxis flux must be mass-neutral too
-        system = step_system(ops, PARAMS, inputs.dt, u)
-        _, n, _ = picard_inner(inputs, system, PARAMS, ops, initial_guess=(c, n_hat))
+        _, n, _ = picard_inner(base, inputs, base.system(u), initial_guess=(c, n_hat))
         m_new = ones @ (ops.M_vol @ n)
         m_old = ones @ (ops.M_vol @ l)
         assert abs(m_new - m_old) <= 1e-10 * abs(m_old) + 1e-14
@@ -122,8 +125,9 @@ def test_cell_mass_conserved(coarse_ops):
 
 def test_picard_zero_data(coarse_ops):
     ops = coarse_ops
-    inputs = make_inputs(ops, dt=0.01)
-    c, n, diag = picard_inner(inputs, step_system(ops, PARAMS, inputs.dt, inputs.u_prev), PARAMS, ops)
+    inputs = make_inputs(ops)
+    base = StepBase(ops, PARAMS, 0.01)
+    c, n, diag = picard_inner(base, inputs, base.system(inputs.u_prev))
     assert diag.converged and diag.inner_iterations == 1
     assert np.max(np.abs(c)) == 0.0 and np.max(np.abs(n)) == 0.0
 
@@ -138,10 +142,9 @@ def test_picard_linear_regime_fixed_point_after_two_passes(coarse_ops):
         g_spec=ResponseSpec("constant", {"theta": 0.0}),
     )
     rng = np.random.default_rng(13)
-    inputs = make_inputs(ops, c=1 + rng.random(ops.mesh.n_vertices),
-                         n=rng.random(ops.mesh.n_vertices), dt=0.01)
-    system = step_system(ops, params, inputs.dt, inputs.u_prev)
-    c, n, diag = picard_inner(inputs, system, params, ops, SolverOptions(inner_tol=1e-12))
+    inputs = make_inputs(ops, c=1 + rng.random(ops.mesh.n_vertices), n=rng.random(ops.mesh.n_vertices))
+    base = StepBase(ops, params, 0.01, SolverOptions(inner_tol=1e-12))
+    c, n, diag = picard_inner(base, inputs, base.system(inputs.u_prev))
     assert diag.converged
     assert diag.inner_iterations <= 3
     assert diag.residual_history[-1] <= 1e-13
@@ -152,13 +155,12 @@ def test_picard_large_step_struggles(coarse_ops):
     rng = np.random.default_rng(14)
     c0 = 1 + rng.random(ops.mesh.n_vertices)
     n0 = 2 * rng.random(ops.mesh.n_vertices)
-    small = make_inputs(ops, c=c0, n=n0, dt=0.01)
-    system = step_system(ops, PARAMS, small.dt, small.u_prev)
-    _, _, diag_small = picard_inner(small, system, PARAMS, ops, SolverOptions(inner_tol=1e-11))
+    inputs = make_inputs(ops, c=c0, n=n0)
+    small = StepBase(ops, PARAMS, 0.01, SolverOptions(inner_tol=1e-11))
+    _, _, diag_small = picard_inner(small, inputs, small.system(inputs.u_prev))
     assert diag_small.converged
-    big = make_inputs(ops, c=c0, n=n0, dt=10.0)
-    system = step_system(ops, PARAMS, big.dt, big.u_prev)
-    _, _, diag_big = picard_inner(big, system, PARAMS, ops, SolverOptions(inner_tol=1e-11, max_inner=200))
+    big = StepBase(ops, PARAMS, 10.0, SolverOptions(inner_tol=1e-11, max_inner=200))
+    _, _, diag_big = picard_inner(big, inputs, big.system(inputs.u_prev))
     assert (not diag_big.converged) or (
         diag_big.inner_iterations >= 5 * diag_small.inner_iterations
     )
@@ -167,9 +169,9 @@ def test_picard_large_step_struggles(coarse_ops):
 def test_picard_monotone_residuals_when_converged(coarse_ops):
     ops = coarse_ops
     rng = np.random.default_rng(15)
-    inputs = make_inputs(ops, c=1 + 0.2 * rng.random(ops.mesh.n_vertices),
-                         n=rng.random(ops.mesh.n_vertices), dt=0.01)
-    _, _, diag = picard_inner(inputs, step_system(ops, PARAMS, inputs.dt, inputs.u_prev), PARAMS, ops)
+    inputs = make_inputs(ops, c=1 + 0.2 * rng.random(ops.mesh.n_vertices), n=rng.random(ops.mesh.n_vertices))
+    base = StepBase(ops, PARAMS, 0.01)
+    _, _, diag = picard_inner(base, inputs, base.system(inputs.u_prev))
     assert diag.converged
     hist = diag.residual_history
     assert all(hist[i + 1] <= hist[i] * (1 + 1e-9) for i in range(1, len(hist) - 1))
@@ -179,17 +181,17 @@ def test_outer_step_zero_forcing_reduces_to_inner(coarse_ops):
     ops = coarse_ops
     params = ModelParams(grad_sigma=(0.0, 0.0))
     rng = np.random.default_rng(16)
-    inputs = make_inputs(ops, c=1 + 0.1 * rng.random(ops.mesh.n_vertices),
-                         n=rng.random(ops.mesh.n_vertices), dt=0.01)
-    result = outer_step(inputs, params, ops)
+    inputs = make_inputs(ops, c=1 + 0.1 * rng.random(ops.mesh.n_vertices), n=rng.random(ops.mesh.n_vertices))
+    result = outer_step(StepBase(ops, params, 0.01), inputs)
     assert result.diagnostics.converged
     assert result.diagnostics.outer_iterations == 1
     assert np.max(np.abs(result.u)) == 0.0
     # the inner loop alone, its factors those of the step's first system,
     # which an attempt with no start factor makes on its first solve
-    system = step_system(ops, params, inputs.dt, inputs.u_prev)
+    base = StepBase(ops, params, 0.01)
+    system = base.system(inputs.u_prev)
     factors = (KeptFactor("oxygen", first=system.oxygen), KeptFactor("cell-density", first=system.cells))
-    c_ref, n_ref, _ = picard_inner(inputs, system, params, ops, factors=factors)
+    c_ref, n_ref, _ = picard_inner(base, inputs, system, factors=factors)
     assert np.array_equal(result.c, c_ref) and np.array_equal(result.n, n_ref)
 
 
@@ -199,8 +201,8 @@ def test_outer_step_velocity_decays_without_force(coarse_ops):
     q = project_divergence_free(
         ops.vspace.zero_boundary(rng.standard_normal(ops.vspace.n_velocity)), ops
     )
-    inputs = make_inputs(ops, c=np.ones(ops.mesh.n_vertices), u=q, dt=0.05)
-    result = outer_step(inputs, PARAMS, ops)
+    inputs = make_inputs(ops, c=np.ones(ops.mesh.n_vertices), u=q)
+    result = outer_step(StepBase(ops, PARAMS, 0.05), inputs)
     assert result.diagnostics.converged
     assert np.sqrt(ops.velocity_norm_sq(result.u)) <= np.sqrt(ops.velocity_norm_sq(q))
 
@@ -209,24 +211,24 @@ def test_outer_step_converges_and_residual_small(coarse_ops):
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
     n0 = 0.8 * np.exp(-((x) ** 2 + (y - 0.3) ** 2) / 0.125)
-    inputs = make_inputs(ops, c=np.ones_like(n0), n=n0, dt=0.01)
-    result = outer_step(inputs, PARAMS, ops)
+    inputs = make_inputs(ops, c=np.ones_like(n0), n=n0)
+    base = StepBase(ops, PARAMS, 0.01)
+    result = outer_step(base, inputs)
     d = result.diagnostics
     assert d.converged
     assert d.outer_iterations <= 10  # regression baseline
     assert d.final_residual <= 1e-9
-    system = step_system(ops, PARAMS, inputs.dt, result.u)
-    assert step_residual(ops, PARAMS, inputs, system, result.c, result.n, result.p) <= 1e-9
+    assert step_residual(base, inputs, base.system(result.u), result.c, result.n, result.p) <= 1e-9
 
 
-def full_pattern_step_residual(ops, params, inputs, system, c, n, p):
+def full_pattern_step_residual(base, inputs, system, c, n, p):
     """``step_residual`` with the momentum rows of the fluid matrix on every velocity dof, then cut to the interior."""
-    k = inputs.dt
+    ops, k = base.ops, base.k
     u = system.u
-    A = ops.p2_pair.matrix(step_data(ops, params, k)[2] + k * assemble_convection(ops, u)[1].data)
-    r_c = system.oxygen @ c - c_step_rhs(ops, params, inputs, c, n, params.consumption())
-    r_n = system.cells @ n - n_step_rhs(ops, inputs, c, n, params.sensitivity())
-    rhs_u = u_step_rhs(ops, params, inputs, n)
+    A = ops.p2_pair.matrix(base.data[2] + k * assemble_convection(ops, u)[1].data)
+    r_c = system.oxygen @ c - c_step_rhs(base, inputs, c, n)
+    r_n = system.cells @ n - n_step_rhs(base, inputs, c, n)
+    rhs_u = u_step_rhs(base, inputs, n)
     idx = ops.vspace.interior_velocity
     M_u_prev = ops.M_u @ inputs.u_prev
     r_u = (A @ u - k * (ops.B.T @ p) - rhs_u)[idx]
@@ -250,24 +252,25 @@ def test_step_residual_equals_the_full_pattern_formula(medium_ops, xi, k):
     params = ModelParams(alpha=0.05, beta=0.05, xi=xi, g1=0.02)
     rng = np.random.default_rng(4)
     nv, nvel = ops.mesh.n_vertices, ops.vspace.n_velocity
+    base = StepBase(ops, params, k)
     for _ in range(2):
         u_prev, u = (project_divergence_free(ops.vspace.zero_boundary(rng.standard_normal(nvel)), ops) for _ in "ab")
-        inputs = make_inputs(ops, c=1 + rng.random(nv), n=rng.random(nv), u=u_prev, dt=k)
+        inputs = make_inputs(ops, c=1 + rng.random(nv), n=rng.random(nv), u=u_prev)
         c, n, p = 1 + rng.random(nv), rng.random(nv), rng.standard_normal(nv)
-        system = step_system(ops, params, k, u)
-        r_u, expected = full_pattern_step_residual(ops, params, inputs, system, c, n, p)
+        system = base.system(u)
+        r_u, expected = full_pattern_step_residual(base, inputs, system, c, n, p)
         idx = ops.vspace.interior_velocity
-        assert np.array_equal(system.fluid.momentum_residual(u[idx], p, u_step_rhs(ops, params, inputs, n)[idx]), r_u)
-        assert step_residual(ops, params, inputs, system, c, n, p) == expected
+        assert np.array_equal(system.fluid.momentum_residual(u[idx], p, u_step_rhs(base, inputs, n)[idx]), r_u)
+        assert step_residual(base, inputs, system, c, n, p) == expected
 
 
 def test_outer_step_deterministic(coarse_ops):
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
     n0 = np.exp(-(x**2 + y**2) / 0.2)
-    inputs = make_inputs(ops, c=np.ones_like(n0), n=n0, dt=0.02)
-    a = outer_step(inputs, PARAMS, ops)
-    b = outer_step(inputs, PARAMS, ops)
+    inputs = make_inputs(ops, c=np.ones_like(n0), n=n0)
+    a = outer_step(StepBase(ops, PARAMS, 0.02), inputs)
+    b = outer_step(StepBase(ops, PARAMS, 0.02), inputs)
     for fa, fb in ((a.c, b.c), (a.n, b.n), (a.u, b.u), (a.p, b.p)):
         assert np.array_equal(fa, fb)
 
@@ -277,16 +280,20 @@ def test_inputs_validation(coarse_ops):
     nv = ops.mesh.n_vertices
     good = make_inputs(ops, c=np.ones(nv))
     good.validate(ops)
-    with pytest.raises(ValueError):
-        make_inputs(ops, dt=-1.0).validate(ops)
+    with pytest.raises(ValueError, match="scalar fields"):
+        make_inputs(ops, c=np.ones(nv + 1)).validate(ops)
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_step_size_must_be_positive_and_finite(coarse_ops, k):
+    # the base is the one holder of k, so it is checked once, there
+    with pytest.raises(ValueError, match="step size k must be positive and finite"):
+        StepBase(coarse_ops, PARAMS, k)
 
 
 def test_bad_tolerances_rejected(coarse_ops):
-    ops = coarse_ops
-    inputs = make_inputs(ops)
     with pytest.raises(ValueError):
-        system = step_system(ops, PARAMS, inputs.dt, inputs.u_prev)
-        picard_inner(inputs, system, PARAMS, ops, SolverOptions(inner_tol=-1.0))
+        StepBase(coarse_ops, PARAMS, 0.01, SolverOptions(inner_tol=-1.0))
 
 
 # inner iterations of plain Picard on the benchmark data, from k = 1e-3 to 30;
@@ -304,10 +311,9 @@ def test_step_regime_scan_counts():
     state0 = build_initial_state(cfg, ops)
     counts = []
     for k in np.geomspace(1e-3, 30.0, 12):
-        inputs = make_inputs(ops, c=state0.c, n=state0.n, u=state0.u, dt=k)
-        system = step_system(ops, cfg.params, k, state0.u)
-        options = replace(cfg.options, max_inner=200)
-        _, _, diag = picard_inner(inputs, system, cfg.params, ops, options)
+        inputs = make_inputs(ops, c=state0.c, n=state0.n, u=state0.u)
+        base = StepBase(ops, cfg.params, k, replace(cfg.options, max_inner=200))
+        _, _, diag = picard_inner(base, inputs, base.system(state0.u))
         counts.append(diag.inner_iterations if diag.converged else None)
         assert diag.converged or diag.inner_iterations == 200
     assert tuple(counts) == REGIME_INNER
@@ -318,7 +324,7 @@ def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
     # oxygen, cell and fluid factors the step already holds
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
-    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125), dt=0.05)
+    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125))
     made = []
 
     def counted(matrix, **kw):
@@ -326,7 +332,7 @@ def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
         return splu(matrix, **kw)
 
     monkeypatch.setattr(fluid, "splu", counted)
-    result = outer_step(inputs, PARAMS, ops)
+    result = outer_step(StepBase(ops, PARAMS, 0.05), inputs)
     assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
     scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
     assert len(scalar) == 2 and len(made) == 3  # the oxygen, cell and fluid first systems
@@ -350,9 +356,10 @@ def test_one_convection_assembly_per_frozen_velocity(coarse_ops, monkeypatch):
     # and the next outer iteration share the system built at a new velocity
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
-    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125), dt=0.05)
+    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125))
+    base = StepBase(ops, PARAMS, 0.05)
     velocities = counted_convection(monkeypatch)
-    result = outer_step(inputs, PARAMS, ops)
+    result = outer_step(base, inputs)
     assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
     assert len(velocities) == result.diagnostics.outer_iterations + 1
     assert np.array_equal(velocities[0], inputs.u_prev) and velocities[-1] is result.u
@@ -365,17 +372,17 @@ def test_next_step_starts_from_the_system_the_last_one_ended_on(coarse_ops, monk
     # as a resume builds it, and the same bits
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
-    first = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125), dt=0.05)
-    base = StepBase(ops, PARAMS, first.dt)
-    previous = outer_step(first, PARAMS, ops, base=base, step=1)
+    first = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125))
+    base = StepBase(ops, PARAMS, 0.05)
+    previous = outer_step(base, first, step=1)
     assert base.last.u is previous.u and base.sources == [1, 1, 1]
-    second = make_inputs(ops, c=previous.c, n=previous.n, u=previous.u.copy(), dt=first.dt)
+    second = make_inputs(ops, c=previous.c, n=previous.n, u=previous.u.copy())
     state0 = timestepping.State(first.c_prev, first.n_prev, first.u_prev, np.zeros(ops.mesh.n_vertices), 0.0)
-    rebuilt = StepBase(ops, PARAMS, first.dt, base.sources, [state0])
+    rebuilt = StepBase(ops, PARAMS, base.k, base.options, base.sources, [state0])
     velocities = counted_convection(monkeypatch)
-    shared = outer_step(second, PARAMS, ops, base=base, step=2)
+    shared = outer_step(base, second, step=2)
     assembled = len(velocities)
-    fresh = outer_step(second, PARAMS, ops, base=rebuilt, step=2)
+    fresh = outer_step(rebuilt, second, step=2)
     assert shared.diagnostics.converged and shared.diagnostics.outer_iterations > 1
     assert assembled == len(velocities) - assembled - 1
     for name in ("c", "n", "u", "p"):
@@ -452,13 +459,13 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
     attempts, assemblies = [], []
     outer = timestepping.outer_step
 
-    def attempt(inputs, params, ops, options, base, step):
+    def attempt(base, inputs, step):
         new = base.last is None
         before = made.copy()
         starts = [(what, lu) for what, lu in zip(BLOCKS, base.factors) if lu is not None]
         spent = {what: lu.solves for what, lu in starts}
         assembled = len(velocities)
-        result = outer(inputs, params, ops, options, base=base, step=step)
+        result = outer(base, inputs, step=step)
         corrections = {what: lu.solves - spent[what] for what, lu in starts}
         attempts.append((step, made - before, corrections, list(base.sources)))
         assemblies.append((len(velocities) - assembled, result.diagnostics.outer_iterations + new))
@@ -502,5 +509,5 @@ def test_failed_first_system_factorisation_carries_no_source(coarse_ops, monkeyp
     monkeypatch.setattr(fluid, "splu", singular)
     base = StepBase(coarse_ops, PARAMS, 0.05)
     with pytest.raises(LinearSolveError, match="oxygen factorisation failed"):
-        outer_step(make_inputs(coarse_ops), PARAMS, coarse_ops, base=base, step=1)
+        outer_step(base, make_inputs(coarse_ops), step=1)
     assert base.factors == [None, None, None] and base.sources == [0, 0, 0]

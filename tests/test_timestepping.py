@@ -234,9 +234,9 @@ def test_retry_rescues_with_halved_step(coarse_ops, caplog, monkeypatch):
         made.append(matrix.shape)
         return splu(matrix, **kw)
 
-    def recorded(inputs, params, ops, options, base, step):
-        result = outer(inputs, params, ops, options, base=base, step=step)
-        attempts.append((inputs.dt, base, list(base.factors), list(base.sources)))
+    def recorded(base, inputs, step):
+        result = outer(base, inputs, step=step)
+        attempts.append((base.k, base, list(base.factors), list(base.sources), result.diagnostics))
         return result
 
     monkeypatch.setattr(fluid, "splu", counted)
@@ -251,9 +251,12 @@ def test_retry_rescues_with_halved_step(coarse_ops, caplog, monkeypatch):
     # and of the first k=2 half's, which the second half starts from
     scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
     assert len(made) - len(scalar) == 2 and len(scalar) == 4
+    # every attempt, the halves too, runs under the run's options
+    for _, base, _, _, diagnostics in attempts:
+        assert base.options == opts and diagnostics.outer_iterations <= opts.max_outer
     # both halves share one base of k=2, made for the retry, and the grid
     # step size's base keeps the factors and sources of its own attempt
-    (k, grid_base, factors, sources), first_half, second_half = attempts
+    (k, grid_base, factors, sources, _), first_half, second_half = attempts
     assert (k, first_half[0], second_half[0]) == (4.0, 2.0, 2.0)
     assert first_half[1] is second_half[1] is not grid_base and first_half[1].k == 2.0
     assert sources == [1, 1, 1] and grid_base.sources == sources
@@ -412,9 +415,9 @@ def test_resume_around_a_halved_retry_is_bit_identical(coarse_ops, tmp_path, mon
     after_step1 = run(ops, PARAMS, TimeGrid(T=grid.k, N=1), state0).states[1]
     outer = timestepping.outer_step
 
-    def failing_step2(inputs, params, ops, options, **kwargs):
-        result = outer(inputs, params, ops, options, **kwargs)
-        if inputs.dt == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
+    def failing_step2(base, inputs, **kwargs):
+        result = outer(base, inputs, **kwargs)
+        if base.k == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
             result.diagnostics.converged = False
         return result
 
@@ -444,9 +447,9 @@ def test_resume_of_carried_factors_around_a_halved_retry_is_bit_identical(medium
     after_step1 = run(ops, params, TimeGrid(T=grid.k, N=1), state0).states[1]
     outer = timestepping.outer_step
 
-    def failing_step2(inputs, params, ops, options, **kwargs):
-        result = outer(inputs, params, ops, options, **kwargs)
-        if inputs.dt == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
+    def failing_step2(base, inputs, **kwargs):
+        result = outer(base, inputs, **kwargs)
+        if base.k == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
             result.diagnostics.converged = False
         return result
 
