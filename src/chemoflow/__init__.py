@@ -7,8 +7,8 @@ from .config import ConfigError, RunConfig, load_config
 from .energy import EnergyLedger, build_ledger, discrete_gronwall, uniform_bound_scan
 from .geometry import Mesh, build_disc_mesh
 from .model import ModelParams, ResponseSpec, validate_params
-from .step_solver import SolverOptions, StepBase, StepInputs, StepSystem, outer_step, picard_inner
-from .timestepping import State, TimeGrid, Trajectory, run
+from .step_solver import SolverOptions, State, StepBase, StepSystem, outer_step, picard_inner
+from .timestepping import TimeGrid, Trajectory, run
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "SolverOptions",
     "State",
     "StepBase",
-    "StepInputs",
     "StepSystem",
     "TimeGrid",
     "Trajectory",

@@ -72,6 +72,8 @@ SWITCHES = {
     "initial.c.preset": SCALAR_PRESETS, "initial.n.preset": SCALAR_PRESETS, "initial.u.preset": VELOCITY_PRESETS,
     "params.f.family": RESPONSE_FAMILIES["f"], "params.g.family": RESPONSE_FAMILIES["g"],
 }
+# preset and response objects take the keys of their preset or family, not a fixed set
+LEAF_OBJECTS = frozenset(key.rpartition(".")[0] for key in SWITCHES)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def _merge_defaults(raw: dict, defaults: dict, prefix: str, problems: list) -> d
         path = f"{prefix}{key}"
         if key not in raw:
             out[key] = copy.deepcopy(default)
-        elif isinstance(default, dict) and not _is_leaf_dict(path):
+        elif isinstance(default, dict) and path not in LEAF_OBJECTS:
             if not isinstance(raw[key], dict):
                 problems.append((path, f"expected an object, got {type(raw[key]).__name__}"))
                 out[key] = copy.deepcopy(default)
@@ -122,11 +124,6 @@ def _merge_defaults(raw: dict, defaults: dict, prefix: str, problems: list) -> d
         if key not in defaults:
             problems.append((f"{prefix}{key}", "unknown key"))
     return out
-
-
-def _is_leaf_dict(path: str) -> bool:
-    # preset and response objects take the keys of their preset or family
-    return path in ("params.f", "params.g", "initial.c", "initial.n", "initial.u")
 
 
 def _require_number(val, path, problems, positive=False, minimum=None, integer=False):

@@ -29,7 +29,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Conforming P1 triangulation of a convex domain.
+    """Conforming P1 triangulation of a convex domain, validated when built.
 
     Attributes
     ----------
@@ -106,6 +106,9 @@ class Mesh:
         h.update(self.triangles.tobytes())
         h.update(self.boundary_loop.tobytes())
         return h.hexdigest()
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Check every structural invariant; raise MeshError listing failures."""
@@ -218,14 +221,12 @@ def mesh_from_arrays(vertices, triangles, boundary_loop) -> Mesh:
     )
     h_max = float(np.linalg.norm(side, axis=2).max())
 
-    mesh = Mesh(
+    return Mesh(
         vertices=_readonly(vertices),
         triangles=_readonly(triangles),
         boundary_loop=_readonly(loop),
         h_max=h_max,
     )
-    mesh.validate()
-    return mesh
 
 
 # Plain-text sections, shared by the mesh and fields files: "<keyword> <count>",

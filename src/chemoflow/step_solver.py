@@ -28,7 +28,9 @@ and the solver options, the convection-free data, the start factor of each
 of its three blocks, which every attempt's held factors start from, and the
 last system, which the next step starts from.  ``outer_step``,
 ``picard_inner``, ``step_residual`` and the block loads read all of it from
-the base they are given, so one step's matrices and loads share one ``k``.
+the base they are given, so one step's matrices and loads share one ``k``,
+and the previous level's fields from the ``State`` the time loop holds,
+whose ``validate`` is the one check of the fields' shapes.
 Consecutive steps' matrices differ by ``k (C(u_m) - C(u_{m-1}))``
 alone, so every start factor is the factor of some step's first system:
 the first attempt factorises its own, and a block that gives its start
@@ -51,49 +53,62 @@ BLOCKS = ("oxygen", "cell-density", "saddle")  # the block names a failed factor
 
 
 @dataclass(frozen=True)
-class StepInputs:
-    """Previous-step fields feeding one implicit step; its step size is the ``StepBase``'s ``k``.
+class State:
+    """Discrete fields at one time level; velocity vanishes on the boundary.
 
-    The oxygen boundary trace is the restriction of ``c_prev``; the boundary
-    operators are vertex-indexed, so it needs no field of its own.
+    A step reads the previous level's ``c``, ``n`` and ``u``.  The oxygen
+    boundary trace is the restriction of ``c``; the boundary operators are
+    vertex-indexed, so it needs no field of its own.
     """
 
-    c_prev: np.ndarray
-    n_prev: np.ndarray
-    u_prev: np.ndarray
+    c: np.ndarray
+    n: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
+    t: float
 
     def validate(self, ops: OperatorSet) -> None:
+        """Refuse ``c``, ``n`` or ``u`` whose shape does not match the mesh or velocity space of ``ops``."""
         nv = ops.mesh.n_vertices
-        if self.c_prev.shape != (nv,) or self.n_prev.shape != (nv,):
+        if self.c.shape != (nv,) or self.n.shape != (nv,):
             raise ValueError("scalar fields do not match the mesh vertex count")
-        if self.u_prev.shape != (ops.vspace.n_velocity,):
+        if self.u.shape != (ops.vspace.n_velocity,):
             raise ValueError("velocity field does not match the velocity space")
+
+    def first_nonfinite_field(self):
+        for name in ("c", "n", "u", "p"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                return name
+        return None
 
 
 @dataclass
 class FixedPointDiagnostics:
-    """Iteration counts and update-norm history for one step solve.
+    """Update-norm histories of one step solve; its iteration counts are their lengths.
 
-    ``residual_history`` belongs to the loop the object describes (inner for
-    picard_inner, outer for outer_step); an outer diagnostics object also
-    carries the concatenated inner histories for serialisation.
+    ``inner_history`` holds the inner loop's relative pair updates (for
+    outer_step, every inner pass of every outer iteration, in order) and
+    ``outer_history`` the outer loop's relative velocity updates, empty for
+    picard_inner.
     """
 
-    inner_iterations: int = 0
-    outer_iterations: int = 0
-    residual_history: list = field(default_factory=list)
     inner_history: list = field(default_factory=list)
+    outer_history: list = field(default_factory=list)
     converged: bool = False
     final_residual: float = float("nan")
 
+    @property
+    def inner_iterations(self) -> int:
+        return len(self.inner_history)
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.outer_history)
+
     def csv_rows(self, step: int):
-        rows = [
-            f"{step},inner,{i + 1},{r:.17g}" for i, r in enumerate(self.inner_history)
-        ]
-        rows += [
-            f"{step},outer,{i + 1},{r:.17g}" for i, r in enumerate(self.residual_history)
-        ]
-        return rows
+        return [f"{step},{level},{i + 1},{r:.17g}"
+                for level, history in (("inner", self.inner_history), ("outer", self.outer_history))
+                for i, r in enumerate(history)]
 
 
 @dataclass(frozen=True)
@@ -197,28 +212,28 @@ class StepBase:
         self.factors[i], self.sources[i] = lu, 0 if lu is None else step
 
 
-def c_step_rhs(base: StepBase, inputs: StepInputs, c_hat, n_hat):
+def c_step_rhs(base: StepBase, prev: State, c_hat, n_hat):
     """Right side of the oxygen step: previous oxygen and boundary trace less the consumption load."""
     ops, params = base.ops, base.params
     consumption = n_hat * params.consumption()(c_hat)
     return (
-        ops.M_vol @ inputs.c_prev
-        + params.alpha / params.b * (ops.M_bnd_global @ inputs.c_prev)
+        ops.M_vol @ prev.c
+        + params.alpha / params.b * (ops.M_bnd_global @ prev.c)
         - base.k * (ops.M_vol @ consumption)
     )
 
 
-def n_step_rhs(base: StepBase, inputs: StepInputs, c, n_hat):
+def n_step_rhs(base: StepBase, prev: State, c, n_hat):
     """Right side of the cell step: previous density plus the chemotaxis load."""
     ops = base.ops
-    return ops.M_vol @ inputs.n_prev + base.k * assemble_chemotaxis_rhs(ops, n_hat, c, base.params.sensitivity())
+    return ops.M_vol @ prev.n + base.k * assemble_chemotaxis_rhs(ops, n_hat, c, base.params.sensitivity())
 
 
-def u_step_rhs(base: StepBase, inputs: StepInputs, n):
-    """Load of the fluid step on the full velocity dof set: the buoyancy of ``n`` plus ``M u_prev``."""
+def u_step_rhs(base: StepBase, prev: State, n):
+    """Load of the fluid step on the full velocity dof set: the buoyancy of ``n`` plus ``M prev.u``."""
     ops = base.ops
     force = ops.buoyancy_load(n, np.asarray(base.params.grad_sigma, dtype=float))
-    return base.k * force + ops.M_u @ inputs.u_prev
+    return base.k * force + ops.M_u @ prev.u
 
 
 def _pair_update_norm(ops, dc, dn, c, n):
@@ -227,7 +242,7 @@ def _pair_update_norm(ops, dc, dn, c, n):
     return num, den
 
 
-def picard_inner(base: StepBase, inputs: StepInputs, system: StepSystem, initial_guess=None, factors=None):
+def picard_inner(base: StepBase, prev: State, system: StepSystem, initial_guess=None, factors=None):
     """Iterate the (c, n) map of the frozen-velocity ``system`` to its fixed point.
 
     Stops once the relative pair update is at most ``base.options.inner_tol``
@@ -238,24 +253,23 @@ def picard_inner(base: StepBase, inputs: StepInputs, system: StepSystem, initial
     policy.
     """
     ops, options = base.ops, base.options
-    inputs.validate(ops)
+    prev.validate(ops)
     oxygen, cells = factors or (KeptFactor("oxygen"), KeptFactor("cell-density"))
 
     if initial_guess is None:
-        c_hat, n_hat = inputs.c_prev, inputs.n_prev
+        c_hat, n_hat = prev.c, prev.n
     else:
         c_hat, n_hat = initial_guess
 
     diag = FixedPointDiagnostics()
     linear_tol = min(options.inner_tol, 1e-10)
-    for it in range(1, options.max_inner + 1):
-        rhs_c = c_step_rhs(base, inputs, c_hat, n_hat)
+    for _ in range(options.max_inner):
+        rhs_c = c_step_rhs(base, prev, c_hat, n_hat)
         c = oxygen.solve(system.oxygen, rhs_c, linear_tol, c_hat)
-        rhs_n = n_step_rhs(base, inputs, c, n_hat)
+        rhs_n = n_step_rhs(base, prev, c, n_hat)
         n = cells.solve(system.cells, rhs_n, linear_tol, n_hat)
         num, den = _pair_update_norm(ops, c - c_hat, n - n_hat, c, n)
-        diag.inner_iterations = it
-        diag.residual_history.append(num / den if den > 0 else num)
+        diag.inner_history.append(num / den if den > 0 else num)
         c_hat, n_hat = c, n
         if num <= options.inner_tol * den:
             diag.converged = True
@@ -263,7 +277,7 @@ def picard_inner(base: StepBase, inputs: StepInputs, system: StepSystem, initial
     return c_hat, n_hat, diag
 
 
-def step_residual(base: StepBase, inputs: StepInputs, system: StepSystem, c, n, p) -> float:
+def step_residual(base: StepBase, prev: State, system: StepSystem, c, n, p) -> float:
     """Relative residual of the fully coupled nonlinear step at (c, n, u, p), ``u = system.u``.
 
     Each block is ``matrix @ x - rhs`` from the matrices and loads the solve
@@ -271,21 +285,21 @@ def step_residual(base: StepBase, inputs: StepInputs, system: StepSystem, c, n, 
     """
     ops = base.ops
     u = system.u
-    r_c = system.oxygen @ c - c_step_rhs(base, inputs, c, n)
-    r_n = system.cells @ n - n_step_rhs(base, inputs, c, n)
-    rhs_u = u_step_rhs(base, inputs, n)
+    r_c = system.oxygen @ c - c_step_rhs(base, prev, c, n)
+    r_n = system.cells @ n - n_step_rhs(base, prev, c, n)
+    rhs_u = u_step_rhs(base, prev, n)
     idx = ops.vspace.interior_velocity
-    M_u_prev = ops.M_u @ inputs.u_prev
+    M_u_prev = ops.M_u @ prev.u
     # u is zero on the boundary, so the interior columns carry every product
     r_u = system.fluid.momentum_residual(u[idx], p, rhs_u[idx])
     r_div = ops.B @ u
     num = np.sqrt(
         np.sum(r_c**2) + np.sum(r_n**2) + np.sum(r_u**2) + np.sum(r_div**2)
     )
-    # the load's force part is rhs_u - M u_prev, k times the buoyancy load
+    # the load's force part is rhs_u - M prev.u, k times the buoyancy load
     scale = np.sqrt(
-        np.sum((ops.M_vol @ inputs.c_prev) ** 2)
-        + np.sum((ops.M_vol @ inputs.n_prev) ** 2)
+        np.sum((ops.M_vol @ prev.c) ** 2)
+        + np.sum((ops.M_vol @ prev.n) ** 2)
         + np.sum(M_u_prev[idx] ** 2)
         + np.linalg.norm(rhs_u - M_u_prev) ** 2
     )
@@ -301,7 +315,7 @@ class StepResult:
     diagnostics: FixedPointDiagnostics
 
 
-def outer_step(base: StepBase, inputs: StepInputs, step: int = 0) -> StepResult:
+def outer_step(base: StepBase, prev: State, step: int = 0) -> StepResult:
     """Full coupled step of size ``base.k``: alternate the (c, n) fixed point with fluid solves.
 
     Convection in the fluid is linearised at the previous outer velocity
@@ -309,40 +323,38 @@ def outer_step(base: StepBase, inputs: StepInputs, step: int = 0) -> StepResult:
     update below tolerance, and the fully nonlinear residual below tolerance;
     failure is reported in the diagnostics.  The attempt starts from
     ``base``: its start factors, and its last system when that is at
-    ``u_prev``, else a new one there, which is the attempt's first system.
+    ``prev.u``, else a new one there, which is the attempt's first system.
     It leaves in ``base`` its own last system and, for each block that had
     no start factor or gave it up, the factor of its first system, from
     grid ``step``.
     """
     ops, options = base.ops, base.options
-    inputs.validate(ops)
+    prev.validate(ops)
     # the residual check and the next outer iteration share each new velocity's system
     system = base.last
-    if system is None or not np.array_equal(system.u, inputs.u_prev):
-        system = base.system(np.asarray(inputs.u_prev, dtype=float))
+    if system is None or not np.array_equal(system.u, prev.u):
+        system = base.system(np.asarray(prev.u, dtype=float))
     oxygen, cells, saddle = base.held(system, step)
     guess = None
     diag = FixedPointDiagnostics()
     c = n = None
     u, p = system.u, np.zeros(ops.mesh.n_vertices)
-    for it in range(1, options.max_outer + 1):
-        c, n, inner = picard_inner(base, inputs, system, initial_guess=guess, factors=(oxygen, cells))
+    for _ in range(options.max_outer):
+        c, n, inner = picard_inner(base, prev, system, initial_guess=guess, factors=(oxygen, cells))
         guess = (c, n)
-        diag.inner_iterations += inner.inner_iterations
-        diag.inner_history.extend(inner.residual_history)
-        rhs = u_step_rhs(base, inputs, n)
+        diag.inner_history.extend(inner.inner_history)
+        rhs = u_step_rhs(base, prev, n)
         u, p = solve_saddle(ops, system.fluid, rhs, tol=options.linear_tol, factor=saddle, guess=(system.u, p))
         num = np.sqrt(ops.velocity_norm_sq(u - system.u))
         den = np.sqrt(ops.velocity_norm_sq(u))
-        diag.outer_iterations = it
-        diag.residual_history.append(num / den if den > 0 else num)
+        diag.outer_history.append(num / den if den > 0 else num)
         system = base.system(u)
         if inner.converged and num <= options.outer_tol * den:
-            residual = step_residual(base, inputs, system, c, n, p)
+            residual = step_residual(base, prev, system, c, n, p)
             diag.final_residual = residual
             if residual <= max(options.outer_tol, 10 * options.linear_tol):
                 diag.converged = True
                 break
     if not diag.converged and c is not None and np.isnan(diag.final_residual):
-        diag.final_residual = step_residual(base, inputs, system, c, n, p)
+        diag.final_residual = step_residual(base, prev, system, c, n, p)
     return StepResult(c=c, n=n, u=u, p=p, diagnostics=diag)

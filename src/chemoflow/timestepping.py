@@ -1,7 +1,9 @@
 """Uniform implicit-Euler time loop and the piecewise reconstructions in time.
 
 A trajectory is the sequence of states produced by the per-step solver on a
-uniform grid, together with two reconstructions: the piecewise-linear
+uniform grid; the loop hands each step the ``State`` it holds as is and
+stamps the new one with the grid's exact time.  Two reconstructions come
+with it: the piecewise-linear
 interpolant (continuous in time) and the right-continuous piecewise-constant
 step function.  Both agree with the states at grid nodes; the exact L2-in-time
 gap between them shrinks linearly with the step size, which the refinement
@@ -24,7 +26,7 @@ import logging
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .assembly import OperatorSet
 from .fluid import LinearSolveError, project_divergence_free
-from .step_solver import FixedPointDiagnostics, SolverOptions, StepBase, StepInputs, outer_step
+from .step_solver import SolverOptions, State, StepBase, outer_step
 
 logger = logging.getLogger(__name__)
 
@@ -82,23 +84,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class State:
-    """Discrete fields at one time level; velocity vanishes on the boundary."""
-
-    c: np.ndarray
-    n: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
-    t: float
-
-    def first_nonfinite_field(self):
-        for name in ("c", "n", "u", "p"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                return name
-        return None
-
-
-@dataclass(frozen=True)
 class Trajectory:
     grid: TimeGrid
     states: tuple
@@ -115,22 +100,14 @@ class Trajectory:
 def initial_state(ops: OperatorSet, c0, n0, u0) -> State:
     """Package initial fields; velocities are projected solenoidal unless
     they vanish on the boundary with ``||B u0|| <= 1e-10 ||u0||`` already."""
-    c0 = np.asarray(c0, dtype=float)
-    n0 = np.asarray(n0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    nv = ops.mesh.n_vertices
-    if c0.shape != (nv,) or n0.shape != (nv,):
-        raise ValueError("initial scalar fields do not match the mesh")
-    if u0.shape != (ops.vspace.n_velocity,):
-        raise ValueError("initial velocity does not match the velocity space")
+    state = State(c=np.asarray(c0, dtype=float), n=np.asarray(n0, dtype=float), u=np.asarray(u0, dtype=float),
+                  p=np.zeros(ops.mesh.n_vertices), t=0.0)
+    state.validate(ops)
+    u0 = state.u
     solenoidal = np.array_equal(ops.vspace.zero_boundary(u0), u0) and (
         np.linalg.norm(ops.B @ u0) <= 1e-10 * np.linalg.norm(u0)
     )
-    if not solenoidal:
-        u0 = project_divergence_free(u0, ops)
-    else:
-        u0 = ops.vspace.zero_boundary(u0)
-    return State(c=c0, n=n0, u=u0, p=np.zeros(nv), t=0.0)
+    return replace(state, u=ops.vspace.zero_boundary(u0) if solenoidal else project_divergence_free(u0, ops))
 
 
 def trajectory_data_hash(ops: OperatorSet, params, state0: State, T: float) -> str:
@@ -152,11 +129,10 @@ def _advance(base: StepBase, state: State, t_next: float, depth: int, step: int)
     ``base.halved()`` for its two halves, dropped with them, so the grid
     step size's base carries only factors of first systems at checkpointed
     states.  A failed linear solve is a failed attempt, like a stalled fixed
-    point.
+    point.  The new state's time is ``t_next`` exactly, the grid's own time of the step.
     """
-    inputs = StepInputs(c_prev=state.c, n_prev=state.n, u_prev=state.u)
     try:
-        result = outer_step(base, inputs, step=step)
+        result = outer_step(base, state, step=step)
     except LinearSolveError as exc:
         result, residual, reason = None, None, str(exc)
     else:

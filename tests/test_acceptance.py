@@ -28,7 +28,7 @@ from chemoflow.energy import (
     uniform_bound_scan,
 )
 from chemoflow.geometry import build_disc_mesh
-from chemoflow.step_solver import SolverOptions, StepBase, StepInputs, outer_step, picard_inner
+from chemoflow.step_solver import SolverOptions, StepBase, outer_step, picard_inner
 from chemoflow.timestepping import TimeGrid, initial_state, run
 
 from conftest import BENCH_PARAMS, bench_initial
@@ -187,10 +187,9 @@ def test_criterion_07_time_translate_decay(bench_traj, bench_ops):
 
 
 def test_criterion_08_step_size_regime(bench_ops, bench_state0):
-    inputs = StepInputs(c_prev=bench_state0.c, n_prev=bench_state0.n, u_prev=bench_state0.u)
     base = StepBase(bench_ops, BENCH_PARAMS, 0.01, SolverOptions(inner_tol=1e-11))
-    c, n, small = picard_inner(base, inputs, base.system(bench_state0.u))
-    result = outer_step(StepBase(bench_ops, BENCH_PARAMS, 0.01), inputs)
+    c, n, small = picard_inner(base, bench_state0, base.system(bench_state0.u))
+    result = outer_step(StepBase(bench_ops, BENCH_PARAMS, 0.01), bench_state0)
     ok_small = (
         small.converged
         and small.inner_iterations <= BASELINE_INNER_ITERS
@@ -198,7 +197,7 @@ def test_criterion_08_step_size_regime(bench_ops, bench_state0):
         and result.diagnostics.outer_iterations <= BASELINE_OUTER_ITERS
     )
     base = StepBase(bench_ops, BENCH_PARAMS, 10.0, SolverOptions(inner_tol=1e-11, max_inner=200))
-    _, _, big = picard_inner(base, inputs, base.system(bench_state0.u))
+    _, _, big = picard_inner(base, bench_state0, base.system(bench_state0.u))
     ok_big = (not big.converged) or big.inner_iterations >= 5 * small.inner_iterations
     report(
         "criterion-8 step-size regime",
@@ -246,7 +245,7 @@ def test_criterion_10_discrete_gronwall():
     )
 
 
-def dense_newton_step(ops, params, inputs, k, tol=1e-12, max_iter=40):
+def dense_newton_step(ops, params, prev, k, tol=1e-12, max_iter=40):
     """Independent oracle: Newton with finite-difference Jacobian on the
     monolithic residual of one implicit step (mean-zero pressure via a
     multiplier)."""
@@ -258,9 +257,9 @@ def dense_newton_step(ops, params, inputs, k, tol=1e-12, max_iter=40):
     g = params.sensitivity()
     w = ops.pressure_weights
     gs = np.asarray(params.grad_sigma, dtype=float)
-    rhs_c = ops.M_vol @ inputs.c_prev + a_ob * (ops.M_bnd_global @ inputs.c_prev)
-    rhs_n = ops.M_vol @ inputs.n_prev
-    rhs_u = (ops.M_u @ inputs.u_prev)[idx]
+    rhs_c = ops.M_vol @ prev.c + a_ob * (ops.M_bnd_global @ prev.c)
+    rhs_n = ops.M_vol @ prev.n
+    rhs_u = (ops.M_u @ prev.u)[idx]
 
     def residual(z):
         c = z[:nv]
@@ -294,7 +293,7 @@ def dense_newton_step(ops, params, inputs, k, tol=1e-12, max_iter=40):
         r_div = ops.B @ u + w * lam
         return np.concatenate([r_c, r_n, r_u, r_div, [w @ p]])
 
-    z = np.concatenate([inputs.c_prev, inputs.n_prev, inputs.u_prev[idx], np.zeros(nv), [0.0]])
+    z = np.concatenate([prev.c, prev.n, prev.u[idx], np.zeros(nv), [0.0]])
     scale = max(np.linalg.norm(residual(z)), 1e-300)
     for _ in range(max_iter):
         r = residual(z)
@@ -323,11 +322,10 @@ def test_criterion_11_oracle_equivalence(coarse_ops):
     total_dofs = 3 * ops.mesh.n_vertices + ops.vspace.interior_velocity.size + 1
     assert total_dofs <= 500
     state0 = bench_initial(ops)
-    inputs = StepInputs(c_prev=state0.c, n_prev=state0.n, u_prev=state0.u)
     opts = SolverOptions(inner_tol=1e-13, outer_tol=1e-12, linear_tol=1e-11)
-    nested = outer_step(StepBase(ops, BENCH_PARAMS, 0.05, opts), inputs)
+    nested = outer_step(StepBase(ops, BENCH_PARAMS, 0.05, opts), state0)
     assert nested.diagnostics.converged
-    c, n, u, p, newton_res = dense_newton_step(ops, BENCH_PARAMS, inputs, 0.05)
+    c, n, u, p, newton_res = dense_newton_step(ops, BENCH_PARAMS, state0, 0.05)
     p_nested = nested.p - (ops.pressure_weights @ nested.p) / ops.pressure_weights.sum()
 
     def rel(a, b):

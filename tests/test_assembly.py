@@ -41,17 +41,14 @@ def test_reference_triangle_stiffness(reference_triangle_mesh):
 
 
 def test_operators_reject_non_positive_area(reference_triangle_mesh):
-    # a clockwise triangle, built past mesh validation
-    flipped = dataclasses.replace(
-        reference_triangle_mesh, triangles=reference_triangle_mesh.triangles[:, ::-1]
-    )
-    # a NaN vertex, whose areas fail every comparison
+    # a mesh is validated when built, even by dataclasses.replace, so no
+    # clockwise triangle or NaN vertex reaches the operators
+    with pytest.raises(MeshError, match="non-positive area"):
+        dataclasses.replace(reference_triangle_mesh, triangles=reference_triangle_mesh.triangles[:, ::-1])
     vertices = reference_triangle_mesh.vertices.copy()
     vertices[0, 0] = np.nan
-    nan_vertex = dataclasses.replace(reference_triangle_mesh, vertices=vertices)
-    for mesh in (flipped, nan_vertex):
-        with pytest.raises(MeshError, match="non-positive"):
-            build_operators(mesh)
+    with pytest.raises(MeshError, match="non-finite"):
+        dataclasses.replace(reference_triangle_mesh, vertices=vertices)
 
 
 def test_mass_total_is_disc_area():
@@ -113,9 +110,9 @@ def test_boundary_mass_rejects_degenerate_loop():
         triangles=np.array([[0, 1, 2]]),
         boundary_loop=np.array([0, 1, 2]),
     )
-    bad = dataclasses.replace(mesh, boundary_loop=np.array([0, 1]))
-    with pytest.raises(MeshError):
-        assemble_boundary_mass(bad)
+    # the two-vertex loop is refused when the mesh is built, before any boundary assembly
+    with pytest.raises(MeshError, match="fewer than 3 vertices"):
+        dataclasses.replace(mesh, boundary_loop=np.array([0, 1]))
 
 
 def test_laplace_beltrami_constants_and_sine_mode():

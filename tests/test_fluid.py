@@ -12,7 +12,7 @@ from chemoflow.fluid import (
 )
 from chemoflow.geometry import build_disc_mesh
 from chemoflow.model import ModelParams
-from chemoflow.step_solver import StepBase, StepInputs, outer_step, picard_inner, u_step_rhs
+from chemoflow.step_solver import State, StepBase, outer_step, picard_inner, u_step_rhs
 
 
 PARAMS = ModelParams()
@@ -21,13 +21,13 @@ PARAMS = ModelParams()
 def saddle_system(ops, u_hat, n, u_prev, k, params):
     """The fluid step's saddle at ``u_hat`` and its load from ``n`` and ``u_prev``."""
     base = StepBase(ops, params, k)
-    return base.system(u_hat).fluid, u_step_rhs(base, StepInputs(c_prev=n, n_prev=n, u_prev=u_prev), n)
+    return base.system(u_hat).fluid, u_step_rhs(base, State(n, n, u_prev, np.zeros_like(n), 0.0), n)
 
 
 def fluid_step(ops, n, q, k, params):
     """One coupled step from cell density n and velocity q, with no oxygen."""
     c = np.zeros(ops.mesh.n_vertices)
-    result = outer_step(StepBase(ops, params, k), StepInputs(c_prev=c, n_prev=n, u_prev=q))
+    result = outer_step(StepBase(ops, params, k), State(c, n, q, np.zeros_like(c), 0.0))
     return result.u, result.p, result.diagnostics
 
 
@@ -256,29 +256,29 @@ def test_step_attempt_starts_from_the_base(coarse_ops, monkeypatch):
     c = np.ones(ops.mesh.n_vertices)
     n = rng.random(ops.mesh.n_vertices)
     u_prev = np.zeros(ops.vspace.n_velocity)
-    inputs = StepInputs(c_prev=c, n_prev=n, u_prev=u_prev)
+    prev = State(c, n, u_prev, np.zeros_like(c), 0.0)
     unshared = StepBase(ops, params, k)
-    outer_step(unshared, inputs, step=1)
-    fresh = outer_step(unshared, inputs, step=2)
+    outer_step(unshared, prev, step=1)
+    fresh = outer_step(unshared, prev, step=2)
     made = counted_factorisations(monkeypatch)
     base = StepBase(ops, params, k)
-    outer_step(base, inputs, step=1)
+    outer_step(base, prev, step=1)
     oxygen_lu, cells_lu, saddle_lu = base.factors
     assert base.sources == [1, 1, 1] and made[:3] == [oxygen_lu, cells_lu, saddle_lu]
     solve_saddle(ops, A, rhs, factor=KeptFactor("saddle", saddle_lu))
     stalled = made[-1]
     assert stalled not in base.factors and stalled.solves == 1
     held = (KeptFactor("oxygen", oxygen_lu), KeptFactor("cell-density", cells_lu))
-    other = StepInputs(c_prev=2 * c, n_prev=n, u_prev=u_prev)
+    other = State(2 * c, n, u_prev, np.zeros_like(c), 0.0)
     inner = StepBase(ops, params, k)
     picard_inner(inner, other, inner.system(u_prev), factors=held)
     assert all(f.spare < KeptFactor.max_corrections for f in held)
     solves = saddle_lu.solves
-    result = outer_step(base, inputs, step=2)
+    result = outer_step(base, prev, step=2)
     assert saddle_lu.solves > solves and stalled.solves == 1
     for name in ("c", "n", "u", "p"):
         assert np.array_equal(getattr(result, name), getattr(fresh, name))
-    assert result.diagnostics.residual_history == fresh.diagnostics.residual_history
+    assert result.diagnostics.outer_history == fresh.diagnostics.outer_history
 
 
 def test_kinetic_energy_identity(coarse_ops):

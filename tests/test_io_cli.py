@@ -356,6 +356,36 @@ def test_cli_run_steady_and_energy(tmp_path, capsys):
     assert (tmp_path / "energy" / "energy_report.txt").exists()
 
 
+def test_cli_run_diagnostics_csv_follows_the_histories(tmp_path, monkeypatch, capsys):
+    # docs/formats.md: per step, in step order, one row per fixed-point
+    # iteration of each converged attempt, its inner rows and then its outer
+    # rows, each level's iterations numbered from 1
+    trajectories = []
+    run_time_loop = cli.run_time_loop
+
+    def kept(*args, **kwargs):
+        trajectories.append(run_time_loop(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(cli, "run_time_loop", kept)
+    out_dir = tmp_path / "steady"
+    assert main(["run", "--config", str(STEADY_CONFIG), "--output", str(out_dir), "--set", "time.N=4"]) == 0
+    (traj,) = trajectories
+    assert traj.diagnostics[0] == () and all(len(ds) == 1 for ds in traj.diagnostics[1:])
+    header, *lines = (out_dir / "diagnostics.csv").read_text().splitlines()
+    assert header == "step,level,iteration,residual"
+    rows = [line.split(",") for line in lines]
+    expected, residuals = [], []
+    for m, ds in enumerate(traj.diagnostics):
+        for d in ds:
+            assert d.converged and d.inner_iterations >= d.outer_iterations >= 1
+            expected += [(m, "inner", i) for i in range(1, d.inner_iterations + 1)]
+            expected += [(m, "outer", i) for i in range(1, d.outer_iterations + 1)]
+            residuals += d.inner_history + d.outer_history
+    assert [(int(m), level, int(i)) for m, level, i, _ in rows] == expected
+    assert [float(r) for *_, r in rows] == residuals
+
+
 def test_cli_converge_smoke(tmp_path, capsys):
     code = main(
         [

@@ -53,11 +53,11 @@ def record(case: str) -> dict:
     steps = []
     outer = timestepping.outer_step
 
-    def recorded(base, inputs, step=0):
+    def recorded(base, prev, step=0):
         # a grid step's first attempt is the one at the grid step size; its halved retries follow it
         if base.k == cfg.grid.k:
             steps.append([])
-        result = outer(base, inputs, step=step)
+        result = outer(base, prev, step=step)
         d = result.diagnostics
         steps[-1].append({"k": base.k, "inner": d.inner_iterations, "outer": d.outer_iterations,
                           "converged": d.converged})

@@ -16,8 +16,8 @@ from chemoflow.model import ModelParams, ResponseSpec
 from chemoflow.step_solver import (
     BLOCKS,
     SolverOptions,
+    State,
     StepBase,
-    StepInputs,
     c_step_rhs,
     n_step_rhs,
     outer_step,
@@ -25,7 +25,7 @@ from chemoflow.step_solver import (
     step_residual,
     u_step_rhs,
 )
-from chemoflow.timestepping import TimeGrid, run
+from chemoflow.timestepping import TimeGrid, initial_state, run
 
 PARAMS = ModelParams()
 # zero sensitivity decouples the cell step from the oxygen gradient, so a
@@ -33,20 +33,20 @@ PARAMS = ModelParams()
 NO_TAXIS = ModelParams(g_spec=ResponseSpec("constant", {"theta": 0.0}))
 
 
-def make_inputs(ops, c=None, n=None, u=None):
+def make_state(ops, c=None, n=None, u=None):
     nv = ops.mesh.n_vertices
     c = np.zeros(nv) if c is None else np.asarray(c, dtype=float)
     n = np.zeros(nv) if n is None else np.asarray(n, dtype=float)
     u = np.zeros(ops.vspace.n_velocity) if u is None else np.asarray(u, dtype=float)
-    return StepInputs(c_prev=c, n_prev=n, u_prev=u)
+    return State(c=c, n=n, u=u, p=np.zeros(nv), t=0.0)
 
 
 def test_constant_oxygen_is_steady(coarse_ops):
     ops = coarse_ops
     cbar = 2.5 * np.ones(ops.mesh.n_vertices)
-    inputs = make_inputs(ops, c=cbar)
+    prev = make_state(ops, c=cbar)
     base = StepBase(ops, NO_TAXIS, 0.1)
-    c, _, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
+    c, _, _ = picard_inner(base, prev, base.system(prev.u))
     assert np.max(np.abs(c - 2.5)) < 1e-12
 
 
@@ -59,9 +59,9 @@ def test_oxygen_eigenmode_decay(coarse_ops):
     eigvals, eigvecs = eigh(K_comb, M_comb)
     lam, v = eigvals[3], eigvecs[:, 3]
     k = 0.05
-    inputs = make_inputs(ops, c=v)
+    prev = make_state(ops, c=v)
     base = StepBase(ops, NO_TAXIS, k)
-    c, _, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
+    c, _, _ = picard_inner(base, prev, base.system(prev.u))
     expected = v / (1.0 + k * NO_TAXIS.alpha * lam)
     assert np.max(np.abs(c - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -73,9 +73,9 @@ def test_oxygen_consistency_order(coarse_ops):
     errs = []
     ks = [1e-2, 1e-3, 1e-4]
     for k in ks:
-        inputs = make_inputs(ops, c=h)
+        prev = make_state(ops, c=h)
         base = StepBase(ops, NO_TAXIS, k)
-        c, _, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
+        c, _, _ = picard_inner(base, prev, base.system(prev.u))
         errs.append(np.sqrt(ops.scalar_norm_sq(c - h)))
     slope = np.polyfit(np.log(ks), np.log(errs), 1)[0]
     assert 0.9 <= slope <= 1.1
@@ -85,9 +85,9 @@ def test_cells_constant_steady(coarse_ops):
     ops = coarse_ops
     nbar = 1.3 * np.ones(ops.mesh.n_vertices)
     cconst = 2.0 * np.ones(ops.mesh.n_vertices)
-    inputs = make_inputs(ops, c=cconst, n=nbar)
+    prev = make_state(ops, c=cconst, n=nbar)
     base = StepBase(ops, NO_TAXIS, 0.1)
-    _, n, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
+    _, n, _ = picard_inner(base, prev, base.system(prev.u))
     assert np.max(np.abs(n - 1.3)) < 1e-12
 
 
@@ -96,9 +96,9 @@ def test_cells_heat_eigenmode(coarse_ops):
     eigvals, eigvecs = eigh(ops.K_vol.toarray(), ops.M_vol.toarray())
     lam, v = eigvals[2], eigvecs[:, 2]
     k = 0.05
-    inputs = make_inputs(ops, n=v)
+    prev = make_state(ops, n=v)
     base = StepBase(ops, NO_TAXIS, k)
-    _, n, _ = picard_inner(base, inputs, base.system(inputs.u_prev))
+    _, n, _ = picard_inner(base, prev, base.system(prev.u))
     expected = v / (1.0 + k * NO_TAXIS.beta * lam)
     assert np.max(np.abs(n - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -115,9 +115,9 @@ def test_cell_mass_conserved(coarse_ops):
         u = project_divergence_free(
             ops.vspace.zero_boundary(rng.standard_normal(ops.vspace.n_velocity)), ops
         )
-        inputs = make_inputs(ops, c=c, n=l)
+        prev = make_state(ops, c=c, n=l)
         # sensitivity left on: the chemotaxis flux must be mass-neutral too
-        _, n, _ = picard_inner(base, inputs, base.system(u), initial_guess=(c, n_hat))
+        _, n, _ = picard_inner(base, prev, base.system(u), initial_guess=(c, n_hat))
         m_new = ones @ (ops.M_vol @ n)
         m_old = ones @ (ops.M_vol @ l)
         assert abs(m_new - m_old) <= 1e-10 * abs(m_old) + 1e-14
@@ -125,9 +125,9 @@ def test_cell_mass_conserved(coarse_ops):
 
 def test_picard_zero_data(coarse_ops):
     ops = coarse_ops
-    inputs = make_inputs(ops)
+    prev = make_state(ops)
     base = StepBase(ops, PARAMS, 0.01)
-    c, n, diag = picard_inner(base, inputs, base.system(inputs.u_prev))
+    c, n, diag = picard_inner(base, prev, base.system(prev.u))
     assert diag.converged and diag.inner_iterations == 1
     assert np.max(np.abs(c)) == 0.0 and np.max(np.abs(n)) == 0.0
 
@@ -142,12 +142,12 @@ def test_picard_linear_regime_fixed_point_after_two_passes(coarse_ops):
         g_spec=ResponseSpec("constant", {"theta": 0.0}),
     )
     rng = np.random.default_rng(13)
-    inputs = make_inputs(ops, c=1 + rng.random(ops.mesh.n_vertices), n=rng.random(ops.mesh.n_vertices))
+    prev = make_state(ops, c=1 + rng.random(ops.mesh.n_vertices), n=rng.random(ops.mesh.n_vertices))
     base = StepBase(ops, params, 0.01, SolverOptions(inner_tol=1e-12))
-    c, n, diag = picard_inner(base, inputs, base.system(inputs.u_prev))
+    c, n, diag = picard_inner(base, prev, base.system(prev.u))
     assert diag.converged
     assert diag.inner_iterations <= 3
-    assert diag.residual_history[-1] <= 1e-13
+    assert diag.inner_history[-1] <= 1e-13
 
 
 def test_picard_large_step_struggles(coarse_ops):
@@ -155,12 +155,12 @@ def test_picard_large_step_struggles(coarse_ops):
     rng = np.random.default_rng(14)
     c0 = 1 + rng.random(ops.mesh.n_vertices)
     n0 = 2 * rng.random(ops.mesh.n_vertices)
-    inputs = make_inputs(ops, c=c0, n=n0)
+    prev = make_state(ops, c=c0, n=n0)
     small = StepBase(ops, PARAMS, 0.01, SolverOptions(inner_tol=1e-11))
-    _, _, diag_small = picard_inner(small, inputs, small.system(inputs.u_prev))
+    _, _, diag_small = picard_inner(small, prev, small.system(prev.u))
     assert diag_small.converged
     big = StepBase(ops, PARAMS, 10.0, SolverOptions(inner_tol=1e-11, max_inner=200))
-    _, _, diag_big = picard_inner(big, inputs, big.system(inputs.u_prev))
+    _, _, diag_big = picard_inner(big, prev, big.system(prev.u))
     assert (not diag_big.converged) or (
         diag_big.inner_iterations >= 5 * diag_small.inner_iterations
     )
@@ -169,11 +169,11 @@ def test_picard_large_step_struggles(coarse_ops):
 def test_picard_monotone_residuals_when_converged(coarse_ops):
     ops = coarse_ops
     rng = np.random.default_rng(15)
-    inputs = make_inputs(ops, c=1 + 0.2 * rng.random(ops.mesh.n_vertices), n=rng.random(ops.mesh.n_vertices))
+    prev = make_state(ops, c=1 + 0.2 * rng.random(ops.mesh.n_vertices), n=rng.random(ops.mesh.n_vertices))
     base = StepBase(ops, PARAMS, 0.01)
-    _, _, diag = picard_inner(base, inputs, base.system(inputs.u_prev))
+    _, _, diag = picard_inner(base, prev, base.system(prev.u))
     assert diag.converged
-    hist = diag.residual_history
+    hist = diag.inner_history
     assert all(hist[i + 1] <= hist[i] * (1 + 1e-9) for i in range(1, len(hist) - 1))
 
 
@@ -181,17 +181,17 @@ def test_outer_step_zero_forcing_reduces_to_inner(coarse_ops):
     ops = coarse_ops
     params = ModelParams(grad_sigma=(0.0, 0.0))
     rng = np.random.default_rng(16)
-    inputs = make_inputs(ops, c=1 + 0.1 * rng.random(ops.mesh.n_vertices), n=rng.random(ops.mesh.n_vertices))
-    result = outer_step(StepBase(ops, params, 0.01), inputs)
+    prev = make_state(ops, c=1 + 0.1 * rng.random(ops.mesh.n_vertices), n=rng.random(ops.mesh.n_vertices))
+    result = outer_step(StepBase(ops, params, 0.01), prev)
     assert result.diagnostics.converged
     assert result.diagnostics.outer_iterations == 1
     assert np.max(np.abs(result.u)) == 0.0
     # the inner loop alone, its factors those of the step's first system,
     # which an attempt with no start factor makes on its first solve
     base = StepBase(ops, params, 0.01)
-    system = base.system(inputs.u_prev)
+    system = base.system(prev.u)
     factors = (KeptFactor("oxygen", first=system.oxygen), KeptFactor("cell-density", first=system.cells))
-    c_ref, n_ref, _ = picard_inner(base, inputs, system, factors=factors)
+    c_ref, n_ref, _ = picard_inner(base, prev, system, factors=factors)
     assert np.array_equal(result.c, c_ref) and np.array_equal(result.n, n_ref)
 
 
@@ -201,8 +201,8 @@ def test_outer_step_velocity_decays_without_force(coarse_ops):
     q = project_divergence_free(
         ops.vspace.zero_boundary(rng.standard_normal(ops.vspace.n_velocity)), ops
     )
-    inputs = make_inputs(ops, c=np.ones(ops.mesh.n_vertices), u=q)
-    result = outer_step(StepBase(ops, PARAMS, 0.05), inputs)
+    prev = make_state(ops, c=np.ones(ops.mesh.n_vertices), u=q)
+    result = outer_step(StepBase(ops, PARAMS, 0.05), prev)
     assert result.diagnostics.converged
     assert np.sqrt(ops.velocity_norm_sq(result.u)) <= np.sqrt(ops.velocity_norm_sq(q))
 
@@ -211,32 +211,32 @@ def test_outer_step_converges_and_residual_small(coarse_ops):
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
     n0 = 0.8 * np.exp(-((x) ** 2 + (y - 0.3) ** 2) / 0.125)
-    inputs = make_inputs(ops, c=np.ones_like(n0), n=n0)
+    prev = make_state(ops, c=np.ones_like(n0), n=n0)
     base = StepBase(ops, PARAMS, 0.01)
-    result = outer_step(base, inputs)
+    result = outer_step(base, prev)
     d = result.diagnostics
     assert d.converged
     assert d.outer_iterations <= 10  # regression baseline
     assert d.final_residual <= 1e-9
-    assert step_residual(base, inputs, base.system(result.u), result.c, result.n, result.p) <= 1e-9
+    assert step_residual(base, prev, base.system(result.u), result.c, result.n, result.p) <= 1e-9
 
 
-def full_pattern_step_residual(base, inputs, system, c, n, p):
+def full_pattern_step_residual(base, prev, system, c, n, p):
     """``step_residual`` with the momentum rows of the fluid matrix on every velocity dof, then cut to the interior."""
     ops, k = base.ops, base.k
     u = system.u
     A = ops.p2_pair.matrix(base.data[2] + k * assemble_convection(ops, u)[1].data)
-    r_c = system.oxygen @ c - c_step_rhs(base, inputs, c, n)
-    r_n = system.cells @ n - n_step_rhs(base, inputs, c, n)
-    rhs_u = u_step_rhs(base, inputs, n)
+    r_c = system.oxygen @ c - c_step_rhs(base, prev, c, n)
+    r_n = system.cells @ n - n_step_rhs(base, prev, c, n)
+    rhs_u = u_step_rhs(base, prev, n)
     idx = ops.vspace.interior_velocity
-    M_u_prev = ops.M_u @ inputs.u_prev
+    M_u_prev = ops.M_u @ prev.u
     r_u = (A @ u - k * (ops.B.T @ p) - rhs_u)[idx]
     r_div = ops.B @ u
     num = np.sqrt(np.sum(r_c**2) + np.sum(r_n**2) + np.sum(r_u**2) + np.sum(r_div**2))
     scale = np.sqrt(
-        np.sum((ops.M_vol @ inputs.c_prev) ** 2)
-        + np.sum((ops.M_vol @ inputs.n_prev) ** 2)
+        np.sum((ops.M_vol @ prev.c) ** 2)
+        + np.sum((ops.M_vol @ prev.n) ** 2)
         + np.sum(M_u_prev[idx] ** 2)
         + np.linalg.norm(rhs_u - M_u_prev) ** 2
     )
@@ -255,33 +255,46 @@ def test_step_residual_equals_the_full_pattern_formula(medium_ops, xi, k):
     base = StepBase(ops, params, k)
     for _ in range(2):
         u_prev, u = (project_divergence_free(ops.vspace.zero_boundary(rng.standard_normal(nvel)), ops) for _ in "ab")
-        inputs = make_inputs(ops, c=1 + rng.random(nv), n=rng.random(nv), u=u_prev)
+        prev = make_state(ops, c=1 + rng.random(nv), n=rng.random(nv), u=u_prev)
         c, n, p = 1 + rng.random(nv), rng.random(nv), rng.standard_normal(nv)
         system = base.system(u)
-        r_u, expected = full_pattern_step_residual(base, inputs, system, c, n, p)
+        r_u, expected = full_pattern_step_residual(base, prev, system, c, n, p)
         idx = ops.vspace.interior_velocity
-        assert np.array_equal(system.fluid.momentum_residual(u[idx], p, u_step_rhs(base, inputs, n)[idx]), r_u)
-        assert step_residual(base, inputs, system, c, n, p) == expected
+        assert np.array_equal(system.fluid.momentum_residual(u[idx], p, u_step_rhs(base, prev, n)[idx]), r_u)
+        assert step_residual(base, prev, system, c, n, p) == expected
 
 
 def test_outer_step_deterministic(coarse_ops):
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
     n0 = np.exp(-(x**2 + y**2) / 0.2)
-    inputs = make_inputs(ops, c=np.ones_like(n0), n=n0)
-    a = outer_step(StepBase(ops, PARAMS, 0.02), inputs)
-    b = outer_step(StepBase(ops, PARAMS, 0.02), inputs)
+    prev = make_state(ops, c=np.ones_like(n0), n=n0)
+    a = outer_step(StepBase(ops, PARAMS, 0.02), prev)
+    b = outer_step(StepBase(ops, PARAMS, 0.02), prev)
     for fa, fb in ((a.c, b.c), (a.n, b.n), (a.u, b.u), (a.p, b.p)):
         assert np.array_equal(fa, fb)
 
 
 def test_inputs_validation(coarse_ops):
+    # State.validate is the one shape check of the fields: both step entry
+    # points and initial_state refuse a field that does not fit the mesh
     ops = coarse_ops
     nv = ops.mesh.n_vertices
-    good = make_inputs(ops, c=np.ones(nv))
+    good = make_state(ops, c=np.ones(nv))
     good.validate(ops)
-    with pytest.raises(ValueError, match="scalar fields"):
-        make_inputs(ops, c=np.ones(nv + 1)).validate(ops)
+    base = StepBase(ops, PARAMS, 0.05)
+    system = base.system(good.u)
+    wrong = ((make_state(ops, c=np.ones(nv + 1)), "scalar fields"),
+             (make_state(ops, n=np.ones(nv - 1)), "scalar fields"),
+             (make_state(ops, u=np.zeros(ops.vspace.n_velocity + 2)), "velocity field"))
+    for bad, match in wrong:
+        with pytest.raises(ValueError, match=match):
+            outer_step(base, bad, step=1)
+        with pytest.raises(ValueError, match=match):
+            picard_inner(base, bad, system)
+        with pytest.raises(ValueError, match=match):
+            initial_state(ops, bad.c, bad.n, bad.u)
+    assert base.last is system and base.sources == [0, 0, 0]
 
 
 @pytest.mark.parametrize("k", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
@@ -311,9 +324,9 @@ def test_step_regime_scan_counts():
     state0 = build_initial_state(cfg, ops)
     counts = []
     for k in np.geomspace(1e-3, 30.0, 12):
-        inputs = make_inputs(ops, c=state0.c, n=state0.n, u=state0.u)
+        prev = make_state(ops, c=state0.c, n=state0.n, u=state0.u)
         base = StepBase(ops, cfg.params, k, replace(cfg.options, max_inner=200))
-        _, _, diag = picard_inner(base, inputs, base.system(state0.u))
+        _, _, diag = picard_inner(base, prev, base.system(state0.u))
         counts.append(diag.inner_iterations if diag.converged else None)
         assert diag.converged or diag.inner_iterations == 200
     assert tuple(counts) == REGIME_INNER
@@ -324,7 +337,7 @@ def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
     # oxygen, cell and fluid factors the step already holds
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
-    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125))
+    prev = make_state(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125))
     made = []
 
     def counted(matrix, **kw):
@@ -332,7 +345,7 @@ def test_outer_step_factorises_each_block_once(coarse_ops, monkeypatch):
         return splu(matrix, **kw)
 
     monkeypatch.setattr(fluid, "splu", counted)
-    result = outer_step(StepBase(ops, PARAMS, 0.05), inputs)
+    result = outer_step(StepBase(ops, PARAMS, 0.05), prev)
     assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
     scalar = [shape for shape in made if shape[0] == ops.mesh.n_vertices]
     assert len(scalar) == 2 and len(made) == 3  # the oxygen, cell and fluid first systems
@@ -356,13 +369,13 @@ def test_one_convection_assembly_per_frozen_velocity(coarse_ops, monkeypatch):
     # and the next outer iteration share the system built at a new velocity
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
-    inputs = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125))
+    prev = make_state(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125))
     base = StepBase(ops, PARAMS, 0.05)
     velocities = counted_convection(monkeypatch)
-    result = outer_step(base, inputs)
+    result = outer_step(base, prev)
     assert result.diagnostics.converged and result.diagnostics.outer_iterations > 2
     assert len(velocities) == result.diagnostics.outer_iterations + 1
-    assert np.array_equal(velocities[0], inputs.u_prev) and velocities[-1] is result.u
+    assert np.array_equal(velocities[0], prev.u) and velocities[-1] is result.u
 
 
 def test_next_step_starts_from_the_system_the_last_one_ended_on(coarse_ops, monkeypatch):
@@ -372,13 +385,12 @@ def test_next_step_starts_from_the_system_the_last_one_ended_on(coarse_ops, monk
     # as a resume builds it, and the same bits
     ops = coarse_ops
     x, y = ops.mesh.vertices.T
-    first = make_inputs(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125))
+    first = make_state(ops, c=1 + 0.5 * x, n=np.exp(-((x**2 + (y - 0.3) ** 2)) / 0.125))
     base = StepBase(ops, PARAMS, 0.05)
     previous = outer_step(base, first, step=1)
     assert base.last.u is previous.u and base.sources == [1, 1, 1]
-    second = make_inputs(ops, c=previous.c, n=previous.n, u=previous.u.copy())
-    state0 = timestepping.State(first.c_prev, first.n_prev, first.u_prev, np.zeros(ops.mesh.n_vertices), 0.0)
-    rebuilt = StepBase(ops, PARAMS, base.k, base.options, base.sources, [state0])
+    second = make_state(ops, c=previous.c, n=previous.n, u=previous.u.copy())
+    rebuilt = StepBase(ops, PARAMS, base.k, base.options, base.sources, [first])
     velocities = counted_convection(monkeypatch)
     shared = outer_step(base, second, step=2)
     assembled = len(velocities)
@@ -387,7 +399,7 @@ def test_next_step_starts_from_the_system_the_last_one_ended_on(coarse_ops, monk
     assert assembled == len(velocities) - assembled - 1
     for name in ("c", "n", "u", "p"):
         assert np.array_equal(getattr(shared, name), getattr(fresh, name))
-    assert shared.diagnostics.residual_history == fresh.diagnostics.residual_history
+    assert shared.diagnostics.outer_history == fresh.diagnostics.outer_history
 
 
 def solves_by_block(monkeypatch):
@@ -459,13 +471,13 @@ def test_low_viscosity_blocks_factorise_at_most_once_per_attempt(monkeypatch):
     attempts, assemblies = [], []
     outer = timestepping.outer_step
 
-    def attempt(base, inputs, step):
+    def attempt(base, prev, step):
         new = base.last is None
         before = made.copy()
         starts = [(what, lu) for what, lu in zip(BLOCKS, base.factors) if lu is not None]
         spent = {what: lu.solves for what, lu in starts}
         assembled = len(velocities)
-        result = outer(base, inputs, step=step)
+        result = outer(base, prev, step=step)
         corrections = {what: lu.solves - spent[what] for what, lu in starts}
         attempts.append((step, made - before, corrections, list(base.sources)))
         assemblies.append((len(velocities) - assembled, result.diagnostics.outer_iterations + new))
@@ -509,5 +521,5 @@ def test_failed_first_system_factorisation_carries_no_source(coarse_ops, monkeyp
     monkeypatch.setattr(fluid, "splu", singular)
     base = StepBase(coarse_ops, PARAMS, 0.05)
     with pytest.raises(LinearSolveError, match="oxygen factorisation failed"):
-        outer_step(base, make_inputs(coarse_ops), step=1)
+        outer_step(base, make_state(coarse_ops), step=1)
     assert base.factors == [None, None, None] and base.sources == [0, 0, 0]

@@ -234,8 +234,8 @@ def test_retry_rescues_with_halved_step(coarse_ops, caplog, monkeypatch):
         made.append(matrix.shape)
         return splu(matrix, **kw)
 
-    def recorded(base, inputs, step):
-        result = outer(base, inputs, step=step)
+    def recorded(base, prev, step):
+        result = outer(base, prev, step=step)
         attempts.append((base.k, base, list(base.factors), list(base.sources), result.diagnostics))
         return result
 
@@ -415,9 +415,9 @@ def test_resume_around_a_halved_retry_is_bit_identical(coarse_ops, tmp_path, mon
     after_step1 = run(ops, PARAMS, TimeGrid(T=grid.k, N=1), state0).states[1]
     outer = timestepping.outer_step
 
-    def failing_step2(base, inputs, **kwargs):
-        result = outer(base, inputs, **kwargs)
-        if base.k == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
+    def failing_step2(base, prev, **kwargs):
+        result = outer(base, prev, **kwargs)
+        if base.k == grid.k and np.array_equal(prev.c, after_step1.c):
             result.diagnostics.converged = False
         return result
 
@@ -447,9 +447,9 @@ def test_resume_of_carried_factors_around_a_halved_retry_is_bit_identical(medium
     after_step1 = run(ops, params, TimeGrid(T=grid.k, N=1), state0).states[1]
     outer = timestepping.outer_step
 
-    def failing_step2(base, inputs, **kwargs):
-        result = outer(base, inputs, **kwargs)
-        if base.k == grid.k and np.array_equal(inputs.c_prev, after_step1.c):
+    def failing_step2(base, prev, **kwargs):
+        result = outer(base, prev, **kwargs)
+        if base.k == grid.k and np.array_equal(prev.c, after_step1.c):
             result.diagnostics.converged = False
         return result
 
